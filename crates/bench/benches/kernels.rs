@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pim_graph::triangle::sorted_intersection_count;
 use pim_sim::system::encode_slice;
-use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 use pim_tc::kernel::layout::{Header, MramLayout};
 use pim_tc::kernel::{count, index, sort};
 use rand::{Rng, SeedableRng};

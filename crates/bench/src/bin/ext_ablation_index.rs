@@ -8,7 +8,7 @@
 use pim_bench::{fmt_secs, Harness, MdTable};
 use pim_graph::datasets::{DatasetId, Profile};
 use pim_sim::system::encode_slice;
-use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 use pim_tc::kernel::count::{count_kernel_with, RegionLookup};
 use pim_tc::kernel::layout::{Header, MramLayout};
 use pim_tc::kernel::{edge_key, index, sort};

@@ -81,7 +81,7 @@ pub fn seal_kernel(
 mod tests {
     use super::*;
     use pim_sim::system::encode_slice;
-    use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+    use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 
     #[test]
     fn digest_is_order_sensitive_and_deterministic() {

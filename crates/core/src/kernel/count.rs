@@ -736,7 +736,7 @@ mod tests {
     use crate::kernel::{edge_key, index::index_kernel, sort::sort_kernel};
     use pim_graph::{triangle, CooGraph};
     use pim_sim::system::encode_slice;
-    use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+    use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 
     /// Runs the full sort → index → count pipeline on one DPU holding the
     /// whole (normalized) graph.

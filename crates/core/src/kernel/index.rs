@@ -63,7 +63,7 @@ mod tests {
     use super::*;
     use crate::kernel::edge_unkey;
     use pim_sim::system::{decode_slice, encode_slice};
-    use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+    use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 
     fn build_index(sorted_keys: &[u64]) -> Vec<(u32, u32)> {
         let config = PimConfig::tiny();

@@ -192,7 +192,7 @@ mod tests {
     use crate::kernel::{edge_key, index::index_kernel, sort::sort_kernel};
     use pim_graph::{triangle, CooGraph, CsrGraph};
     use pim_sim::system::{decode_slice, encode_slice};
-    use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+    use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 
     /// Full single-DPU pipeline with local counting; returns (total,
     /// per-node counts).

@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use crate::kernel::edge_key;
     use pim_sim::system::{decode_slice, encode_slice};
-    use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+    use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 
     fn push_batch(sys: &mut PimSystem, layout: &MramLayout, edges: &[u64]) {
         assert!(edges.len() as u64 <= layout.stage_edges);

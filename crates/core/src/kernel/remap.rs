@@ -122,7 +122,7 @@ pub fn map_key(table: &[u64], key: u64) -> u64 {
 mod tests {
     use super::*;
     use pim_sim::system::{decode_slice, encode_slice};
-    use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+    use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 
     fn run_remap(edges: &[(u32, u32)], table: &[(u32, u32)]) -> Vec<(u32, u32)> {
         let config = PimConfig::tiny();

@@ -70,7 +70,7 @@ pub fn seed_for_dpu(master: u64, dpu: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_sim::{CostModel, PimConfig, PimSystem};
+    use pim_sim::{CostModel, PimBackend, PimConfig, PimSystem};
 
     #[test]
     fn draws_are_well_distributed() {

@@ -188,7 +188,7 @@ fn merge_range(
 mod tests {
     use super::*;
     use pim_sim::system::{decode_slice, encode_slice};
-    use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+    use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 

@@ -4,7 +4,7 @@
 //! far beyond the fixed configs of the unit tests.
 
 use pim_sim::system::{decode_slice, encode_slice};
-use pim_sim::{CostModel, HostWrite, PimConfig, PimSystem};
+use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 use pim_tc::kernel::layout::{Header, MramLayout};
 use pim_tc::kernel::{count, edge_key, index, sort};
 use proptest::prelude::*;

@@ -1,4 +1,5 @@
-//! The execution-backend seam: one host-side API, two engines.
+//! The execution-backend seam: one host-side API, one engine with its
+//! clock on or off.
 //!
 //! The PrIM line of work (Gómez-Luna et al., IEEE Access 2022) separates
 //! the *functional* behaviour of UPMEM hardware from its *timing
@@ -6,47 +7,49 @@
 //! simulator. [`PimBackend`] abstracts everything an orchestrator does to
 //! the PIM machine — allocation, rank-parallel `push`/`gather` transfers,
 //! labeled SPMD kernel launches, phase accounting, and trace/report
-//! access — and two engines implement it:
+//! access. [`PimSystem`] implements it once, and its [`Clock`] parameter
+//! picks the mode:
 //!
-//! * [`TimedBackend`] (an alias for [`PimSystem`]): full cycle, DMA,
-//!   transfer-bandwidth, and energy accounting against the
-//!   PrIM-calibrated [`CostModel`]. Use it whenever modeled time matters.
-//! * [`FunctionalBackend`]: executes the *same* kernel closures over the
-//!   same MRAM banks (still via rayon across DPUs), but skips all timing,
-//!   trace, and energy bookkeeping. Phase times, transfer seconds, trace
-//!   events, and energy all report zero. Use it for correctness tests,
-//!   proptests, and exact-count baselines where only functional behaviour
-//!   matters.
+//! * [`TimedBackend`] (`PimSystem<Timed>`): every operation is billed
+//!   modeled seconds against the PrIM-calibrated [`CostModel`], traced,
+//!   and counted toward energy. Use it whenever modeled time matters.
+//! * [`FunctionalBackend`] (`PimSystem<Functional>`): the same operations
+//!   on the same MRAM banks, with the same faults and the same per-DPU
+//!   cycle, instruction and DMA counters (the cost model still prices
+//!   kernel work, and the count kernel picks its strategy from it). Only
+//!   the clock is off: phase times, transfer seconds and energy report
+//!   zero, and the trace stays empty. Use it for correctness tests,
+//!   proptests, and exact-count baselines.
 //!
-//! Both backends are bit-identical on *data*: MRAM contents, kernel
-//! results, and gathered bytes never differ (the equivalence proptests in
-//! `pim-tc` pin this). Only the clocks differ.
+//! Both modes are bit-identical on *data*: MRAM contents, kernel results,
+//! and gathered bytes never differ (the equivalence proptests in `pim-tc`
+//! pin this), and their metric streams differ only in `seconds`.
+//!
+//! [`Clock`]: crate::system::Clock
 
 use crate::config::PimConfig;
 use crate::cost::{CostModel, SimSeconds};
 use crate::dpu::Dpu;
 use crate::energy::EnergyReport;
-use crate::error::{SimError, SimResult};
-use crate::fault::{FaultCounters, FaultDecision, FaultState, OpKind};
+use crate::error::SimResult;
+use crate::fault::FaultCounters;
 use crate::kernel::{DpuContext, Pod};
 use crate::phase::{Phase, PhaseTimes};
-use crate::system::{HostWrite, PimSystem, CORRUPT_MASK};
+use crate::system::{Functional, HostWrite, PimSystem, Timed};
 use crate::trace::Trace;
-use pim_metrics::{LaunchObs, MetricsHub};
-use rayon::prelude::*;
+use pim_metrics::MetricsHub;
 use std::sync::Arc;
 
 /// Host-side driver interface for a set of allocated PIM cores.
 ///
 /// Orchestrators (e.g. `pim-tc`'s `TcSession`) are written against this
-/// trait so the same pipeline runs on the timed simulator or the
-/// functional engine. Kernel launches are generic over the closure and
-/// its result type, so the trait is used through generics (static
-/// dispatch), not trait objects.
+/// trait so the same pipeline runs with the clock on or off, on one rank
+/// or many. Kernel launches are generic over the closure and its result
+/// type, so the trait is used through generics (static dispatch), not
+/// trait objects.
 pub trait PimBackend: Send {
     /// Allocates `nr_dpus` PIM cores under the given hardware shape and
-    /// cost model. Timed backends charge the setup cost; functional
-    /// backends only build the banks.
+    /// cost model, charging the setup cost when the clock runs.
     fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self>
     where
         Self: Sized;
@@ -57,8 +60,8 @@ pub trait PimBackend: Send {
     /// Hardware configuration in effect.
     fn config(&self) -> &PimConfig;
 
-    /// Cost model in effect (functional backends hold one for kernel
-    /// bookkeeping interfaces but never convert it into seconds).
+    /// Cost model in effect (kernels price their work with it even when
+    /// the clock is off).
     fn cost(&self) -> &CostModel;
 
     /// Read-only access to a DPU (host-side inspection; tests and result
@@ -68,9 +71,10 @@ pub trait PimBackend: Send {
     /// Mutable access to a DPU bank, bypassing the modeled transfer path.
     /// This is the chaos-harness escape hatch: tests use it to flip bits
     /// in resident banks out of band (modeling radiation upsets the fault
-    /// plan cannot schedule) and assert that scrubbing catches them. Not
-    /// for orchestrators — data planes must go through `push`/`broadcast`
-    /// so transfers stay modeled and faultable.
+    /// plan cannot schedule) and assert that scrubbing catches them. It
+    /// charges no time and injects no faults. Not for orchestrators — data
+    /// planes must go through `push`/`broadcast` so transfers stay modeled
+    /// and faultable.
     fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu>;
 
     /// Switches the phase that subsequent costs accrue to.
@@ -79,41 +83,43 @@ pub trait PimBackend: Send {
     /// Phase currently accruing time.
     fn phase(&self) -> Phase;
 
-    /// Modeled per-phase times so far (all-zero on functional backends).
+    /// Modeled per-phase times so far (all-zero with the clock off).
     fn phase_times(&self) -> PhaseTimes;
 
-    /// Starts recording an event timeline. No-op on backends that do not
-    /// produce timing events.
+    /// Starts recording an event timeline. No-op with the clock off.
     fn enable_tracing(&mut self);
 
     /// Attaches a live metrics hub: transfers, launches, host spans, and
     /// faults are emitted as structured events and folded into the hub's
-    /// registry as they happen. Both backends emit the *same* event
-    /// sequence for the same workload — the functional backend reports all
-    /// seconds as zero, but counts (bytes, cycles, instructions, faults)
-    /// are identical. The default implementation drops the hub.
-    fn attach_metrics(&mut self, _hub: Arc<MetricsHub>) {}
+    /// registry as they happen. Attach immediately after allocation for a
+    /// complete stream. The event sequence for a workload does not depend
+    /// on the clock: with it off every `seconds` is zero, but counts
+    /// (bytes, cycles, instructions, faults) are identical.
+    fn attach_metrics(&mut self, hub: Arc<MetricsHub>);
 
-    /// The recorded timeline (always empty on functional backends).
+    /// The recorded timeline (always empty with the clock off).
     fn trace(&self) -> &Trace;
 
-    /// Folds measured host-side seconds into the current phase under a
-    /// span label. Functional backends drop the measurement.
+    /// Folds measured host-side seconds (e.g. batch-creation wall time)
+    /// into the current phase under a span label, so traces show *which*
+    /// host work the time went to. The paper's timings include host work;
+    /// the simulator cannot model arbitrary host Rust code, so the
+    /// orchestrator measures it and accounts it here. With the clock off
+    /// the span is still emitted, with zero seconds.
     fn charge_host_seconds_labeled(&mut self, label: &str, seconds: SimSeconds);
 
-    /// Unlabeled convenience over
-    /// [`PimBackend::charge_host_seconds_labeled`].
-    fn charge_host_seconds(&mut self, seconds: SimSeconds) {
-        self.charge_host_seconds_labeled("host", seconds);
-    }
-
-    /// Executes a rank-parallel CPU→PIM transfer batch.
+    /// Executes a rank-parallel CPU→PIM transfer batch. Data lands in MRAM
+    /// immediately; modeled time (max per-DPU payload vs. aggregate
+    /// bandwidth cap) accrues to the current phase.
     fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()>;
 
-    /// Broadcasts the same payload to every DPU at the same offset.
+    /// Broadcasts the same payload to every DPU at the same offset (UPMEM
+    /// supports this as an optimized parallel transfer; modeled as one
+    /// rank-parallel batch).
     fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()>;
 
-    /// Gathers `len` bytes at `offset` from every DPU (PIM→CPU transfer).
+    /// Gathers `len` bytes at `offset` from every DPU (PIM→CPU transfer),
+    /// charging one rank-parallel batch.
     fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>>;
 
     /// Typed convenience over [`PimBackend::gather`]: one `T` per DPU
@@ -127,9 +133,11 @@ pub trait PimBackend: Send {
     }
 
     /// Launches a labeled SPMD kernel on every allocated DPU, returning
-    /// each DPU's result in id order. Timed backends bill
-    /// `launch_overhead + max per-DPU cycles` to the current phase and
-    /// record a trace event; functional backends only run the closures.
+    /// each DPU's result in id order. The label lets traces and
+    /// [`crate::SystemReport`] launch profiles attribute time to a specific
+    /// kernel (e.g. `"sort"` vs `"count"`). The launch bills
+    /// `launch_overhead + max per-DPU cycles` to the current phase when
+    /// the clock runs.
     fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
     where
         R: Send,
@@ -148,642 +156,59 @@ pub trait PimBackend: Send {
 
     /// Like [`PimBackend::execute_labeled`], but tolerant of permanently
     /// dead DPUs (see [`crate::fault`]): their slots come back as `None`
-    /// instead of failing the launch. The default implementation assumes a
-    /// fault-free machine where every slot is `Some`.
+    /// instead of failing the launch. Fault-aware orchestrators use this
+    /// to keep driving the survivors.
     fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
     where
         R: Send,
         K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-        Self: Sized,
-    {
-        Ok(self
-            .execute_labeled(label, kernel)?
-            .into_iter()
-            .map(Some)
-            .collect())
-    }
+        Self: Sized;
 
     /// Whether the fault plan has permanently killed `dpu`. Always false
     /// without an active plan.
-    fn is_dpu_lost(&self, _dpu: usize) -> bool {
-        false
-    }
+    fn is_dpu_lost(&self, dpu: usize) -> bool;
 
     /// Counters of faults injected so far (all-zero without a plan).
-    fn fault_counters(&self) -> FaultCounters {
-        FaultCounters::default()
-    }
+    fn fault_counters(&self) -> FaultCounters;
 
     /// Sum of MRAM bytes in use across all DPUs.
     fn total_mram_used(&self) -> u64;
 
-    /// Total CPU↔PIM bytes moved so far (tracked on both backends — it is
-    /// a data quantity, not a time).
+    /// Total CPU↔PIM bytes moved so far (tracked with the clock off too —
+    /// it is a data quantity, not a time).
     fn total_transfer_bytes(&self) -> u64;
 
-    /// Total modeled seconds spent on CPU↔PIM transfers (zero on
-    /// functional backends).
+    /// Total modeled seconds spent on CPU↔PIM transfers (zero with the
+    /// clock off). Together with [`PimBackend::total_transfer_bytes`] this
+    /// gives the achieved transfer bandwidth, comparable against the cost
+    /// model's aggregate bandwidth cap.
     fn total_transfer_seconds(&self) -> SimSeconds;
 
-    /// Energy totals for everything executed so far (all-zero on
-    /// functional backends).
+    /// Energy totals for everything executed so far, derived from the
+    /// lifetime activity counters and the modeled runtime (all-zero with
+    /// the clock off).
     fn energy_report(&self) -> EnergyReport;
 
-    /// Frees the PIM cores, returning the final phase times.
+    /// Frees the PIM cores, returning the final phase times. (Dropping the
+    /// system works too; this makes the hand-off explicit in orchestrator
+    /// code, mirroring `dpu_free` in the UPMEM SDK.)
     fn release(self) -> PhaseTimes
     where
         Self: Sized;
 }
 
-/// The timed execution backend: the full cycle-accounting simulator.
-///
-/// `TimedBackend` *is* [`PimSystem`]; the alias names the role it plays
-/// on the [`PimBackend`] seam.
-pub type TimedBackend = PimSystem;
+/// The engine with its clock on: full cycle, transfer-bandwidth, trace,
+/// and energy accounting.
+pub type TimedBackend = PimSystem<Timed>;
 
-impl PimBackend for PimSystem {
-    fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self> {
-        PimSystem::allocate(nr_dpus, config, cost)
-    }
-
-    fn nr_dpus(&self) -> usize {
-        PimSystem::nr_dpus(self)
-    }
-
-    fn config(&self) -> &PimConfig {
-        PimSystem::config(self)
-    }
-
-    fn cost(&self) -> &CostModel {
-        PimSystem::cost(self)
-    }
-
-    fn dpu(&self, id: usize) -> SimResult<&Dpu> {
-        PimSystem::dpu(self, id)
-    }
-
-    fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu> {
-        PimSystem::dpu_mut(self, id)
-    }
-
-    fn set_phase(&mut self, phase: Phase) {
-        PimSystem::set_phase(self, phase);
-    }
-
-    fn phase(&self) -> Phase {
-        PimSystem::phase(self)
-    }
-
-    fn phase_times(&self) -> PhaseTimes {
-        PimSystem::phase_times(self)
-    }
-
-    fn enable_tracing(&mut self) {
-        PimSystem::enable_tracing(self);
-    }
-
-    fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
-        PimSystem::attach_metrics(self, hub);
-    }
-
-    fn trace(&self) -> &Trace {
-        PimSystem::trace(self)
-    }
-
-    fn charge_host_seconds_labeled(&mut self, label: &str, seconds: SimSeconds) {
-        PimSystem::charge_host_seconds_labeled(self, label, seconds);
-    }
-
-    fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
-        PimSystem::push(self, writes)
-    }
-
-    fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        PimSystem::broadcast(self, offset, data)
-    }
-
-    fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
-        PimSystem::gather(self, offset, len)
-    }
-
-    fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-    {
-        PimSystem::execute_labeled(self, label, kernel)
-    }
-
-    fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-    {
-        PimSystem::execute_labeled_masked(self, label, kernel)
-    }
-
-    fn is_dpu_lost(&self, dpu: usize) -> bool {
-        PimSystem::is_dpu_lost(self, dpu)
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        PimSystem::fault_counters(self)
-    }
-
-    fn total_mram_used(&self) -> u64 {
-        PimSystem::total_mram_used(self)
-    }
-
-    fn total_transfer_bytes(&self) -> u64 {
-        PimSystem::total_transfer_bytes(self)
-    }
-
-    fn total_transfer_seconds(&self) -> SimSeconds {
-        PimSystem::total_transfer_seconds(self)
-    }
-
-    fn energy_report(&self) -> EnergyReport {
-        PimSystem::energy_report(self)
-    }
-
-    fn release(self) -> PhaseTimes {
-        PimSystem::release(self)
-    }
-}
-
-/// The functional execution backend: same banks, same kernels, no clocks.
-///
-/// Data movement and kernel execution are bit-identical to
-/// [`TimedBackend`]; every time-, trace-, and energy-producing path is a
-/// no-op. Per-DPU activity counters (instructions, DMA bytes) still
-/// accumulate — they are data-derived and cost nothing extra — so
-/// [`crate::SystemReport`] aggregates remain meaningful.
-pub struct FunctionalBackend {
-    config: PimConfig,
-    cost: CostModel,
-    dpus: Vec<Dpu>,
-    phase: Phase,
-    transfer_bytes: u64,
-    /// Always-empty, never-enabled timeline handed out by `trace()`.
-    trace: Trace,
-    fault: FaultState,
-    metrics: Option<Arc<MetricsHub>>,
-}
-
-impl FunctionalBackend {
-    /// Emits a fault event on the attached hub, if any.
-    fn record_fault(&self, kind: &'static str, op: u64, dpu: Option<usize>) {
-        if let Some(hub) = &self.metrics {
-            hub.fault(kind, self.phase.metric_name(), op, dpu.map(|d| d as u64));
-        }
-    }
-}
-
-impl FunctionalBackend {
-    /// Allocates `nr_dpus` functional PIM cores with the default hardware
-    /// shape.
-    pub fn allocate_default(nr_dpus: usize) -> SimResult<Self> {
-        <Self as PimBackend>::allocate(nr_dpus, PimConfig::default(), CostModel::default())
-    }
-}
-
-impl PimBackend for FunctionalBackend {
-    fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self> {
-        if nr_dpus > config.total_dpus {
-            return Err(SimError::TooManyDpus {
-                requested: nr_dpus,
-                available: config.total_dpus,
-            });
-        }
-        let dpus = (0..nr_dpus)
-            .map(|id| Dpu::new(id, config.mram_capacity, config.nr_tasklets))
-            .collect();
-        Ok(FunctionalBackend {
-            config,
-            cost,
-            dpus,
-            phase: Phase::Setup,
-            transfer_bytes: 0,
-            trace: Trace::default(),
-            fault: FaultState::new(config.fault, nr_dpus),
-            metrics: None,
-        })
-    }
-
-    fn nr_dpus(&self) -> usize {
-        self.dpus.len()
-    }
-
-    fn config(&self) -> &PimConfig {
-        &self.config
-    }
-
-    fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    fn dpu(&self, id: usize) -> SimResult<&Dpu> {
-        self.dpus.get(id).ok_or(SimError::NoSuchDpu {
-            dpu: id,
-            allocated: self.dpus.len(),
-        })
-    }
-
-    fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu> {
-        let allocated = self.dpus.len();
-        self.dpus
-            .get_mut(id)
-            .ok_or(SimError::NoSuchDpu { dpu: id, allocated })
-    }
-
-    fn set_phase(&mut self, phase: Phase) {
-        if self.phase != phase {
-            if let Some(hub) = &self.metrics {
-                hub.phase_change(phase.metric_name());
-            }
-        }
-        self.phase = phase;
-    }
-
-    fn phase(&self) -> Phase {
-        self.phase
-    }
-
-    fn phase_times(&self) -> PhaseTimes {
-        PhaseTimes::default()
-    }
-
-    fn enable_tracing(&mut self) {
-        // Functional runs produce no timing events; the timeline stays
-        // empty by design (see docs/OBSERVABILITY.md).
-    }
-
-    fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
-        // Functional allocation charges no modeled time.
-        hub.alloc(self.dpus.len() as u64, 0.0);
-        self.metrics = Some(hub);
-    }
-
-    fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    fn charge_host_seconds_labeled(&mut self, label: &str, _seconds: SimSeconds) {
-        // The measurement itself is dropped (no modeled clock), but the
-        // event is still emitted — with zero seconds — so retry counts and
-        // span sequences match the timed backend exactly.
-        if let Some(hub) = &self.metrics {
-            hub.host(label, self.phase.metric_name(), 0.0);
-        }
-    }
-
-    fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
-        for w in &writes {
-            if w.dpu >= self.dpus.len() {
-                return Err(SimError::NoSuchDpu {
-                    dpu: w.dpu,
-                    allocated: self.dpus.len(),
-                });
-            }
-            if self.fault.is_dead(w.dpu) {
-                return Err(SimError::DpuDead { dpu: w.dpu });
-            }
-        }
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "push",
-                        self.phase.metric_name(),
-                        writes.len() as u64,
-                        0,
-                        0.0,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
-        let mut bytes = 0u64;
-        for w in &writes {
-            self.dpus[w.dpu].host_write(w.offset, &w.data)?;
-            bytes += w.data.len() as u64;
-        }
-        self.transfer_bytes += bytes;
-        if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..writes.len())
-                .filter(|&i| !writes[i].data.is_empty())
-                .collect();
-            if !victims.is_empty() {
-                let w = &writes[victims[salt as usize % victims.len()]];
-                let byte = (salt >> 8) % w.data.len() as u64;
-                let flipped = w.data[byte as usize] ^ CORRUPT_MASK;
-                self.dpus[w.dpu].host_write(w.offset + byte, &[flipped])?;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(w.dpu));
-            }
-        }
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "push",
-                self.phase.metric_name(),
-                writes.len() as u64,
-                bytes,
-                0.0,
-                true,
-            );
-        }
-        Ok(())
-    }
-
-    fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "broadcast",
-                        self.phase.metric_name(),
-                        self.dpus.len() as u64,
-                        0,
-                        0.0,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
-        let mut live_count = 0u64;
-        for dpu in &mut self.dpus {
-            if !self.fault.is_dead(dpu.id()) {
-                dpu.host_write(offset, data)?;
-                live_count += 1;
-            }
-        }
-        let bytes = data.len() as u64 * live_count;
-        self.transfer_bytes += bytes;
-        if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..self.dpus.len())
-                .filter(|&d| !self.fault.is_dead(d))
-                .collect();
-            if !victims.is_empty() && !data.is_empty() {
-                let d = victims[salt as usize % victims.len()];
-                let byte = (salt >> 8) % data.len() as u64;
-                let flipped = data[byte as usize] ^ CORRUPT_MASK;
-                self.dpus[d].host_write(offset + byte, &[flipped])?;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(d));
-            }
-        }
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "broadcast",
-                self.phase.metric_name(),
-                self.dpus.len() as u64,
-                bytes,
-                0.0,
-                true,
-            );
-        }
-        Ok(())
-    }
-
-    fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "gather",
-                        self.phase.metric_name(),
-                        self.dpus.len() as u64,
-                        0,
-                        0.0,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
-        let out: SimResult<Vec<Vec<u8>>> = self
-            .dpus
-            .iter()
-            .map(|d| {
-                if self.fault.is_dead(d.id()) {
-                    Ok(vec![0u8; len as usize])
-                } else {
-                    d.host_read(offset, len)
-                }
-            })
-            .collect();
-        let mut out = out?;
-        if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..out.len())
-                .filter(|&d| !self.fault.is_dead(d) && !out[d].is_empty())
-                .collect();
-            if !victims.is_empty() {
-                let d = victims[salt as usize % victims.len()];
-                let byte = (salt >> 8) as usize % out[d].len();
-                out[d][byte] ^= CORRUPT_MASK;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(d));
-            }
-        }
-        let bytes = len * self.dpus.len() as u64;
-        self.transfer_bytes += bytes;
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "gather",
-                self.phase.metric_name(),
-                self.dpus.len() as u64,
-                bytes,
-                0.0,
-                true,
-            );
-        }
-        Ok(out)
-    }
-
-    fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-    {
-        let results = self.execute_labeled_masked(label, kernel)?;
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(dpu, r)| r.ok_or(SimError::DpuDead { dpu }))
-            .collect()
-    }
-
-    fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-    {
-        match self.fault.decide(OpKind::Launch) {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                self.record_fault("launch_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.launch(LaunchObs {
-                        label: label.to_string(),
-                        phase: self.phase.metric_name(),
-                        dpus: 0,
-                        max_cycles: 0,
-                        mean_cycles: 0.0,
-                        instructions: 0,
-                        dma_bytes: 0,
-                        seconds: 0.0,
-                        ok: false,
-                    });
-                }
-                return Err(SimError::FaultLaunch { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
-        let config = self.config;
-        let cost = self.cost;
-        let dead: Vec<bool> = self.fault.dead_flags().to_vec();
-        let results: SimResult<Vec<(Option<R>, u64)>> = self
-            .dpus
-            .par_iter_mut()
-            .map(|dpu| {
-                if dead.get(dpu.id()).copied().unwrap_or(false) {
-                    return Ok((None, 0));
-                }
-                dpu.reset_kernel_counters();
-                let mut ctx = DpuContext {
-                    dpu,
-                    config: &config,
-                    cost: &cost,
-                };
-                let r = kernel(&mut ctx)?;
-                // Cycles are data-derived (instruction and DMA counts), so
-                // the functional backend reports the same per-launch cycle
-                // observations as the timed one — only *seconds* stay zero.
-                let cycles = cost.dpu_cycles(&ctx.dpu.tasklet_instr, ctx.dpu.dma_cycles);
-                Ok((Some(r), cycles))
-            })
-            .collect();
-        let results = results?;
-        if let Some(hub) = &self.metrics {
-            let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
-            let live = results.iter().filter(|(r, _)| r.is_some()).count() as u64;
-            let max_cycles = results.iter().map(|(_, c)| *c).max().unwrap_or(0);
-            let cycle_sum: u64 = results.iter().map(|(_, c)| *c).sum();
-            let instructions: u64 = self
-                .dpus
-                .iter()
-                .filter(|d| !is_dead(d.id()))
-                .map(|d| d.tasklet_instr.iter().sum::<u64>())
-                .sum();
-            let dma_bytes: u64 = self
-                .dpus
-                .iter()
-                .filter(|d| !is_dead(d.id()))
-                .map(|d| d.kernel_dma_bytes)
-                .sum();
-            hub.launch(LaunchObs {
-                label: label.to_string(),
-                phase: self.phase.metric_name(),
-                dpus: live,
-                max_cycles,
-                mean_cycles: if live > 0 {
-                    cycle_sum as f64 / live as f64
-                } else {
-                    0.0
-                },
-                instructions,
-                dma_bytes,
-                seconds: 0.0,
-                ok: true,
-            });
-            // Same per-DPU distribution stream as the timed backend (the
-            // cycle observations are data-derived, so both backends emit
-            // identical hist events for the same run).
-            let per_dpu_cycles: Vec<u64> = results.iter().map(|(_, c)| *c).collect();
-            let per_dpu_dma: Vec<u64> = self
-                .dpus
-                .iter()
-                .map(|d| {
-                    if is_dead(d.id()) {
-                        0
-                    } else {
-                        d.kernel_dma_bytes
-                    }
-                })
-                .collect();
-            hub.launch_hist(
-                label,
-                self.phase.metric_name(),
-                &per_dpu_cycles,
-                &per_dpu_dma,
-            );
-        }
-        Ok(results.into_iter().map(|(r, _)| r).collect())
-    }
-
-    fn is_dpu_lost(&self, dpu: usize) -> bool {
-        self.fault.is_dead(dpu)
-    }
-
-    fn fault_counters(&self) -> FaultCounters {
-        self.fault.counters()
-    }
-
-    fn total_mram_used(&self) -> u64 {
-        self.dpus.iter().map(Dpu::mram_used).sum()
-    }
-
-    fn total_transfer_bytes(&self) -> u64 {
-        self.transfer_bytes
-    }
-
-    fn total_transfer_seconds(&self) -> SimSeconds {
-        0.0
-    }
-
-    fn energy_report(&self) -> EnergyReport {
-        EnergyReport {
-            instr_j: 0.0,
-            dma_j: 0.0,
-            transfer_j: 0.0,
-            static_j: 0.0,
-        }
-    }
-
-    fn release(self) -> PhaseTimes {
-        PhaseTimes::default()
-    }
-}
+/// The engine with its clock off: same banks, same kernels, same
+/// counters, zero seconds.
+pub type FunctionalBackend = PimSystem<Functional>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SimError;
     use crate::system::{decode_slice, encode_slice};
 
     /// The same small pipeline, written once against the trait.
@@ -881,42 +306,87 @@ mod tests {
 
     #[test]
     fn backends_emit_equivalent_metric_streams() {
-        use pim_metrics::{summarize, MemorySink};
+        use crate::fault::FaultPlan;
+        use pim_metrics::{summarize, Event, FieldValue, MemorySink};
 
-        fn run<B: PimBackend>(mut sys: B) -> pim_metrics::StreamSummary {
+        /// Every op kind, tolerating the faults the plan injects.
+        fn exercise<B: PimBackend>(sys: &mut B) {
+            for round in 0..16u32 {
+                sys.set_phase(if round % 2 == 0 {
+                    Phase::SampleCreation
+                } else {
+                    Phase::TriangleCount
+                });
+                let writes = (0..4)
+                    .filter(|&dpu| !sys.is_dpu_lost(dpu))
+                    .map(|dpu| HostWrite {
+                        dpu,
+                        offset: 0,
+                        data: encode_slice(&[round + dpu as u32; 8]),
+                    })
+                    .collect();
+                let _ = sys.push(writes);
+                let _ = sys.broadcast(64, &encode_slice(&[round; 4]));
+                let _ = sys.execute_labeled_masked("sum", |ctx| {
+                    let mut t = ctx.tasklet(0)?;
+                    let mut buf = [0u32; 8];
+                    t.mram_read(0, &mut buf)?;
+                    t.charge(8 + u64::from(buf[0]));
+                    Ok(())
+                });
+                let _ = sys.gather(0, 32);
+                sys.charge_host_seconds_labeled("retry_backoff", 1e-3);
+            }
+        }
+
+        fn run<B: PimBackend>(config: PimConfig) -> Vec<Event> {
+            let mut sys = B::allocate(4, config, CostModel::default()).unwrap();
             let hub = Arc::new(MetricsHub::new());
             let sink = MemorySink::new();
             hub.add_sink(Box::new(sink.clone()));
-            sys.attach_metrics(Arc::clone(&hub));
-            drive(sys);
-            summarize(&sink.events())
+            sys.attach_metrics(hub);
+            exercise(&mut sys);
+            sink.events()
         }
 
-        let timed =
-            run(
-                <TimedBackend as PimBackend>::allocate(4, PimConfig::tiny(), CostModel::default())
-                    .unwrap(),
-            );
-        let func = run(<FunctionalBackend as PimBackend>::allocate(
-            4,
-            PimConfig::tiny(),
-            CostModel::default(),
-        )
-        .unwrap());
+        fn fault_kinds(events: &[Event]) -> Vec<&str> {
+            let mut kinds: Vec<&str> = events
+                .iter()
+                .filter(|e| e.kind == "fault")
+                .map(|e| e.str_field("fault_kind"))
+                .collect();
+            kinds.sort_unstable();
+            kinds.dedup();
+            kinds
+        }
 
-        // Same event counts, bytes, cycles, instructions on both engines.
-        assert_eq!(timed.events, func.events);
-        assert_eq!(timed.nr_dpus, func.nr_dpus);
-        assert_eq!(timed.transfer_bytes(), func.transfer_bytes());
-        assert_eq!(timed.instructions(), func.instructions());
-        assert_eq!(timed.dma_bytes(), func.dma_bytes());
-        assert_eq!(
-            timed.launches["sum"].max_cycles_total,
-            func.launches["sum"].max_cycles_total
-        );
-        // Only the clocks differ.
-        assert!(timed.total_seconds() > 0.0);
-        assert_eq!(func.total_seconds(), 0.0);
+        let plan = "seed=5,transfer=200000,corrupt=200000,launch=200000,kill=2@30";
+        let faulty = PimConfig {
+            fault: Some(FaultPlan::parse(plan).unwrap()),
+            ..PimConfig::tiny()
+        };
+        for (config, kinds) in [
+            (PimConfig::tiny(), vec![]),
+            (
+                faulty,
+                vec!["corrupt", "kill", "launch_fail", "transfer_fail"],
+            ),
+        ] {
+            let timed = run::<TimedBackend>(config);
+            let func = run::<FunctionalBackend>(config);
+            assert_eq!(fault_kinds(&timed), kinds);
+            // Only the clocks differ: with every timed `seconds` zeroed the
+            // two streams are the same events, field for field.
+            assert!(summarize(&timed).total_seconds() > 0.0);
+            assert_eq!(summarize(&func).total_seconds(), 0.0);
+            let mut clock_off = timed;
+            for (name, value) in clock_off.iter_mut().flat_map(|e| e.fields.iter_mut()) {
+                if name == "seconds" {
+                    *value = FieldValue::F64(0.0);
+                }
+            }
+            assert_eq!(clock_off, func);
+        }
     }
 
     #[test]

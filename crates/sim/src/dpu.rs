@@ -6,7 +6,7 @@ use crate::error::{SimError, SimResult};
 ///
 /// The host interacts with a DPU only through [`Dpu::host_write`] /
 /// [`Dpu::host_read`] (the CPU-PIM transfer path) and by launching kernels
-/// via [`crate::PimSystem::execute`]; there is no channel between DPUs,
+/// via [`crate::PimBackend::execute`]; there is no channel between DPUs,
 /// matching the UPMEM architecture (§2.2 of the paper).
 #[derive(Clone, Debug)]
 pub struct Dpu {

@@ -55,5 +55,5 @@ pub use phase::{Phase, PhaseTimes};
 pub use stats::{
     DpuActivity, LaunchProfile, PhaseKernelCycles, SystemReport, CYCLE_HISTOGRAM_BUCKETS,
 };
-pub use system::{HostWrite, PimSystem};
+pub use system::{Clock, Functional, HostWrite, PimSystem, Timed};
 pub use trace::{to_chrome_trace_cluster, Trace, TraceEvent};

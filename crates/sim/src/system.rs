@@ -1,19 +1,63 @@
 //! The host-side view of the PIM machine: allocation, transfers, kernel
 //! launches, and phase timing.
+//!
+//! There is one engine, [`PimSystem`], and its clock can be switched off.
+//! Under [`Timed`] every operation is billed modeled seconds from the
+//! [`CostModel`]; under [`Functional`] the same operations run on the same
+//! banks, with the same faults and per-DPU counters, but bill zero seconds
+//! and record no trace and no energy. Each operation builds one
+//! `OpRecord`, and `settle` is the only code that turns a record into
+//! phase time, transfer totals, trace events and metric events.
 
+use crate::backend::PimBackend;
 use crate::config::PimConfig;
 use crate::cost::{CostModel, SimSeconds};
 use crate::dpu::Dpu;
+use crate::energy::{EnergyModel, EnergyReport};
 use crate::error::{SimError, SimResult};
 use crate::fault::{FaultCounters, FaultDecision, FaultState, OpKind};
 use crate::kernel::{DpuContext, Pod};
 use crate::phase::{Phase, PhaseTimes};
+use crate::trace::{Trace, TraceEvent};
 use pim_metrics::{LaunchObs, MetricsHub};
 use rayon::prelude::*;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// XOR mask applied to the victim byte of a corrupted payload.
-pub(crate) const CORRUPT_MASK: u8 = 0xA5;
+const CORRUPT_MASK: u8 = 0xA5;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Timed {}
+    impl Sealed for super::Functional {}
+}
+
+/// Whether a [`PimSystem`] runs its modeled clock. Sealed: [`Timed`] and
+/// [`Functional`] are the only two modes.
+pub trait Clock: sealed::Sealed + Send + 'static {
+    /// Whether operations are billed modeled seconds.
+    const TIMED: bool;
+}
+
+/// Clock on: operations are billed modeled seconds, traced, and counted
+/// toward energy.
+#[derive(Clone, Copy, Debug)]
+pub struct Timed;
+
+/// Clock off: the same data movement, kernels, faults and per-DPU cycle,
+/// instruction and DMA counters as [`Timed`], with zero seconds, no trace
+/// and no energy.
+#[derive(Clone, Copy, Debug)]
+pub struct Functional;
+
+impl Clock for Timed {
+    const TIMED: bool = true;
+}
+
+impl Clock for Functional {
+    const TIMED: bool = false;
+}
 
 /// One host→DPU write request in a parallel transfer batch.
 #[derive(Clone, Debug)]
@@ -28,104 +72,319 @@ pub struct HostWrite {
 
 /// A set of allocated PIM cores plus the machinery to drive them:
 /// rank-parallel transfers, SPMD kernel launches, and per-phase modeled
-/// time (§4.1: Setup / Sample Creation / Triangle Count).
-pub struct PimSystem {
+/// time (§4.1: Setup / Sample Creation / Triangle Count). The operations
+/// are the [`PimBackend`] methods; `C` says whether they run the clock.
+pub struct PimSystem<C: Clock = Timed> {
     config: PimConfig,
     cost: CostModel,
-    energy: crate::energy::EnergyModel,
     dpus: Vec<Dpu>,
     times: PhaseTimes,
     phase: Phase,
     transfer_bytes: u64,
     transfer_seconds: SimSeconds,
-    trace: crate::trace::Trace,
+    trace: Trace,
     fault: FaultState,
     metrics: Option<Arc<MetricsHub>>,
+    clock: PhantomData<C>,
+}
+
+/// One operation as the engine saw it. Its modeled seconds follow from it
+/// and the cost model (see [`OpRecord::seconds`]).
+enum OpRecord {
+    /// Core allocation plus kernel binary load.
+    Alloc { nr_dpus: usize },
+    /// A CPU↔PIM batch: `name` is `push`, `broadcast` or `gather`, and
+    /// `units` counts writes (push) or DPUs. A failed batch lands no bytes
+    /// but still holds the bus for `per_dpu_bytes`.
+    Transfer {
+        name: &'static str,
+        units: usize,
+        per_dpu_bytes: Vec<u64>,
+        ok: bool,
+    },
+    /// An SPMD launch on `dpus` live cores. The per-DPU vectors are
+    /// indexed by DPU id with dead cores as zeros; a failed launch wastes
+    /// its round-trip before any tasklet runs and has none.
+    Launch {
+        label: String,
+        dpus: u64,
+        per_dpu_cycles: Vec<u64>,
+        per_dpu_instructions: Vec<u64>,
+        per_dpu_dma_bytes: Vec<u64>,
+        ok: bool,
+    },
+    /// Measured host work folded into the clock.
+    Host { label: String, seconds: SimSeconds },
+    /// A fault the plan injected. It costs nothing itself: a failed op
+    /// bills its wasted time through its own record.
+    Fault {
+        kind: &'static str,
+        op: u64,
+        dpu: Option<usize>,
+    },
+}
+
+impl OpRecord {
+    /// Modeled seconds of the operation. A launch costs
+    /// `launch_overhead + max per-DPU cycles`, because the host waits for
+    /// the slowest core — the load-imbalance sensitivity the paper's
+    /// edge-distribution analysis (§3.1) is about.
+    fn seconds(&self, cost: &CostModel) -> SimSeconds {
+        match self {
+            OpRecord::Alloc { nr_dpus } => cost.setup_seconds(*nr_dpus),
+            OpRecord::Transfer { per_dpu_bytes, .. } => cost.transfer_seconds(per_dpu_bytes),
+            OpRecord::Launch { per_dpu_cycles, .. } => {
+                let max_cycles = per_dpu_cycles.iter().copied().max().unwrap_or(0);
+                cost.launch_overhead + cost.cycles_to_seconds(max_cycles)
+            }
+            OpRecord::Host { seconds, .. } => *seconds,
+            OpRecord::Fault { .. } => 0.0,
+        }
+    }
+}
+
+/// The victim a corruption `salt` selects among `payloads` (index,
+/// length): one non-empty payload, and a byte offset within it.
+fn corruption_target(
+    salt: u64,
+    payloads: impl Iterator<Item = (usize, usize)>,
+) -> Option<(usize, u64)> {
+    let victims: Vec<(usize, usize)> = payloads.filter(|&(_, len)| len > 0).collect();
+    let &(i, len) = victims.get(salt as usize % victims.len().max(1))?;
+    Some((i, (salt >> 8) % len as u64))
 }
 
 impl PimSystem {
-    /// Allocates `nr_dpus` PIM cores, charging the setup cost (core
-    /// allocation + kernel binary load) to the Setup phase.
+    /// Allocates `nr_dpus` PIM cores on the timed engine, charging the
+    /// setup cost (core allocation + kernel binary load) to the Setup
+    /// phase. A bare `PimSystem::allocate(..)` means the timed engine;
+    /// other clocks allocate through [`PimBackend::allocate`].
     pub fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self> {
+        <Self as PimBackend>::allocate(nr_dpus, config, cost)
+    }
+}
+
+impl<C: Clock> PimSystem<C> {
+    /// Allocates with the default config and cost model.
+    pub fn allocate_default(nr_dpus: usize) -> SimResult<Self> {
+        <Self as PimBackend>::allocate(nr_dpus, PimConfig::default(), CostModel::default())
+    }
+
+    /// Consults the fault plan for the next operation. A kill, or a
+    /// transient failure (which settles the `wasted` record so its time
+    /// still reaches the clock), becomes the op's error; any other
+    /// decision comes back and the op runs.
+    fn admit(
+        &mut self,
+        kind: OpKind,
+        wasted: impl FnOnce() -> OpRecord,
+    ) -> SimResult<FaultDecision> {
+        let decision = self.fault.decide(kind);
+        match decision {
+            FaultDecision::Kill { dpu, op } => {
+                self.settle(OpRecord::Fault {
+                    kind: "kill",
+                    op,
+                    dpu: Some(dpu),
+                });
+                Err(SimError::DpuDead { dpu })
+            }
+            FaultDecision::Fail { op } => {
+                let (kind, err) = match kind {
+                    OpKind::Transfer => ("transfer_fail", SimError::FaultTransfer { op }),
+                    OpKind::Launch => ("launch_fail", SimError::FaultLaunch { op }),
+                };
+                self.settle(OpRecord::Fault {
+                    kind,
+                    op,
+                    dpu: None,
+                });
+                self.settle(wasted());
+                Err(err)
+            }
+            FaultDecision::None | FaultDecision::Corrupt { .. } => Ok(decision),
+        }
+    }
+
+    /// Counts and settles a corruption applied to `dpu`'s payload.
+    fn corrupted(&mut self, op: u64, dpu: usize) {
+        self.fault.count_corruption();
+        self.settle(OpRecord::Fault {
+            kind: "corrupt",
+            op,
+            dpu: Some(dpu),
+        });
+    }
+
+    /// The one place operation bookkeeping happens: bills the record's
+    /// seconds (zero with the clock off) to the current phase, and derives
+    /// the transfer totals, the trace event and the metric events from
+    /// the same record.
+    fn settle(&mut self, record: OpRecord) {
+        let phase = self.phase;
+        let seconds = if C::TIMED {
+            record.seconds(&self.cost)
+        } else {
+            0.0
+        };
+        self.times.add(phase, seconds);
+        let hub = self.metrics.as_deref();
+        let event = match record {
+            OpRecord::Alloc { nr_dpus } => TraceEvent::Allocate { nr_dpus, seconds },
+            OpRecord::Transfer {
+                name,
+                units,
+                per_dpu_bytes,
+                ok,
+            } => {
+                let bytes = if ok { per_dpu_bytes.iter().sum() } else { 0 };
+                self.transfer_bytes += bytes;
+                self.transfer_seconds += seconds;
+                if let Some(hub) = hub {
+                    let units = units as u64;
+                    hub.transfer(name, phase.metric_name(), units, bytes, seconds, ok);
+                }
+                if name == "gather" {
+                    TraceEvent::Gather {
+                        bytes,
+                        seconds,
+                        phase,
+                    }
+                } else {
+                    TraceEvent::Push {
+                        writes: units,
+                        bytes,
+                        seconds,
+                        phase,
+                    }
+                }
+            }
+            OpRecord::Launch {
+                label,
+                dpus,
+                per_dpu_cycles,
+                per_dpu_instructions,
+                per_dpu_dma_bytes,
+                ok,
+            } => {
+                let max_cycles = per_dpu_cycles.iter().copied().max().unwrap_or(0);
+                if let Some(hub) = hub {
+                    let cycle_sum: u64 = per_dpu_cycles.iter().sum();
+                    hub.launch(LaunchObs {
+                        label: label.clone(),
+                        phase: phase.metric_name(),
+                        dpus,
+                        max_cycles,
+                        mean_cycles: if dpus > 0 {
+                            cycle_sum as f64 / dpus as f64
+                        } else {
+                            0.0
+                        },
+                        instructions: per_dpu_instructions.iter().sum(),
+                        dma_bytes: per_dpu_dma_bytes.iter().sum(),
+                        seconds,
+                        ok,
+                    });
+                    // The full per-DPU distribution, so the hist event's
+                    // p50/p99/imbalance reconcile exactly with the final
+                    // report's LaunchProfile.
+                    if ok {
+                        let phase = phase.metric_name();
+                        hub.launch_hist(&label, phase, &per_dpu_cycles, &per_dpu_dma_bytes);
+                    }
+                }
+                TraceEvent::Kernel {
+                    label,
+                    max_cycles,
+                    seconds,
+                    phase,
+                    per_dpu_cycles,
+                    per_dpu_instructions,
+                    per_dpu_dma_bytes,
+                }
+            }
+            OpRecord::Host { label, .. } => {
+                if let Some(hub) = hub {
+                    hub.host(&label, phase.metric_name(), seconds);
+                }
+                TraceEvent::HostWork {
+                    label,
+                    seconds,
+                    phase,
+                }
+            }
+            OpRecord::Fault { kind, op, dpu } => {
+                if let Some(hub) = hub {
+                    hub.fault(kind, phase.metric_name(), op, dpu.map(|d| d as u64));
+                }
+                TraceEvent::Fault {
+                    kind: kind.to_string(),
+                    op,
+                    dpu,
+                    phase,
+                }
+            }
+        };
+        self.trace.record(event);
+    }
+}
+
+impl<C: Clock> PimBackend for PimSystem<C> {
+    fn allocate(nr_dpus: usize, config: PimConfig, cost: CostModel) -> SimResult<Self> {
         if nr_dpus > config.total_dpus {
             return Err(SimError::TooManyDpus {
                 requested: nr_dpus,
                 available: config.total_dpus,
             });
         }
-        let dpus = (0..nr_dpus)
-            .map(|id| Dpu::new(id, config.mram_capacity, config.nr_tasklets))
-            .collect();
         let mut sys = PimSystem {
             config,
             cost,
-            energy: crate::energy::EnergyModel::default(),
-            dpus,
+            dpus: (0..nr_dpus)
+                .map(|id| Dpu::new(id, config.mram_capacity, config.nr_tasklets))
+                .collect(),
             times: PhaseTimes::default(),
             phase: Phase::Setup,
             transfer_bytes: 0,
             transfer_seconds: 0.0,
-            trace: crate::trace::Trace::default(),
+            trace: Trace::default(),
             fault: FaultState::new(config.fault, nr_dpus),
             metrics: None,
+            clock: PhantomData,
         };
-        let setup = sys.cost.setup_seconds(nr_dpus);
-        sys.times.add(Phase::Setup, setup);
-        sys.trace.record(crate::trace::TraceEvent::Allocate {
-            nr_dpus,
-            seconds: setup,
-        });
+        sys.settle(OpRecord::Alloc { nr_dpus });
         Ok(sys)
     }
 
-    /// Allocates with default config and cost model.
-    pub fn allocate_default(nr_dpus: usize) -> SimResult<Self> {
-        Self::allocate(nr_dpus, PimConfig::default(), CostModel::default())
-    }
-
-    /// Number of allocated PIM cores.
-    #[inline]
-    pub fn nr_dpus(&self) -> usize {
+    fn nr_dpus(&self) -> usize {
         self.dpus.len()
     }
 
-    /// Hardware configuration in effect.
-    #[inline]
-    pub fn config(&self) -> &PimConfig {
+    fn config(&self) -> &PimConfig {
         &self.config
     }
 
-    /// Cost model in effect.
-    #[inline]
-    pub fn cost(&self) -> &CostModel {
+    fn cost(&self) -> &CostModel {
         &self.cost
     }
 
-    /// Read-only access to a DPU (host-side inspection; tests and result
-    /// gathering).
-    pub fn dpu(&self, id: usize) -> SimResult<&Dpu> {
+    fn dpu(&self, id: usize) -> SimResult<&Dpu> {
         self.dpus.get(id).ok_or(SimError::NoSuchDpu {
             dpu: id,
             allocated: self.dpus.len(),
         })
     }
 
-    /// Mutable access to a DPU bank, bypassing the modeled transfer path
-    /// (see [`crate::PimBackend::dpu_mut`]): the chaos-harness hook for
-    /// planting out-of-band bank corruption. Charges no time and injects
-    /// no faults.
-    pub fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu> {
+    fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu> {
         let allocated = self.dpus.len();
         self.dpus
             .get_mut(id)
             .ok_or(SimError::NoSuchDpu { dpu: id, allocated })
     }
 
-    /// Switches the phase that subsequent costs accrue to.
-    pub fn set_phase(&mut self, phase: Phase) {
+    fn set_phase(&mut self, phase: Phase) {
         if self.phase != phase {
-            self.trace
-                .record(crate::trace::TraceEvent::PhaseChange { to: phase });
+            self.trace.record(TraceEvent::PhaseChange { to: phase });
             if let Some(hub) = &self.metrics {
                 hub.phase_change(phase.metric_name());
             }
@@ -133,75 +392,48 @@ impl PimSystem {
         self.phase = phase;
     }
 
-    /// Attaches a live metrics hub: every transfer, launch, host span, and
-    /// fault from now on is emitted as a structured event and folded into
-    /// the hub's registry. The time accrued so far (allocation) is emitted
-    /// as one `alloc` event, so the stream's seconds close against
-    /// [`PimSystem::phase_times`]. Attach immediately after allocation for
-    /// a complete stream.
-    pub fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
-        hub.alloc(self.dpus.len() as u64, self.times.total());
-        self.metrics = Some(hub);
+    fn phase(&self) -> Phase {
+        self.phase
     }
 
-    /// Starts recording an event timeline (see [`crate::trace`]).
-    ///
-    /// If enabled after allocation (the common case — the system records
-    /// its own `Allocate` event only when tracing is already on), the
-    /// time accrued so far is backfilled as one `Allocate` event, so the
-    /// timeline's total always matches [`PimSystem::phase_times`].
-    pub fn enable_tracing(&mut self) {
-        let first_enable = !self.trace.is_enabled();
-        self.trace.enable();
-        if first_enable && self.trace.events().is_empty() {
-            self.trace.record(crate::trace::TraceEvent::Allocate {
+    fn phase_times(&self) -> PhaseTimes {
+        self.times
+    }
+
+    /// The system records its own `Allocate` event only when tracing is
+    /// already on, so the time accrued before the first enable is
+    /// backfilled as one `Allocate` event: the timeline's total always
+    /// matches [`PimBackend::phase_times`].
+    fn enable_tracing(&mut self) {
+        if C::TIMED && !self.trace.is_enabled() {
+            self.trace.enable();
+            self.trace.record(TraceEvent::Allocate {
                 nr_dpus: self.dpus.len(),
                 seconds: self.times.total(),
             });
         }
     }
 
-    /// The recorded timeline (empty unless tracing was enabled).
-    pub fn trace(&self) -> &crate::trace::Trace {
+    /// The time accrued so far (allocation) is emitted as one `alloc`
+    /// event, so the stream's seconds close against
+    /// [`PimBackend::phase_times`].
+    fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
+        hub.alloc(self.dpus.len() as u64, self.times.total());
+        self.metrics = Some(hub);
+    }
+
+    fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Phase currently accruing time.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
-    /// Modeled per-phase times so far.
-    pub fn phase_times(&self) -> PhaseTimes {
-        self.times
-    }
-
-    /// Folds measured host-side seconds (e.g. batch-creation wall time)
-    /// into the current phase. The paper's timings include host work; the
-    /// simulator cannot model arbitrary host Rust code, so the orchestrator
-    /// measures it and accounts it here.
-    pub fn charge_host_seconds(&mut self, seconds: SimSeconds) {
-        self.charge_host_seconds_labeled("host", seconds);
-    }
-
-    /// Like [`PimSystem::charge_host_seconds`], but names the span so
-    /// traces show *which* host work the time went to.
-    pub fn charge_host_seconds_labeled(&mut self, label: &str, seconds: SimSeconds) {
-        self.times.add(self.phase, seconds);
-        self.trace.record(crate::trace::TraceEvent::HostWork {
+    fn charge_host_seconds_labeled(&mut self, label: &str, seconds: SimSeconds) {
+        self.settle(OpRecord::Host {
             label: label.to_string(),
             seconds,
-            phase: self.phase,
         });
-        if let Some(hub) = &self.metrics {
-            hub.host(label, self.phase.metric_name(), seconds);
-        }
     }
 
-    /// Executes a rank-parallel CPU→PIM transfer batch. Data lands in MRAM
-    /// immediately; modeled time (max per-DPU payload vs. aggregate
-    /// bandwidth cap) accrues to the current phase.
-    pub fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
+    fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
         let mut per_dpu_bytes = vec![0u64; self.dpus.len()];
         for w in &writes {
             if w.dpu >= self.dpus.len() {
@@ -215,226 +447,89 @@ impl PimSystem {
             }
             per_dpu_bytes[w.dpu] += w.data.len() as u64;
         }
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                // The bus time is wasted even though nothing lands; the
-                // zero-byte span keeps the trace summing to the clock.
-                let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-                self.transfer_seconds += seconds;
-                self.times.add(self.phase, seconds);
-                self.trace.record(crate::trace::TraceEvent::Push {
-                    writes: writes.len(),
-                    bytes: 0,
-                    seconds,
-                    phase: self.phase,
-                });
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "push",
-                        self.phase.metric_name(),
-                        writes.len() as u64,
-                        0,
-                        seconds,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
+        let units = writes.len();
+        let decision = self.admit(OpKind::Transfer, || OpRecord::Transfer {
+            name: "push",
+            units,
+            per_dpu_bytes: per_dpu_bytes.clone(),
+            ok: false,
+        })?;
         for w in &writes {
             self.dpus[w.dpu].host_write(w.offset, &w.data)?;
         }
         if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..writes.len())
-                .filter(|&i| !writes[i].data.is_empty())
-                .collect();
-            if !victims.is_empty() {
-                let w = &writes[victims[salt as usize % victims.len()]];
-                let byte = (salt >> 8) % w.data.len() as u64;
+            let payloads = writes.iter().map(|w| w.data.len()).enumerate();
+            if let Some((i, byte)) = corruption_target(salt, payloads) {
+                let w = &writes[i];
                 let flipped = w.data[byte as usize] ^ CORRUPT_MASK;
                 self.dpus[w.dpu].host_write(w.offset + byte, &[flipped])?;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(w.dpu));
+                self.corrupted(op, w.dpu);
             }
         }
-        let bytes = per_dpu_bytes.iter().sum::<u64>();
-        self.transfer_bytes += bytes;
-        let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-        self.transfer_seconds += seconds;
-        self.times.add(self.phase, seconds);
-        self.trace.record(crate::trace::TraceEvent::Push {
-            writes: writes.len(),
-            bytes,
-            seconds,
-            phase: self.phase,
+        self.settle(OpRecord::Transfer {
+            name: "push",
+            units,
+            per_dpu_bytes,
+            ok: true,
         });
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "push",
-                self.phase.metric_name(),
-                writes.len() as u64,
-                bytes,
-                seconds,
-                true,
-            );
-        }
         Ok(())
     }
 
-    /// Records a fault event on the trace and the metrics stream.
-    fn record_fault(&mut self, kind: &'static str, op: u64, dpu: Option<usize>) {
-        self.trace.record(crate::trace::TraceEvent::Fault {
-            kind: kind.to_string(),
-            op,
-            dpu,
-            phase: self.phase,
-        });
-        if let Some(hub) = &self.metrics {
-            hub.fault(kind, self.phase.metric_name(), op, dpu.map(|d| d as u64));
-        }
-    }
-
-    /// Whether the fault plan has permanently killed `dpu`. Always false on
-    /// a fault-free system.
-    pub fn is_dpu_lost(&self, dpu: usize) -> bool {
-        self.fault.is_dead(dpu)
-    }
-
-    /// Counters of faults injected so far.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.fault.counters()
-    }
-
-    /// Broadcasts the same payload to every DPU at the same offset (UPMEM
-    /// supports this as an optimized parallel transfer; modeled as one
-    /// rank-parallel batch).
-    ///
     /// The payload is shared across DPUs — nothing is cloned per core, so
     /// broadcasting a large sample to thousands of DPUs costs one write
-    /// per bank, not one allocation per bank. Cost accounting is identical
-    /// to [`PimSystem::push`] with the equivalent per-DPU write batch.
-    pub fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        let decision = self.fault.decide(OpKind::Transfer);
-        let live: Vec<bool> = (0..self.dpus.len())
-            .map(|d| !self.fault.is_dead(d))
-            .collect();
-        let per_dpu_bytes: Vec<u64> = live
-            .iter()
-            .map(|&alive| if alive { data.len() as u64 } else { 0 })
-            .collect();
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-                self.transfer_seconds += seconds;
-                self.times.add(self.phase, seconds);
-                self.trace.record(crate::trace::TraceEvent::Push {
-                    writes: self.dpus.len(),
-                    bytes: 0,
-                    seconds,
-                    phase: self.phase,
-                });
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "broadcast",
-                        self.phase.metric_name(),
-                        self.dpus.len() as u64,
-                        0,
-                        seconds,
-                        false,
-                    );
+    /// per bank, not one allocation per bank. Accounting is identical to
+    /// `push` with the equivalent per-DPU write batch.
+    fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
+        let per_dpu_bytes: Vec<u64> = (0..self.dpus.len())
+            .map(|d| {
+                if self.fault.is_dead(d) {
+                    0
+                } else {
+                    data.len() as u64
                 }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
+            })
+            .collect();
+        let units = self.dpus.len();
+        let decision = self.admit(OpKind::Transfer, || OpRecord::Transfer {
+            name: "broadcast",
+            units,
+            per_dpu_bytes: per_dpu_bytes.clone(),
+            ok: false,
+        })?;
         for dpu in &mut self.dpus {
-            if live[dpu.id()] {
+            if !self.fault.is_dead(dpu.id()) {
                 dpu.host_write(offset, data)?;
             }
         }
         if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..self.dpus.len()).filter(|&d| live[d]).collect();
-            if !victims.is_empty() && !data.is_empty() {
-                let d = victims[salt as usize % victims.len()];
-                let byte = (salt >> 8) % data.len() as u64;
+            let live = (0..units).filter(|&d| !self.fault.is_dead(d));
+            if let Some((d, byte)) = corruption_target(salt, live.map(|d| (d, data.len()))) {
                 let flipped = data[byte as usize] ^ CORRUPT_MASK;
                 self.dpus[d].host_write(offset + byte, &[flipped])?;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(d));
+                self.corrupted(op, d);
             }
         }
-        let bytes = per_dpu_bytes.iter().sum::<u64>();
-        self.transfer_bytes += bytes;
-        let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-        self.transfer_seconds += seconds;
-        self.times.add(self.phase, seconds);
-        self.trace.record(crate::trace::TraceEvent::Push {
-            writes: self.dpus.len(),
-            bytes,
-            seconds,
-            phase: self.phase,
+        self.settle(OpRecord::Transfer {
+            name: "broadcast",
+            units,
+            per_dpu_bytes,
+            ok: true,
         });
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "broadcast",
-                self.phase.metric_name(),
-                self.dpus.len() as u64,
-                bytes,
-                seconds,
-                true,
-            );
-        }
         Ok(())
     }
 
-    /// Gathers `len` bytes at `offset` from every DPU (PIM→CPU transfer),
-    /// charging one rank-parallel batch.
-    pub fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
-        let decision = self.fault.decide(OpKind::Transfer);
-        match decision {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                let seconds = self.cost.transfer_seconds(&vec![len; self.dpus.len()]);
-                self.transfer_seconds += seconds;
-                self.times.add(self.phase, seconds);
-                self.trace.record(crate::trace::TraceEvent::Gather {
-                    bytes: 0,
-                    seconds,
-                    phase: self.phase,
-                });
-                self.record_fault("transfer_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.transfer(
-                        "gather",
-                        self.phase.metric_name(),
-                        self.dpus.len() as u64,
-                        0,
-                        seconds,
-                        false,
-                    );
-                }
-                return Err(SimError::FaultTransfer { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
+    fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
+        let per_dpu_bytes = vec![len; self.dpus.len()];
+        let units = self.dpus.len();
+        let decision = self.admit(OpKind::Transfer, || OpRecord::Transfer {
+            name: "gather",
+            units,
+            per_dpu_bytes: per_dpu_bytes.clone(),
+            ok: false,
+        })?;
         // Dead DPUs answer with zeroed tombstones so positional indexing by
         // DPU id keeps working for the survivors.
-        let out: SimResult<Vec<Vec<u8>>> = self
+        let mut out = self
             .dpus
             .iter()
             .map(|d| {
@@ -444,143 +539,59 @@ impl PimSystem {
                     d.host_read(offset, len)
                 }
             })
-            .collect();
-        let mut out = out?;
+            .collect::<SimResult<Vec<Vec<u8>>>>()?;
         if let FaultDecision::Corrupt { salt, op } = decision {
-            let victims: Vec<usize> = (0..out.len())
-                .filter(|&d| !self.fault.is_dead(d) && !out[d].is_empty())
-                .collect();
-            if !victims.is_empty() {
-                let d = victims[salt as usize % victims.len()];
-                let byte = (salt >> 8) as usize % out[d].len();
-                out[d][byte] ^= CORRUPT_MASK;
-                self.fault.count_corruption();
-                self.record_fault("corrupt", op, Some(d));
+            let live = (0..units).filter(|&d| !self.fault.is_dead(d));
+            if let Some((d, byte)) = corruption_target(salt, live.map(|d| (d, out[d].len()))) {
+                out[d][byte as usize] ^= CORRUPT_MASK;
+                self.corrupted(op, d);
             }
         }
-        let per_dpu_bytes = vec![len; self.dpus.len()];
-        let bytes = len * self.dpus.len() as u64;
-        self.transfer_bytes += bytes;
-        let seconds = self.cost.transfer_seconds(&per_dpu_bytes);
-        self.transfer_seconds += seconds;
-        self.times.add(self.phase, seconds);
-        self.trace.record(crate::trace::TraceEvent::Gather {
-            bytes,
-            seconds,
-            phase: self.phase,
+        self.settle(OpRecord::Transfer {
+            name: "gather",
+            units,
+            per_dpu_bytes,
+            ok: true,
         });
-        if let Some(hub) = &self.metrics {
-            hub.transfer(
-                "gather",
-                self.phase.metric_name(),
-                self.dpus.len() as u64,
-                bytes,
-                seconds,
-                true,
-            );
-        }
         Ok(out)
     }
 
-    /// Typed convenience over [`PimSystem::gather`]: one `T` per DPU read
-    /// from the same offset.
-    pub fn gather_one<T: Pod>(&mut self, offset: u64) -> SimResult<Vec<T>> {
-        Ok(self
-            .gather(offset, T::BYTES as u64)?
-            .into_iter()
-            .map(|bytes| T::read_le(&bytes))
-            .collect())
-    }
-
-    /// Launches an SPMD kernel on every allocated DPU (in parallel on the
-    /// host via rayon — DPUs are independent hardware). Returns each DPU's
-    /// result in id order.
-    ///
-    /// Modeled time: `launch_overhead + max over DPUs of dpu_cycles`,
-    /// because the host waits for the slowest PIM core — this is exactly
-    /// the load-imbalance sensitivity the paper's edge-distribution
-    /// analysis (§3.1) is about.
-    pub fn execute<R, K>(&mut self, kernel: K) -> SimResult<Vec<R>>
+    fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
     where
         R: Send,
         K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
     {
-        self.execute_labeled("kernel", kernel)
-    }
-
-    /// Like [`PimSystem::execute`], but names the launch so traces and
-    /// [`crate::SystemReport`] launch profiles can attribute time to a
-    /// specific kernel (e.g. `"sort"` vs `"count"`).
-    pub fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-    {
-        let results = self.execute_labeled_masked(label, kernel)?;
-        results
+        self.execute_labeled_masked(label, kernel)?
             .into_iter()
             .enumerate()
             .map(|(dpu, r)| r.ok_or(SimError::DpuDead { dpu }))
             .collect()
     }
 
-    /// Like [`PimSystem::execute_labeled`], but tolerant of permanently dead
-    /// DPUs: their slots come back as `None` instead of failing the launch.
-    /// Fault-aware orchestrators use this to keep driving the survivors.
-    pub fn execute_labeled_masked<R, K>(
-        &mut self,
-        label: &str,
-        kernel: K,
-    ) -> SimResult<Vec<Option<R>>>
+    /// Runs the kernel on every live DPU, in parallel on the host via
+    /// rayon — DPUs are independent hardware.
+    fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
     where
         R: Send,
         K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
     {
-        match self.fault.decide(OpKind::Launch) {
-            FaultDecision::Kill { dpu, op } => {
-                self.record_fault("kill", op, Some(dpu));
-                return Err(SimError::DpuDead { dpu });
-            }
-            FaultDecision::Fail { op } => {
-                // The launch round-trip is wasted before any tasklet runs;
-                // the zero-cycle span keeps the trace summing to the clock.
-                let seconds = self.cost.launch_overhead;
-                self.times.add(self.phase, seconds);
-                self.trace.record(crate::trace::TraceEvent::Kernel {
-                    label: label.to_string(),
-                    max_cycles: 0,
-                    seconds,
-                    phase: self.phase,
-                    per_dpu_cycles: Vec::new(),
-                    per_dpu_instructions: Vec::new(),
-                    per_dpu_dma_bytes: Vec::new(),
-                });
-                self.record_fault("launch_fail", op, None);
-                if let Some(hub) = &self.metrics {
-                    hub.launch(LaunchObs {
-                        label: label.to_string(),
-                        phase: self.phase.metric_name(),
-                        dpus: 0,
-                        max_cycles: 0,
-                        mean_cycles: 0.0,
-                        instructions: 0,
-                        dma_bytes: 0,
-                        seconds,
-                        ok: false,
-                    });
-                }
-                return Err(SimError::FaultLaunch { op });
-            }
-            FaultDecision::None | FaultDecision::Corrupt { .. } => {}
-        }
+        self.admit(OpKind::Launch, || OpRecord::Launch {
+            label: label.to_string(),
+            dpus: 0,
+            per_dpu_cycles: Vec::new(),
+            per_dpu_instructions: Vec::new(),
+            per_dpu_dma_bytes: Vec::new(),
+            ok: false,
+        })?;
         let config = self.config;
         let cost = self.cost;
         let dead: Vec<bool> = self.fault.dead_flags().to_vec();
-        let results: SimResult<Vec<(Option<R>, u64)>> = self
+        let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
+        let results = self
             .dpus
             .par_iter_mut()
             .map(|dpu| {
-                if dead.get(dpu.id()).copied().unwrap_or(false) {
+                if is_dead(dpu.id()) {
                     return Ok((None, 0));
                 }
                 dpu.reset_kernel_counters();
@@ -593,132 +604,55 @@ impl PimSystem {
                 let cycles = cost.dpu_cycles(&ctx.dpu.tasklet_instr, ctx.dpu.dma_cycles);
                 Ok((Some(r), cycles))
             })
-            .collect();
-        let results = results?;
-        let max_cycles = results.iter().map(|(_, c)| *c).max().unwrap_or(0);
-        let seconds = self.cost.launch_overhead + self.cost.cycles_to_seconds(max_cycles);
-        self.times.add(self.phase, seconds);
-        if let Some(hub) = &self.metrics {
-            let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
-            let live = results.iter().filter(|(r, _)| r.is_some()).count() as u64;
-            let cycle_sum: u64 = results.iter().map(|(_, c)| *c).sum();
-            let instructions: u64 = self
-                .dpus
-                .iter()
-                .filter(|d| !is_dead(d.id()))
-                .map(|d| d.tasklet_instr.iter().sum::<u64>())
-                .sum();
-            let dma_bytes: u64 = self
-                .dpus
-                .iter()
-                .filter(|d| !is_dead(d.id()))
-                .map(|d| d.kernel_dma_bytes)
-                .sum();
-            hub.launch(LaunchObs {
-                label: label.to_string(),
-                phase: self.phase.metric_name(),
-                dpus: live,
-                max_cycles,
-                mean_cycles: if live > 0 {
-                    cycle_sum as f64 / live as f64
-                } else {
-                    0.0
-                },
-                instructions,
-                dma_bytes,
-                seconds,
-                ok: true,
-            });
-            // Stream the full per-DPU distribution (dead cores as zeros —
-            // the same vectors the trace's Kernel events carry) so the
-            // hist event's p50/p99/imbalance reconcile exactly with the
-            // final report's LaunchProfile.
-            let per_dpu_cycles: Vec<u64> = results.iter().map(|(_, c)| *c).collect();
-            let per_dpu_dma: Vec<u64> = self
-                .dpus
-                .iter()
-                .map(|d| {
-                    if is_dead(d.id()) {
-                        0
-                    } else {
-                        d.kernel_dma_bytes
-                    }
-                })
-                .collect();
-            hub.launch_hist(
-                label,
-                self.phase.metric_name(),
-                &per_dpu_cycles,
-                &per_dpu_dma,
-            );
-        }
-        if self.trace.is_enabled() {
-            // The per-kernel counters were reset at launch, so right now
-            // they describe exactly this launch. Dead DPUs report zeros;
-            // their counters are stale leftovers from before they died.
-            let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
-            self.trace.record(crate::trace::TraceEvent::Kernel {
-                label: label.to_string(),
-                max_cycles,
-                seconds,
-                phase: self.phase,
-                per_dpu_cycles: results.iter().map(|(_, c)| *c).collect(),
-                per_dpu_instructions: self
-                    .dpus
-                    .iter()
-                    .map(|d| {
-                        if is_dead(d.id()) {
-                            0
-                        } else {
-                            d.tasklet_instr.iter().sum()
-                        }
-                    })
-                    .collect(),
-                per_dpu_dma_bytes: self
-                    .dpus
-                    .iter()
-                    .map(|d| {
-                        if is_dead(d.id()) {
-                            0
-                        } else {
-                            d.kernel_dma_bytes
-                        }
-                    })
-                    .collect(),
-            });
-        }
-        Ok(results.into_iter().map(|(r, _)| r).collect())
+            .collect::<SimResult<Vec<(Option<R>, u64)>>>()?;
+        // The per-kernel counters were reset at launch, so they describe
+        // exactly this launch. Dead DPUs report zeros: their counters are
+        // stale leftovers from before they died.
+        let per_dpu = |count: fn(&Dpu) -> u64| -> Vec<u64> {
+            let live = |d: &Dpu| if is_dead(d.id()) { 0 } else { count(d) };
+            self.dpus.iter().map(live).collect()
+        };
+        let per_dpu_instructions = per_dpu(|d| d.tasklet_instr.iter().sum());
+        let per_dpu_dma_bytes = per_dpu(|d| d.kernel_dma_bytes);
+        let (results, per_dpu_cycles): (Vec<Option<R>>, Vec<u64>) = results.into_iter().unzip();
+        self.settle(OpRecord::Launch {
+            label: label.to_string(),
+            dpus: results.iter().filter(|r| r.is_some()).count() as u64,
+            per_dpu_cycles,
+            per_dpu_instructions,
+            per_dpu_dma_bytes,
+            ok: true,
+        });
+        Ok(results)
     }
 
-    /// Sum of MRAM bytes in use across all DPUs.
-    pub fn total_mram_used(&self) -> u64 {
+    fn is_dpu_lost(&self, dpu: usize) -> bool {
+        self.fault.is_dead(dpu)
+    }
+
+    fn fault_counters(&self) -> FaultCounters {
+        self.fault.counters()
+    }
+
+    fn total_mram_used(&self) -> u64 {
         self.dpus.iter().map(Dpu::mram_used).sum()
     }
 
-    /// Overrides the energy coefficients (defaults are UPMEM-calibrated).
-    pub fn set_energy_model(&mut self, energy: crate::energy::EnergyModel) {
-        self.energy = energy;
-    }
-
-    /// Total CPU<->PIM bytes moved so far.
-    pub fn total_transfer_bytes(&self) -> u64 {
+    fn total_transfer_bytes(&self) -> u64 {
         self.transfer_bytes
     }
 
-    /// Total modeled seconds spent on CPU<->PIM transfers so far. Together
-    /// with [`PimSystem::total_transfer_bytes`] this gives the achieved
-    /// transfer bandwidth, comparable against the cost model's aggregate
-    /// bandwidth cap.
-    pub fn total_transfer_seconds(&self) -> SimSeconds {
+    fn total_transfer_seconds(&self) -> SimSeconds {
         self.transfer_seconds
     }
 
-    /// Energy totals for everything executed so far, derived from the
-    /// lifetime activity counters and the modeled runtime.
-    pub fn energy_report(&self) -> crate::energy::EnergyReport {
+    fn energy_report(&self) -> EnergyReport {
+        if !C::TIMED {
+            return EnergyReport::default();
+        }
         let instructions: u64 = self.dpus.iter().map(Dpu::lifetime_instructions).sum();
         let dma_bytes: u64 = self.dpus.iter().map(Dpu::lifetime_dma_bytes).sum();
-        self.energy.report(
+        EnergyModel::default().report(
             instructions,
             dma_bytes,
             self.transfer_bytes,
@@ -727,10 +661,7 @@ impl PimSystem {
         )
     }
 
-    /// Frees the PIM cores, returning the final phase times. (Dropping the
-    /// system works too; this makes the hand-off explicit in orchestrator
-    /// code, mirroring `dpu_free` in the UPMEM SDK.)
-    pub fn release(self) -> PhaseTimes {
+    fn release(self) -> PhaseTimes {
         self.times
     }
 }
@@ -931,7 +862,7 @@ mod tests {
     fn host_seconds_accrue_to_current_phase() {
         let mut sys = small_system();
         sys.set_phase(Phase::SampleCreation);
-        sys.charge_host_seconds(1.25);
+        sys.charge_host_seconds_labeled("host", 1.25);
         assert_eq!(sys.phase_times().sample_creation, 1.25);
     }
 

@@ -1,7 +1,7 @@
 //! Execution tracing: an event timeline of transfers and kernel launches.
 //!
 //! Disabled by default (zero overhead beyond a branch); enable with
-//! [`crate::PimSystem::enable_tracing`] to capture what the host did to
+//! [`crate::PimBackend::enable_tracing`] to capture what the host did to
 //! the PIM system and what each step cost. The harness and examples use
 //! it to explain phase times; it is also the easiest way to see the §4.1
 //! phase structure of a run at a glance via [`Trace::render`], and
@@ -409,7 +409,7 @@ pub fn to_chrome_trace_cluster(traces: &[&Trace]) -> serde_json::Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CostModel, HostWrite, PimConfig, PimSystem};
+    use crate::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 
     fn traced_system() -> PimSystem {
         let mut sys = PimSystem::allocate(2, PimConfig::tiny(), CostModel::default()).unwrap();

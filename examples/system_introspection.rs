@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release -p pim-tc-examples --bin system_introspection`
 
 use pim_sim::system::encode_slice;
-use pim_sim::{CostModel, HostWrite, Phase, PimConfig, PimSystem, SystemReport};
+use pim_sim::{CostModel, HostWrite, Phase, PimBackend, PimConfig, PimSystem, SystemReport};
 
 fn main() {
     // A 4-core system with tracing on.
