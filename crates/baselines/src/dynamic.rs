@@ -14,14 +14,12 @@
 use crate::cpu_csr::cpu_count;
 use crate::gpu_proxy::GpuModel;
 use pim_graph::{CooGraph, Edge};
-use pim_metrics::MetricsHub;
 use pim_sim::{FunctionalBackend, PimBackend, RankCluster, SystemReport, TimedBackend};
-use pim_tc::{ExecBackend, SessionCheckpoint, TcConfig, TcError, TcSession};
+use pim_tc::{Capture, ExecBackend, SessionCheckpoint, TcConfig, TcError, TcSession};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use std::sync::Arc;
 
-/// Durable-checkpoint options for [`pim_dynamic_checkpointed`].
+/// Durable-checkpoint options for [`pim_dynamic_with`].
 #[derive(Clone, Debug)]
 pub struct DynamicCheckpoint {
     /// Directory holding the checkpoint file (created if missing).
@@ -31,8 +29,10 @@ pub struct DynamicCheckpoint {
     pub every: u64,
     /// Resume from an existing checkpoint in `dir`: updates up to the
     /// checkpoint's watermark are skipped and the session continues the
-    /// stream from the snapshot. A missing checkpoint file starts a fresh
-    /// run; a corrupt one is a [`TcError::Checkpoint`].
+    /// stream from the snapshot, converging to the same final estimate as
+    /// an uninterrupted run (the `session_fuzz` resume property). A
+    /// missing checkpoint file starts a fresh run; a corrupt one is a
+    /// [`TcError::Checkpoint`].
     pub resume: bool,
     /// Stop cleanly after this many updates have been counted in this
     /// process (0 = run to the end). Stands in for a process kill at an
@@ -42,12 +42,9 @@ pub struct DynamicCheckpoint {
     pub stop_after: u64,
 }
 
-/// Per-update observer for the PIM dynamic drivers: invoked after every
-/// counted update with that update's timing and the session's trace so
-/// far. Passing an observer turns tracing on for the session, so the
-/// trace grows monotonically across calls — the live-telemetry plane uses
-/// this to publish a chrome-trace-so-far and to run the watchdog between
-/// updates.
+/// Per-update observer for [`pim_dynamic_with`]: invoked after every
+/// counted update, before the next append, with its timing and the trace
+/// so far (empty unless [`Capture::trace`] is set).
 pub type UpdateObserver<'a> = &'a mut dyn FnMut(&UpdateTiming, &pim_sim::Trace);
 
 /// Per-update timing for one system.
@@ -111,80 +108,68 @@ pub fn gpu_dynamic(batches: &[Vec<Edge>], model: &GpuModel) -> Vec<UpdateTiming>
 /// [`TcConfig::backend`] (functional runs report zero seconds but
 /// identical counts).
 pub fn pim_dynamic(batches: &[Vec<Edge>], config: &TcConfig) -> Result<Vec<UpdateTiming>, TcError> {
-    let (timings, _) = pim_dynamic_metered(batches, config, None)?;
-    Ok(timings)
+    pim_dynamic_with(batches, config, DynamicRun::default()).map(|(timings, _)| timings)
 }
 
-/// [`pim_dynamic`] on a caller-chosen execution engine, ignoring
-/// [`TcConfig::backend`].
-pub fn pim_dynamic_in<B: PimBackend>(
-    batches: &[Vec<Edge>],
-    config: &TcConfig,
-) -> Result<Vec<UpdateTiming>, TcError> {
-    let (timings, _) = pim_dynamic_metered_in::<B>(batches, config, None)?;
-    Ok(timings)
+/// Options for [`pim_dynamic_with`]; the default is a plain
+/// [`pim_dynamic`] run.
+#[derive(Default)]
+pub struct DynamicRun<'a> {
+    /// Live metrics hub and tracing for the session.
+    pub capture: Capture,
+    /// Called after every counted update.
+    pub observer: Option<UpdateObserver<'a>>,
+    /// Durable checkpoints; `None` starts fresh and never saves.
+    pub checkpoint: Option<DynamicCheckpoint>,
 }
 
-/// [`pim_dynamic`] with an optional live [`MetricsHub`]: when a hub is
-/// given, every transfer/launch/fault/chunk of the session is emitted on
-/// it as it happens. Also returns the final [`SystemReport`] so callers
-/// can reconcile the metric stream against the backend's own counters.
-pub fn pim_dynamic_metered(
-    batches: &[Vec<Edge>],
-    config: &TcConfig,
-    hub: Option<Arc<MetricsHub>>,
-) -> Result<(Vec<UpdateTiming>, SystemReport), TcError> {
-    pim_dynamic_metered_observed(batches, config, hub, None)
-}
-
-/// [`pim_dynamic_metered`] with an optional per-update
-/// [`UpdateObserver`]: when present, tracing is enabled and the observer
-/// runs after every counted update — before the next batch is appended —
-/// with the update's timing and the trace accumulated so far.
-pub fn pim_dynamic_metered_observed(
-    batches: &[Vec<Edge>],
-    config: &TcConfig,
-    hub: Option<Arc<MetricsHub>>,
-    observer: Option<UpdateObserver<'_>>,
-) -> Result<(Vec<UpdateTiming>, SystemReport), TcError> {
-    match config.backend {
-        ExecBackend::Timed => {
-            pim_dynamic_metered_observed_in::<TimedBackend>(batches, config, hub, observer)
-        }
-        ExecBackend::Functional => {
-            pim_dynamic_metered_observed_in::<FunctionalBackend>(batches, config, hub, observer)
-        }
-    }
-}
-
-/// [`pim_dynamic_metered`] on a caller-chosen execution engine.
+/// [`pim_dynamic`] with a [`DynamicRun`]. Also returns the final
+/// [`SystemReport`] so callers can reconcile the metric stream against
+/// the backend's own counters. Returns the timings of the updates
+/// processed *by this process* (resumed runs re-report nothing for
+/// skipped updates).
 ///
-/// Like [`pim_tc::count_triangles_in`], the session runs through a
+/// Like [`pim_tc::count_triangles`], the session runs through a
 /// [`RankCluster`] sharded over [`TcConfig::ranks`] (a verbatim
 /// pass-through at the default `ranks = 1`), so dynamic workloads scale
 /// by adding ranks too.
-pub fn pim_dynamic_metered_in<B: PimBackend>(
+pub fn pim_dynamic_with(
     batches: &[Vec<Edge>],
     config: &TcConfig,
-    hub: Option<Arc<MetricsHub>>,
+    run: DynamicRun<'_>,
 ) -> Result<(Vec<UpdateTiming>, SystemReport), TcError> {
-    pim_dynamic_metered_observed_in::<B>(batches, config, hub, None)
+    match config.backend {
+        ExecBackend::Timed => run_in::<TimedBackend>(batches, config, run),
+        ExecBackend::Functional => run_in::<FunctionalBackend>(batches, config, run),
+    }
 }
 
-/// [`pim_dynamic_metered_observed`] on a caller-chosen execution engine.
-pub fn pim_dynamic_metered_observed_in<B: PimBackend>(
+/// The one per-update loop, on a cluster of `B` machines.
+fn run_in<B: PimBackend>(
     batches: &[Vec<Edge>],
     config: &TcConfig,
-    hub: Option<Arc<MetricsHub>>,
-    mut observer: Option<UpdateObserver<'_>>,
+    mut run: DynamicRun<'_>,
 ) -> Result<(Vec<UpdateTiming>, SystemReport), TcError> {
-    let mut session = TcSession::<RankCluster<B>>::start_cluster_metered(config, hub)?;
-    if observer.is_some() {
+    let metrics = run.capture.metrics.take();
+    let (mut session, start_from) = match &run.checkpoint {
+        Some(ckpt) if ckpt.resume && SessionCheckpoint::exists(&ckpt.dir) => {
+            let snap = SessionCheckpoint::load(&ckpt.dir)?;
+            // The snapshot carries its own configuration, so a resumed run
+            // keeps the checkpointed shape even if CLI flags drifted.
+            let session = TcSession::<RankCluster<B>>::restore_cluster(&snap, metrics)?;
+            (session, snap.watermark as usize)
+        }
+        _ => (
+            TcSession::<RankCluster<B>>::start_cluster_metered(config, metrics)?,
+            0,
+        ),
+    };
+    if run.capture.trace {
         session.enable_tracing();
     }
-    let mut out = Vec::with_capacity(batches.len());
+    let mut out = Vec::with_capacity(batches.len().saturating_sub(start_from));
     let mut prev_total = 0.0;
-    for (update, batch) in batches.iter().enumerate() {
+    for (update, batch) in batches.iter().enumerate().skip(start_from) {
         session.append(batch)?;
         let result = session.count()?;
         // Per-update time = growth of the non-setup clock (setup happens
@@ -198,109 +183,18 @@ pub fn pim_dynamic_metered_observed_in<B: PimBackend>(
             cumulative_secs: total,
             triangles: result.estimate,
         };
-        if let Some(obs) = observer.as_mut() {
+        if let Some(obs) = run.observer.as_mut() {
             obs(&timing, session.trace());
         }
         out.push(timing);
-    }
-    let report = session.system_report();
-    Ok((out, report))
-}
-
-/// [`pim_dynamic_metered`] with durable checkpoints: the session snapshot
-/// is atomically persisted every [`DynamicCheckpoint::every`] counted
-/// updates, and with [`DynamicCheckpoint::resume`] the stream continues
-/// from the on-disk watermark instead of update 0 — converging to the
-/// same final estimate as an uninterrupted run (the `session_fuzz` resume
-/// property). Returns the timings of the updates processed *by this
-/// process* (resumed runs re-report nothing for skipped updates).
-pub fn pim_dynamic_checkpointed(
-    batches: &[Vec<Edge>],
-    config: &TcConfig,
-    ckpt: &DynamicCheckpoint,
-    hub: Option<Arc<MetricsHub>>,
-) -> Result<(Vec<UpdateTiming>, SystemReport), TcError> {
-    pim_dynamic_checkpointed_observed(batches, config, ckpt, hub, None)
-}
-
-/// [`pim_dynamic_checkpointed`] with an optional per-update
-/// [`UpdateObserver`] (see [`pim_dynamic_metered_observed`]).
-pub fn pim_dynamic_checkpointed_observed(
-    batches: &[Vec<Edge>],
-    config: &TcConfig,
-    ckpt: &DynamicCheckpoint,
-    hub: Option<Arc<MetricsHub>>,
-    observer: Option<UpdateObserver<'_>>,
-) -> Result<(Vec<UpdateTiming>, SystemReport), TcError> {
-    match config.backend {
-        ExecBackend::Timed => pim_dynamic_checkpointed_observed_in::<TimedBackend>(
-            batches, config, ckpt, hub, observer,
-        ),
-        ExecBackend::Functional => pim_dynamic_checkpointed_observed_in::<FunctionalBackend>(
-            batches, config, ckpt, hub, observer,
-        ),
-    }
-}
-
-/// [`pim_dynamic_checkpointed`] on a caller-chosen execution engine.
-pub fn pim_dynamic_checkpointed_in<B: PimBackend>(
-    batches: &[Vec<Edge>],
-    config: &TcConfig,
-    ckpt: &DynamicCheckpoint,
-    hub: Option<Arc<MetricsHub>>,
-) -> Result<(Vec<UpdateTiming>, SystemReport), TcError> {
-    pim_dynamic_checkpointed_observed_in::<B>(batches, config, ckpt, hub, None)
-}
-
-/// [`pim_dynamic_checkpointed_observed`] on a caller-chosen execution
-/// engine.
-pub fn pim_dynamic_checkpointed_observed_in<B: PimBackend>(
-    batches: &[Vec<Edge>],
-    config: &TcConfig,
-    ckpt: &DynamicCheckpoint,
-    hub: Option<Arc<MetricsHub>>,
-    mut observer: Option<UpdateObserver<'_>>,
-) -> Result<(Vec<UpdateTiming>, SystemReport), TcError> {
-    let (mut session, start_from) = if ckpt.resume && SessionCheckpoint::exists(&ckpt.dir) {
-        let snap = SessionCheckpoint::load(&ckpt.dir)?;
-        let watermark = snap.watermark;
-        // The snapshot carries its own configuration, so a resumed run
-        // keeps the checkpointed shape even if CLI flags drifted.
-        let session = TcSession::<RankCluster<B>>::restore_cluster(&snap, hub)?;
-        (session, watermark as usize)
-    } else {
-        (
-            TcSession::<RankCluster<B>>::start_cluster_metered(config, hub)?,
-            0,
-        )
-    };
-    if observer.is_some() {
-        session.enable_tracing();
-    }
-    let mut out = Vec::with_capacity(batches.len().saturating_sub(start_from));
-    let mut prev_total = 0.0;
-    for (update, batch) in batches.iter().enumerate().skip(start_from) {
-        session.append(batch)?;
-        let result = session.count()?;
-        let total = result.times.without_setup();
-        let secs = total - prev_total;
-        prev_total = total;
-        let timing = UpdateTiming {
-            update,
-            secs,
-            cumulative_secs: total,
-            triangles: result.estimate,
-        };
-        if let Some(obs) = observer.as_mut() {
-            obs(&timing, session.trace());
-        }
-        out.push(timing);
-        let counted = (update + 1) as u64;
-        if ckpt.every > 0 && counted.is_multiple_of(ckpt.every) {
-            session.checkpoint(counted)?.save(&ckpt.dir)?;
-        }
-        if ckpt.stop_after > 0 && counted - start_from as u64 >= ckpt.stop_after {
-            break;
+        if let Some(ckpt) = &run.checkpoint {
+            let counted = (update + 1) as u64;
+            if ckpt.every > 0 && counted.is_multiple_of(ckpt.every) {
+                session.checkpoint(counted)?.save(&ckpt.dir)?;
+            }
+            if ckpt.stop_after > 0 && counted - start_from as u64 >= ckpt.stop_after {
+                break;
+            }
         }
     }
     let report = session.system_report();
@@ -370,7 +264,11 @@ mod tests {
             resume: false,
             stop_after: 2,
         };
-        let (first, _) = pim_dynamic_checkpointed(&batches, &config, &ck, None).unwrap();
+        let run = DynamicRun {
+            checkpoint: Some(ck),
+            ..DynamicRun::default()
+        };
+        let (first, _) = pim_dynamic_with(&batches, &config, run).unwrap();
         assert_eq!(first.len(), 2);
         // Second process: resume from disk, run to the end.
         let ck = DynamicCheckpoint {
@@ -379,7 +277,11 @@ mod tests {
             resume: true,
             stop_after: 0,
         };
-        let (rest, _) = pim_dynamic_checkpointed(&batches, &config, &ck, None).unwrap();
+        let run = DynamicRun {
+            checkpoint: Some(ck),
+            ..DynamicRun::default()
+        };
+        let (rest, _) = pim_dynamic_with(&batches, &config, run).unwrap();
         assert_eq!(rest.len(), batches.len() - 2);
         assert_eq!(rest.first().unwrap().update, 2);
         assert_eq!(

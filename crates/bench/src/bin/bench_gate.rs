@@ -13,7 +13,7 @@
 //! `results/bench_gate_<graph>.metrics.jsonl` (uploadable as a CI
 //! artifact) and the verdicts land in `results/bench_gate.{md,json}`.
 
-use pim_baselines::dynamic::{cpu_dynamic, gpu_dynamic, pim_dynamic_metered};
+use pim_baselines::dynamic::{cpu_dynamic, gpu_dynamic, pim_dynamic_with, DynamicRun};
 use pim_baselines::GpuModel;
 use pim_bench::gate::{
     compare, compare_fig7, compare_routing, gate_failed, parse_baseline, parse_fig7, parse_routing,
@@ -23,6 +23,7 @@ use pim_bench::routing::{measure_routing_throughput, RoutingWorkload};
 use pim_bench::{pim_config, Harness, MdTable};
 use pim_graph::datasets::DatasetId;
 use pim_metrics::{JsonlSink, MetricsHub};
+use pim_tc::Capture;
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Arc;
@@ -81,7 +82,14 @@ fn run_fig7(harness: &Harness) -> Fig7Section {
     hub.add_sink(Box::new(
         JsonlSink::create(Path::new(&metrics_path)).expect("create metrics jsonl"),
     ));
-    let (pim, report) = pim_dynamic_metered(&batches, &config, Some(Arc::clone(&hub))).unwrap();
+    let run = DynamicRun {
+        capture: Capture {
+            metrics: Some(Arc::clone(&hub)),
+            trace: false,
+        },
+        ..DynamicRun::default()
+    };
+    let (pim, report) = pim_dynamic_with(&batches, &config, run).unwrap();
     hub.flush().expect("flush metrics");
     Fig7Section {
         rows: (0..FIG7_UPDATES)
@@ -274,8 +282,11 @@ fn main() {
         hub.add_sink(Box::new(
             JsonlSink::create(Path::new(&metrics_path)).expect("create metrics jsonl"),
         ));
-        let profile =
-            pim_tc::count_triangles_profiled_metered(&g, &config, Some(Arc::clone(&hub))).unwrap();
+        let capture = Capture {
+            metrics: Some(Arc::clone(&hub)),
+            trace: true,
+        };
+        let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
         hub.flush().expect("flush metrics");
         harness.save_profile(&format!("bench_gate_{}", b.graph), &profile);
 

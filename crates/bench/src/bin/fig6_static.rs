@@ -47,7 +47,11 @@ fn main() {
             if harness.emit_profile {
                 // Traced run: same result, plus a per-kernel observability
                 // capture saved next to the experiment's results.
-                let profile = pim_tc::count_triangles_profiled(&g, &config).unwrap();
+                let traced = pim_tc::Capture {
+                    trace: true,
+                    ..Default::default()
+                };
+                let profile = pim_tc::count_triangles_with(&g, &config, traced).unwrap();
                 harness.save_profile(&format!("fig6_static_{}", id.name()), &profile);
                 profile.result
             } else {

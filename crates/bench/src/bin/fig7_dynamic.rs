@@ -7,7 +7,7 @@
 //! *entire accumulated graph* per update, while GPU and PIM integrate the
 //! update into their resident representations and win on cumulative time.
 
-use pim_baselines::dynamic::{cpu_dynamic, gpu_dynamic, pim_dynamic_metered};
+use pim_baselines::dynamic::{cpu_dynamic, gpu_dynamic, pim_dynamic_with, DynamicRun};
 use pim_baselines::GpuModel;
 use pim_bench::{fmt_secs, pim_config, Harness, MdTable};
 use pim_graph::datasets::DatasetId;
@@ -61,7 +61,14 @@ fn main() {
         }
         None => (None, None),
     };
-    let (pim, _report) = pim_dynamic_metered(&batches, &config, hub.clone()).unwrap();
+    let run = DynamicRun {
+        capture: pim_tc::Capture {
+            metrics: hub.clone(),
+            trace: false,
+        },
+        ..DynamicRun::default()
+    };
+    let (pim, _report) = pim_dynamic_with(&batches, &config, run).unwrap();
     if let Some(hub) = &hub {
         std::fs::create_dir_all(&harness.results_dir).expect("create results dir");
         let snap = harness.results_dir.join("fig7_dynamic.prom");

@@ -12,8 +12,8 @@ use pim_baselines::cpu_count;
 use pim_bench::{bank_max_capacity, fmt_secs, Harness, MdTable};
 use pim_graph::datasets::DatasetId;
 use pim_graph::stats::graph_stats;
-use pim_sim::{PimConfig, TimedBackend};
-use pim_tc::TcConfig;
+use pim_sim::PimConfig;
+use pim_tc::{Capture, ExecBackend, TcConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -80,14 +80,15 @@ fn main() {
                 .max(3);
             let config = plan
                 .to_builder()
+                .backend(ExecBackend::Timed)
                 .pim(pim)
                 .sample_capacity(capacity)
                 .stage_edges(2048)
                 .build()
                 .unwrap();
             let started = Instant::now();
-            let (result, report) =
-                pim_tc::count_triangles_clustered_in::<TimedBackend>(&g, &config).unwrap();
+            let profile = pim_tc::count_triangles_with(&g, &config, Capture::default()).unwrap();
+            let result = profile.result;
             let wall_secs = started.elapsed().as_secs_f64();
             let modeled_secs = result.times.total();
             if ranks == 1 {
@@ -101,7 +102,7 @@ fn main() {
                 );
                 assert_eq!(result.rounded(), expect, "{}@{ranks}", id.name());
             }
-            assert_eq!(report.per_rank.len(), config.effective_ranks() as usize);
+            assert_eq!(profile.per_rank.len(), config.effective_ranks() as usize);
             let speedup = if modeled_secs > 0.0 {
                 r1_modeled / modeled_secs
             } else {

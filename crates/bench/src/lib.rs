@@ -251,7 +251,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let g = pim_graph::gen::erdos_renyi(60, 0.2, 5);
         let config = pim_config(2, &g).build().unwrap();
-        let profile = pim_tc::count_triangles_profiled(&g, &config).unwrap();
+        let traced = pim_tc::Capture {
+            trace: true,
+            ..Default::default()
+        };
+        let profile = pim_tc::count_triangles_with(&g, &config, traced).unwrap();
 
         let harness = Harness {
             profile: Profile::Test,

@@ -307,6 +307,15 @@ impl MetricsPlane {
         }
     }
 
+    /// What a run attached to this plane records: the hub, plus the
+    /// event timeline only when a live server can serve it on `/trace`.
+    fn capture(&self) -> pim_tc::Capture {
+        pim_tc::Capture {
+            metrics: Some(Arc::clone(&self.hub)),
+            trace: self.server.is_some(),
+        }
+    }
+
     /// Pushes the chrome-trace-so-far to the live `/trace` endpoint
     /// (no-op without a server).
     fn publish_trace(&self, chrome: &serde_json::Value) {
@@ -315,8 +324,8 @@ impl MetricsPlane {
         }
     }
 
-    /// Per-update hook for dynamic runs: refresh `/trace`, then run the
-    /// watchdog between ops.
+    /// After a traced run or update: refresh `/trace` (when served),
+    /// then run the watchdog.
     fn on_update(&mut self, trace: &pim_sim::Trace) {
         if self.server.is_some() {
             self.publish_trace(&trace.to_chrome_trace());
@@ -542,25 +551,19 @@ fn cmd_count(args: &Args) -> Result<(), String> {
     prep::preprocess(&mut graph, 0);
     let config = build_config(args, &graph)?;
     let mut plane = metrics_plane(args)?;
-    let result = match &plane {
-        // With a live server, run traced so `/trace` can serve the final
-        // timeline alongside the scrape.
-        Some(p) if p.server.is_some() => {
-            pim_tc::count_triangles_profiled_metered(&graph, &config, Some(Arc::clone(&p.hub))).map(
-                |profile| {
-                    p.publish_trace(&profile.trace.to_chrome_trace());
-                    profile.result
-                },
-            )
-        }
-        Some(p) => pim_tc::count_triangles_metered(&graph, &config, Arc::clone(&p.hub)),
-        None => pim_tc::count_triangles(&graph, &config),
-    }
-    .map_err(|e| e.to_string())?;
+    let capture = plane
+        .as_ref()
+        .map(MetricsPlane::capture)
+        .unwrap_or_default();
+    let profile =
+        pim_tc::count_triangles_with(&graph, &config, capture).map_err(|e| e.to_string())?;
     if let Some(p) = plane.as_mut() {
-        p.watch();
+        // With a live server the run was traced, so `/trace` serves the
+        // final timeline alongside the scrape.
+        p.on_update(&profile.trace);
         p.finish()?;
     }
+    let result = profile.result;
     if args.flag("json") {
         println!("{}", serde_json::to_string_pretty(&result).unwrap());
     } else {
@@ -752,38 +755,41 @@ fn cmd_dynamic(args: &Args) -> Result<(), String> {
     prep::preprocess(&mut graph, 0);
     let config = build_config(args, &graph)?;
     let batches = graph.split_batches(batches_n);
+    let checkpoint = match args.get::<String>("checkpoint")? {
+        Some(dir) => Some(pim_baselines::dynamic::DynamicCheckpoint {
+            dir: std::path::PathBuf::from(dir),
+            every: args.get_or("checkpoint-every", 1u64)?,
+            resume: args.flag("resume"),
+            stop_after: args.get_or("stop-after", 0u64)?,
+        }),
+        None => {
+            let stray = ["checkpoint-every", "stop-after", "resume"]
+                .into_iter()
+                .find(|f| args.flag(f) || args.get::<String>(f).ok().flatten().is_some());
+            if let Some(flag) = stray {
+                return Err(format!("--{flag} needs --checkpoint DIR"));
+            }
+            None
+        }
+    };
     let mut plane = metrics_plane(args)?;
-    let hub = plane.as_ref().map(|p| Arc::clone(&p.hub));
-    // Between-update hook: refresh `/trace`, run the watchdog. Only wired
-    // when something consumes it (server or watchdog flags) — observers
-    // turn on tracing, which plain --metrics-out runs don't need.
-    let want_observer = plane
+    let capture = plane
         .as_ref()
-        .is_some_and(|p| p.server.is_some() || p.watchdog_fail);
+        .map(MetricsPlane::capture)
+        .unwrap_or_default();
+    // Between-update hook: refresh `/trace`, run the watchdog.
     let mut on_update = |_t: &pim_baselines::dynamic::UpdateTiming, trace: &pim_sim::Trace| {
         if let Some(p) = plane.as_mut() {
             p.on_update(trace);
         }
     };
-    let observer: Option<pim_baselines::dynamic::UpdateObserver> = if want_observer {
-        Some(&mut on_update)
-    } else {
-        None
+    let run = pim_baselines::dynamic::DynamicRun {
+        capture,
+        observer: Some(&mut on_update),
+        checkpoint,
     };
-    let (timings, _report) = if let Some(dir) = args.get::<String>("checkpoint")? {
-        let ckpt = pim_baselines::dynamic::DynamicCheckpoint {
-            dir: std::path::PathBuf::from(dir),
-            every: args.get_or("checkpoint-every", 1u64)?,
-            resume: args.flag("resume"),
-            stop_after: args.get_or("stop-after", 0u64)?,
-        };
-        pim_baselines::dynamic::pim_dynamic_checkpointed_observed(
-            &batches, &config, &ckpt, hub, observer,
-        )
-    } else {
-        pim_baselines::dynamic::pim_dynamic_metered_observed(&batches, &config, hub, observer)
-    }
-    .map_err(|e| e.to_string())?;
+    let (timings, _report) = pim_baselines::dynamic::pim_dynamic_with(&batches, &config, run)
+        .map_err(|e| e.to_string())?;
     if let Some(p) = plane.as_mut() {
         // No trailing watchdog pass: the run is over, so the watermark is
         // legitimately frozen and a final check would misread it as a
@@ -846,8 +852,12 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     } else {
         None
     };
-    let profile = pim_tc::count_triangles_profiled_metered(&graph, &config, hub)
-        .map_err(|e| e.to_string())?;
+    let capture = pim_tc::Capture {
+        metrics: hub,
+        trace: true,
+    };
+    let profile =
+        pim_tc::count_triangles_with(&graph, &config, capture).map_err(|e| e.to_string())?;
 
     let result = &profile.result;
     let report = &profile.report;
@@ -1177,6 +1187,24 @@ mod tests {
         ])
         .unwrap();
         run(&["dynamic", &path, "--batches", "3", "--colors", "2"]).unwrap();
+        // Checkpoint flags are refused without a checkpoint directory
+        // instead of being silently ignored.
+        for flag in [
+            &["--resume"][..],
+            &["--stop-after", "1"],
+            &["--checkpoint-every", "2"],
+        ] {
+            let err = run(&[&["dynamic", path.as_str()][..], flag].concat()).unwrap_err();
+            assert!(
+                err.contains(&format!("{} needs --checkpoint DIR", flag[0])),
+                "got: {err}"
+            );
+        }
+        let dir = tmp("g3.ckpt");
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt = ["dynamic", path.as_str(), "--checkpoint", dir.as_str()];
+        run(&[&ckpt[..], &["--stop-after", "1"]].concat()).unwrap();
+        run(&[&ckpt[..], &["--resume"]].concat()).unwrap();
     }
 
     #[test]
@@ -1783,6 +1811,32 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("--watchdog-fail"), "got: {err}");
+        // --metrics-out alone also runs the watchdog between updates, so
+        // the death lands on the stream as an `anomaly` event.
+        let metrics = tmp("w1.dynamic.jsonl");
+        run(&[
+            "dynamic",
+            &path,
+            "--batches",
+            "2",
+            "--colors",
+            "3",
+            "--faults",
+            "seed=3,kill=2@3",
+            "--spares",
+            "2",
+            "--metrics-out",
+            &metrics,
+        ])
+        .unwrap();
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let events = pim_metrics::parse_jsonl(&text).unwrap();
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == "anomaly" && e.str_field("anomaly_kind") == "dpu_death"),
+            "no dpu_death anomaly in the dynamic stream"
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ use pim_graph::Edge;
 use pim_metrics::{ChunkObs, MetricsHub};
 use pim_sim::system::{decode_slice, encode_slice};
 use pim_sim::{
-    ClusterReport, ClusterSpec, HostWrite, Phase, PimBackend, RankCluster, SimError, TimedBackend,
+    ClusterSpec, HostWrite, Phase, PimBackend, RankCluster, SimError, SystemReport, TimedBackend,
 };
 use pim_stream::{ColoringHash, MisraGries, PartitionJournal};
 use std::collections::HashSet;
@@ -221,10 +221,13 @@ impl<B: PimBackend> TcSession<RankCluster<B>> {
         self.sys.nr_ranks()
     }
 
-    /// Per-rank utilization reports plus the cluster-wide merge (resource
-    /// totals summed, phase times as the elementwise maximum over ranks).
-    pub fn cluster_report(&self) -> ClusterReport {
-        ClusterReport::capture(&self.sys)
+    /// Each rank's own utilization report in rank order.
+    pub(crate) fn rank_reports(&self) -> Vec<SystemReport> {
+        self.sys
+            .rank_backends()
+            .iter()
+            .map(SystemReport::capture)
+            .collect()
     }
 
     /// Each rank's recorded trace in rank order (clones; empty unless
@@ -822,10 +825,11 @@ impl<B: PimBackend> TcSession<B> {
 
     /// Reinstates a snapshot's state into a freshly started session (same
     /// configuration, identity partition homes). Structural mismatches —
-    /// wrong partition count, bank/sample/remap lengths out of agreement,
-    /// a summary the configuration doesn't call for — are refused with
-    /// [`TcError::Checkpoint`]; a checksum-valid file can still be
-    /// rejected here if it was written by a different session shape.
+    /// wrong partition count, bank/sample/remap lengths out of agreement
+    /// or past their MRAM regions, a summary the configuration doesn't
+    /// call for — are refused with [`TcError::Checkpoint`]; a
+    /// checksum-valid file can still be rejected here if it was written
+    /// by a different session shape.
     fn install_snapshot(&mut self, snap: &SessionCheckpoint) -> Result<(), TcError> {
         let parts = self.assignment.nr_dpus();
         let bad = |msg: String| Err(TcError::Checkpoint(msg));
@@ -870,6 +874,19 @@ impl<B: PimBackend> TcSession<B> {
                     "partition {t} was checkpointed at capacity {} but this \
                      layout holds {}",
                     bank.header[0], self.layout.capacity
+                ));
+            }
+            if bank.header[1] > self.layout.capacity {
+                return bad(format!(
+                    "partition {t} records len = {} past its sample capacity {}",
+                    bank.header[1], self.layout.capacity
+                ));
+            }
+            if bank.header[4] > self.layout.remap_cap {
+                return bad(format!(
+                    "partition {t} records remap_len = {} past this layout's \
+                     remap capacity {}",
+                    bank.header[4], self.layout.remap_cap
                 ));
             }
             if bank.sample.len() as u64 != bank.header[1] {
@@ -2253,6 +2270,26 @@ mod tests {
         };
         assert!(matches!(err, TcError::Checkpoint(_)), "got {err:?}");
         assert!(err.to_string().contains("partition"), "got: {err}");
+
+        // Checksum-valid banks whose vectors agree with their headers but
+        // overrun the layout: a sample past the capacity would spill into
+        // the sort scratch, a remap prefix past `remap_cap` into the
+        // sample region.
+        let layout = *s.layout();
+        let mut overfull = s.checkpoint(1).unwrap();
+        overfull.banks[0].header[1] = layout.capacity + 1;
+        overfull.banks[0].sample = vec![0; layout.capacity as usize + 1];
+        let mut overlong = s.checkpoint(1).unwrap();
+        overlong.banks[0].header[4] = layout.remap_cap + 1;
+        overlong.banks[0].remap = vec![0; layout.remap_cap as usize + 1];
+        for snap in [overfull, overlong] {
+            let Err(err) = TcSession::<RankCluster<TimedBackend>>::restore_cluster(&snap, None)
+            else {
+                panic!("region-overrunning snapshot must be refused");
+            };
+            assert!(matches!(err, TcError::Checkpoint(_)), "got {err:?}");
+            assert!(err.to_string().contains("partition 0"), "got: {err}");
+        }
     }
 
     #[test]
@@ -2395,7 +2432,11 @@ mod tests {
             ranks: 1,
             ..tiny_config(2)
         };
-        let profile = crate::count_triangles_profiled(&g, &config).unwrap();
+        let traced = crate::Capture {
+            trace: true,
+            ..Default::default()
+        };
+        let profile = crate::count_triangles_with(&g, &config, traced).unwrap();
         assert_eq!(profile.result.rounded(), 455);
 
         // Every pipeline kernel shows up as a labeled launch profile.
@@ -2468,9 +2509,11 @@ mod tests {
             let hub = Arc::new(MetricsHub::new());
             let sink = MemorySink::new();
             hub.add_sink(Box::new(sink.clone()));
-            let profile =
-                crate::count_triangles_profiled_metered(&g, &config, Some(Arc::clone(&hub)))
-                    .unwrap();
+            let traced = crate::Capture {
+                metrics: Some(Arc::clone(&hub)),
+                trace: true,
+            };
+            let profile = crate::count_triangles_with(&g, &config, traced).unwrap();
             let summary = summarize(&sink.events());
 
             // The stream's aggregated counters reconcile exactly against
@@ -2532,8 +2575,11 @@ mod tests {
         let hub = Arc::new(MetricsHub::new());
         let sink = MemorySink::new();
         hub.add_sink(Box::new(sink.clone()));
-        let profile =
-            crate::count_triangles_profiled_metered(&g, &config, Some(Arc::clone(&hub))).unwrap();
+        let traced = crate::Capture {
+            metrics: Some(Arc::clone(&hub)),
+            trace: true,
+        };
+        let profile = crate::count_triangles_with(&g, &config, traced).unwrap();
         let summary = summarize(&sink.events());
 
         let counters = profile.report.fault_counters;

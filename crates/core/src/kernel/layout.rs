@@ -5,13 +5,18 @@
 //! bookkeeping the full pipeline needs:
 //!
 //! ```text
-//! 0          64            +staging        +remap       +M·8      +M·8      +(M+1)·8
-//! ┌──────────┬─────────────┬───────────────┬────────────┬─────────┬─────────────┐
-//! │ header   │ staging     │ remap table   │ edge       │ sort    │ region      │
-//! │ (8×u64)  │ (host→DPU   │ (old→new id   │ sample S   │ scratch │ index table │
-//! │          │  batches)   │  pairs)       │ (M keys)   │         │             │
-//! └──────────┴─────────────┴───────────────┴────────────┴─────────┴─────────────┘
+//! 0        64          +staging     +remap       +locals      +M·8      +M·8        +(M+1)·8
+//! ┌────────┬───────────┬────────────┬────────────┬────────────┬─────────┬───────────┐
+//! │ header │ staging   │ remap      │ local      │ edge       │ sort    │ region    │
+//! │ (8×u64)│ (host→DPU │ table      │ counts     │ sample S   │ scratch │ index     │
+//! │        │  batches) │ (old→new   │ (one u64   │ (M keys)   │         │ table     │
+//! │        │           │  id pairs) │  per node) │            │         │           │
+//! └────────┴───────────┴────────────┴────────────┴────────────┴─────────┴───────────┘
 //! ```
+//!
+//! The local-count region is empty unless local counting is enabled, and
+//! the remap table is empty without Misra-Gries remapping; an empty
+//! region starts where the next one does.
 //!
 //! The header is the host↔kernel mailbox: capacities, lengths, the DPU's
 //! RNG state, and the result live there; the host gathers all eight words

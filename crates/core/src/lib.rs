@@ -58,7 +58,7 @@ pub use triplets::{ColorTriplet, TripletAssignment};
 
 use pim_graph::CooGraph;
 use pim_metrics::MetricsHub;
-use pim_sim::{ClusterReport, FunctionalBackend, PimBackend, RankCluster, TimedBackend};
+use pim_sim::{FunctionalBackend, PimBackend, RankCluster, TimedBackend};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -73,10 +73,7 @@ use std::sync::Arc;
 /// reservoir overflowed), in which case `result.estimate` equals the true
 /// count exactly.
 pub fn count_triangles(graph: &CooGraph, config: &TcConfig) -> Result<TcResult, TcError> {
-    match config.backend {
-        ExecBackend::Timed => count_triangles_in::<TimedBackend>(graph, config),
-        ExecBackend::Functional => count_triangles_in::<FunctionalBackend>(graph, config),
-    }
+    count_triangles_with(graph, config, Capture::default()).map(|p| p.result)
 }
 
 /// [`count_triangles`] on a caller-chosen execution engine, ignoring
@@ -90,38 +87,21 @@ pub fn count_triangles_in<B: PimBackend>(
     graph: &CooGraph,
     config: &TcConfig,
 ) -> Result<TcResult, TcError> {
-    let mut session = TcSession::<RankCluster<B>>::start_cluster(config)?;
-    session.append(graph.edges())?;
-    session.finish()
+    run::<B>(graph, config, Capture::default()).map(|p| p.result)
 }
 
-/// [`count_triangles`] with the per-rank breakdown: returns the counting
-/// result next to a [`ClusterReport`] — one utilization report per rank
-/// plus the cluster-wide merge (resources summed, phase times as the
-/// elementwise maximum over the parallel ranks).
-pub fn count_triangles_clustered(
-    graph: &CooGraph,
-    config: &TcConfig,
-) -> Result<(TcResult, ClusterReport), TcError> {
-    match config.backend {
-        ExecBackend::Timed => count_triangles_clustered_in::<TimedBackend>(graph, config),
-        ExecBackend::Functional => count_triangles_clustered_in::<FunctionalBackend>(graph, config),
-    }
+/// What a run records besides its result.
+#[derive(Clone, Default)]
+pub struct Capture {
+    /// A live hub attached before the first bank is touched; every event
+    /// of the run is emitted on it as it happens (`docs/OBSERVABILITY.md`).
+    pub metrics: Option<Arc<MetricsHub>>,
+    /// Record the event timeline, and with it the reports' per-launch
+    /// attribution. The traces of an untraced run are empty.
+    pub trace: bool,
 }
 
-/// [`count_triangles_clustered`] on a caller-chosen execution engine.
-pub fn count_triangles_clustered_in<B: PimBackend>(
-    graph: &CooGraph,
-    config: &TcConfig,
-) -> Result<(TcResult, ClusterReport), TcError> {
-    let mut session = TcSession::<RankCluster<B>>::start_cluster(config)?;
-    session.append(graph.edges())?;
-    let result = session.count()?;
-    let report = session.cluster_report();
-    Ok((result, report))
-}
-
-/// Everything a profiled run produces: the counting result plus the full
+/// Everything a run produces: the counting result plus the
 /// observability capture (see `docs/OBSERVABILITY.md`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunProfile {
@@ -130,104 +110,51 @@ pub struct RunProfile {
     /// The labeled event timeline; export with
     /// [`pim_sim::Trace::to_chrome_trace`] for `chrome://tracing`.
     pub trace: pim_sim::Trace,
-    /// Per-DPU attribution: activity counters, per-launch cycle
-    /// distributions, and transfer-bandwidth utilization.
+    /// Per-DPU attribution over the whole cluster (global id order): activity
+    /// counters, per-launch cycle distributions, bandwidth utilization.
     pub report: pim_sim::SystemReport,
     /// Each rank's own timeline in rank order. At `ranks = 1` this is a
     /// single trace identical to [`RunProfile::trace`]; at R>1 feed it to
     /// [`pim_sim::to_chrome_trace_cluster`] for per-rank process groups.
     pub rank_traces: Vec<pim_sim::Trace>,
+    /// Each rank's own utilization report, in rank order.
+    pub per_rank: Vec<pim_sim::SystemReport>,
 }
 
-/// Like [`count_triangles`], but runs with tracing enabled and returns
-/// the event timeline and per-DPU attribution next to the result.
+/// [`count_triangles`] with a [`Capture`]: returns the result next to the
+/// trace and the cluster-wide and per-rank reports.
 ///
 /// On the functional backend the result and activity counters are
 /// identical, but the trace is empty and every time/energy figure is
 /// zero — that engine produces no timing events.
-pub fn count_triangles_profiled(
+pub fn count_triangles_with(
     graph: &CooGraph,
     config: &TcConfig,
+    capture: Capture,
 ) -> Result<RunProfile, TcError> {
     match config.backend {
-        ExecBackend::Timed => count_triangles_profiled_in::<TimedBackend>(graph, config),
-        ExecBackend::Functional => count_triangles_profiled_in::<FunctionalBackend>(graph, config),
+        ExecBackend::Timed => run::<TimedBackend>(graph, config, capture),
+        ExecBackend::Functional => run::<FunctionalBackend>(graph, config, capture),
     }
 }
 
-/// [`count_triangles_profiled`] on a caller-chosen execution engine,
-/// ignoring [`TcConfig::backend`].
-pub fn count_triangles_profiled_in<B: PimBackend>(
+/// The one static pipeline: a cluster session of `B`, appended and counted once.
+fn run<B: PimBackend>(
     graph: &CooGraph,
     config: &TcConfig,
+    capture: Capture,
 ) -> Result<RunProfile, TcError> {
-    count_triangles_profiled_metered_in::<B>(graph, config, None)
-}
-
-/// Like [`count_triangles`], with a live [`MetricsHub`] attached before
-/// the first bank is touched: every transfer, launch, fault, and chunk of
-/// the run is emitted on the hub as it happens (see
-/// `docs/OBSERVABILITY.md` for the event schema).
-pub fn count_triangles_metered(
-    graph: &CooGraph,
-    config: &TcConfig,
-    hub: Arc<MetricsHub>,
-) -> Result<TcResult, TcError> {
-    match config.backend {
-        ExecBackend::Timed => count_triangles_metered_in::<TimedBackend>(graph, config, hub),
-        ExecBackend::Functional => {
-            count_triangles_metered_in::<FunctionalBackend>(graph, config, hub)
-        }
+    let mut session = TcSession::<RankCluster<B>>::start_cluster_metered(config, capture.metrics)?;
+    if capture.trace {
+        session.enable_tracing();
     }
-}
-
-/// [`count_triangles_metered`] on a caller-chosen execution engine.
-pub fn count_triangles_metered_in<B: PimBackend>(
-    graph: &CooGraph,
-    config: &TcConfig,
-    hub: Arc<MetricsHub>,
-) -> Result<TcResult, TcError> {
-    let mut session = TcSession::<RankCluster<B>>::start_cluster_metered(config, Some(hub))?;
-    session.append(graph.edges())?;
-    session.finish()
-}
-
-/// [`count_triangles_profiled`] with an optional live [`MetricsHub`]:
-/// the full observability capture (trace + report) plus, when a hub is
-/// given, the structured event stream and registry populated live.
-pub fn count_triangles_profiled_metered(
-    graph: &CooGraph,
-    config: &TcConfig,
-    hub: Option<Arc<MetricsHub>>,
-) -> Result<RunProfile, TcError> {
-    match config.backend {
-        ExecBackend::Timed => {
-            count_triangles_profiled_metered_in::<TimedBackend>(graph, config, hub)
-        }
-        ExecBackend::Functional => {
-            count_triangles_profiled_metered_in::<FunctionalBackend>(graph, config, hub)
-        }
-    }
-}
-
-/// [`count_triangles_profiled_metered`] on a caller-chosen execution
-/// engine.
-pub fn count_triangles_profiled_metered_in<B: PimBackend>(
-    graph: &CooGraph,
-    config: &TcConfig,
-    hub: Option<Arc<MetricsHub>>,
-) -> Result<RunProfile, TcError> {
-    let mut session = TcSession::<RankCluster<B>>::start_cluster_metered(config, hub)?;
-    session.enable_tracing();
     session.append(graph.edges())?;
     let result = session.count()?;
-    let trace = session.trace().clone();
-    let report = session.system_report();
-    let rank_traces = session.rank_traces();
     Ok(RunProfile {
         result,
-        trace,
-        report,
-        rank_traces,
+        trace: session.trace().clone(),
+        report: session.system_report(),
+        rank_traces: session.rank_traces(),
+        per_rank: session.rank_reports(),
     })
 }

@@ -15,7 +15,7 @@
 use pim_graph::{prep, triangle, CooGraph, Node};
 use pim_metrics::{MemorySink, MetricsHub};
 use pim_sim::{ClusterSpec, FunctionalBackend, PimConfig, RankCluster, TimedBackend};
-use pim_tc::{TcConfig, TcSession};
+use pim_tc::{Capture, ExecBackend, TcConfig, TcSession};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -213,9 +213,9 @@ fn over_capacity_graph_completes_at_four_ranks() {
     assert!(err.contains("cluster-wide budget"), "got: {err}");
     assert!(err.contains("--ranks 2"), "got: {err}");
 
-    let config = builder(4).build().unwrap();
-    let (result, report) =
-        pim_tc::count_triangles_clustered_in::<FunctionalBackend>(&g, &config).unwrap();
+    let config = builder(4).backend(ExecBackend::Functional).build().unwrap();
+    let report = pim_tc::count_triangles_with(&g, &config, Capture::default()).unwrap();
+    let result = &report.result;
     assert!(result.exact);
     assert_eq!(result.rounded(), expect);
     assert_eq!(report.per_rank.len(), 4);

@@ -41,7 +41,6 @@ use crate::fault::{
 };
 use crate::kernel::DpuContext;
 use crate::phase::{Phase, PhaseTimes};
-use crate::stats::SystemReport;
 use crate::system::HostWrite;
 use crate::trace::Trace;
 use pim_metrics::MetricsHub;
@@ -521,8 +520,9 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         }
     }
 
-    /// Rank 0's trace. Multi-rank launch attribution lives in the
-    /// per-rank [`SystemReport`]s of a [`ClusterReport`].
+    /// Rank 0's trace. Multi-rank launch attribution lives in each
+    /// rank's own [`SystemReport`](crate::SystemReport) (capture it over
+    /// [`RankCluster::rank_backends`]).
     fn trace(&self) -> &Trace {
         self.ranks[0].trace()
     }
@@ -774,39 +774,11 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
     }
 }
 
-/// Per-rank activity plus cluster-wide totals.
-///
-/// `total` is a flat [`SystemReport`] captured over the whole cluster
-/// (per-DPU rows in global id order, resource totals summed); `per_rank`
-/// holds each rank's own report, including its traced launches when
-/// tracing is enabled. Merging is order-invariant: totals are sums (or
-/// maxima) over ranks, never order-dependent folds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ClusterReport {
-    /// One report per rank, rank order.
-    pub per_rank: Vec<SystemReport>,
-    /// The flat cluster-wide report (global id order).
-    pub total: SystemReport,
-}
-
-impl ClusterReport {
-    /// Captures per-rank and merged reports from a cluster.
-    pub fn capture<B: PimBackend>(cluster: &RankCluster<B>) -> ClusterReport {
-        ClusterReport {
-            per_rank: cluster
-                .rank_backends()
-                .iter()
-                .map(SystemReport::capture)
-                .collect(),
-            total: SystemReport::capture(cluster),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::FunctionalBackend;
+    use crate::stats::SystemReport;
     use crate::system::PimSystem;
 
     #[test]
@@ -954,9 +926,8 @@ mod tests {
             .iter()
             .map(|b| SystemReport::capture(b).total_instructions)
             .sum();
-        let report = ClusterReport::capture(&cluster);
-        assert_eq!(report.total.total_instructions, insts);
-        assert_eq!(report.per_rank.len(), 2);
+        assert_eq!(SystemReport::capture(&cluster).total_instructions, insts);
+        assert_eq!(cluster.rank_backends().len(), 2);
         // Host seconds are charged to every rank (blocking work).
         let before = cluster.phase_times().triangle_count;
         cluster.charge_host_seconds_labeled("route", 0.5);

@@ -43,7 +43,7 @@ pub mod system;
 pub mod trace;
 
 pub use backend::{FunctionalBackend, PimBackend, TimedBackend};
-pub use cluster::{ClusterReport, ClusterSpec, RankCluster};
+pub use cluster::{ClusterSpec, RankCluster};
 pub use config::PimConfig;
 pub use cost::CostModel;
 pub use dpu::Dpu;

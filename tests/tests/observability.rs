@@ -3,17 +3,34 @@
 //! the live metric stream reconciles with the dynamic workload's report
 //! on both execution backends.
 
+use pim_baselines::dynamic::{pim_dynamic_with, DynamicRun};
 use pim_graph::gen;
 use pim_metrics::{
     lint_prometheus, summarize, HealthSink, HealthState, MemorySink, MetricsHub, MetricsServer,
     Watchdog, WatchdogConfig,
 };
 use pim_sim::{FaultPlan, PimConfig};
-use pim_tc::{ExecBackend, TcConfig};
+use pim_tc::{Capture, ExecBackend, TcConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// A capture streaming onto `hub`, untraced.
+fn metered(hub: &Arc<MetricsHub>) -> Capture {
+    Capture {
+        metrics: Some(Arc::clone(hub)),
+        trace: false,
+    }
+}
+
+/// A capture streaming onto `hub`, with the event timeline recorded.
+fn traced(hub: &Arc<MetricsHub>) -> Capture {
+    Capture {
+        trace: true,
+        ..metered(hub)
+    }
+}
 
 fn faulted_config() -> TcConfig {
     TcConfig::builder()
@@ -45,7 +62,11 @@ fn chrome_trace_round_trips_with_retry_and_kernel_spans_on_their_tracks() {
     // record, while a cluster's fault counters sum over every rank.
     config.backend = ExecBackend::Timed;
     config.ranks = 1;
-    let profile = pim_tc::count_triangles_profiled(&g, &config).unwrap();
+    let capture = Capture {
+        trace: true,
+        ..Capture::default()
+    };
+    let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
     assert!(
         profile.report.fault_counters.transfer_faults > 0,
         "the plan must actually fire for this test to mean anything"
@@ -136,9 +157,11 @@ fn dynamic_metric_stream_reconciles_with_the_report_on_both_backends() {
         let hub = Arc::new(MetricsHub::new());
         let sink = MemorySink::new();
         hub.add_sink(Box::new(sink.clone()));
-        let (timings, report) =
-            pim_baselines::dynamic::pim_dynamic_metered(&batches, &config, Some(Arc::clone(&hub)))
-                .unwrap();
+        let run = DynamicRun {
+            capture: metered(&hub),
+            ..DynamicRun::default()
+        };
+        let (timings, report) = pim_dynamic_with(&batches, &config, run).unwrap();
         assert_eq!(timings.len(), 4);
 
         let events = sink.events();
@@ -190,8 +213,7 @@ fn hist_events_reconcile_with_launch_profiles_on_both_backends() {
         let hub = Arc::new(MetricsHub::new());
         let sink = MemorySink::new();
         hub.add_sink(Box::new(sink.clone()));
-        let profile =
-            pim_tc::count_triangles_profiled_metered(&g, &config, Some(Arc::clone(&hub))).unwrap();
+        let profile = pim_tc::count_triangles_with(&g, &config, traced(&hub)).unwrap();
         let hists: Vec<(String, u64, u64, u64, f64)> = sink
             .events()
             .iter()
@@ -307,8 +329,7 @@ fn live_scrape_reconciles_with_the_system_report_on_both_backends() {
             })
         };
 
-        let profile =
-            pim_tc::count_triangles_profiled_metered(&g, &config, Some(Arc::clone(&hub))).unwrap();
+        let profile = pim_tc::count_triangles_with(&g, &config, traced(&hub)).unwrap();
         stop.store(true, Ordering::Relaxed);
         let (mid_run_bytes, scrapes) = scraper.join().unwrap();
         assert!(scrapes > 0, "{backend:?}: the scraper must have run");
@@ -363,7 +384,7 @@ fn watchdog_fires_on_injected_faults_and_stays_silent_clean() {
     let config = tiny_config(ExecBackend::Timed);
     let hub = Arc::new(MetricsHub::new());
     let mut dog = Watchdog::new(Arc::clone(&hub), lenient.clone());
-    pim_tc::count_triangles_metered(&g, &config, Arc::clone(&hub)).unwrap();
+    pim_tc::count_triangles_with(&g, &config, metered(&hub)).unwrap();
     assert!(
         dog.check().is_empty(),
         "clean run must raise nothing: {:?}",
@@ -376,7 +397,7 @@ fn watchdog_fires_on_injected_faults_and_stays_silent_clean() {
     config.spare_dpus = 2;
     let hub = Arc::new(MetricsHub::new());
     let mut dog = Watchdog::new(Arc::clone(&hub), lenient.clone());
-    pim_tc::count_triangles_metered(&g, &config, Arc::clone(&hub)).unwrap();
+    pim_tc::count_triangles_with(&g, &config, metered(&hub)).unwrap();
     let fired = dog.check();
     assert!(
         fired.iter().any(|a| a.kind == "dpu_death"),
@@ -393,7 +414,7 @@ fn watchdog_fires_on_injected_faults_and_stays_silent_clean() {
     config.journal = true;
     let hub = Arc::new(MetricsHub::new());
     let mut dog = Watchdog::new(Arc::clone(&hub), lenient);
-    pim_tc::count_triangles_metered(&g, &config, Arc::clone(&hub)).unwrap();
+    pim_tc::count_triangles_with(&g, &config, metered(&hub)).unwrap();
     let fired = dog.check();
     assert!(
         fired.iter().any(|a| a.kind == "rank_death"),
