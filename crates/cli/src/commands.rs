@@ -47,8 +47,9 @@ usage:
       forces the checksummed pipeline even without a fault plan.
       --journal keeps replayable per-partition RNG journals so lost
       partitions are re-derived exactly (works with Misra-Gries,
-      overflowed reservoirs, and C = 1); --scrub-interval N proactively
-      verifies every resident bank each N ingest chunks (dynamic).
+      overflowed reservoirs, and C = 1; implies --hardened);
+      --scrub-interval N proactively verifies every resident bank each
+      N ingest chunks (dynamic).
 
       Metrics (count/dynamic/profile; see docs/OBSERVABILITY.md):
       --metrics-out FILE captures the run's live metric stream.

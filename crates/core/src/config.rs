@@ -107,8 +107,8 @@ pub struct TcConfig {
     pub intersect: IntersectStrategy,
     /// Forces the hardened (fault-tolerant) session path: checksummed
     /// staging transfers, verified pushes/gathers, bounded retries, and
-    /// spare-core recovery. Implied whenever a fault plan or spare cores
-    /// are configured (see [`TcConfig::effective_hardened`]).
+    /// spare-core recovery. Implied whenever a fault plan, spare cores or
+    /// journals are configured (see [`TcConfig::effective_hardened`]).
     pub hardened: bool,
     /// Consecutive failed attempts tolerated per operation (transient
     /// transfer/launch faults, detected corruptions) before the run aborts
@@ -120,8 +120,9 @@ pub struct TcConfig {
     /// continues. Without [`TcConfig::journal`], requires `colors >= 2`
     /// and no Misra-Gries remapping.
     pub spare_dpus: u32,
-    /// Keeps replayable per-partition RNG journals during hardened
-    /// sessions: every routed key and remap pass is recorded against the
+    /// Keeps replayable per-partition RNG journals and implies the
+    /// hardened pipeline (see [`TcConfig::effective_hardened`]): every
+    /// routed key and remap pass is recorded against the
     /// partition's `(seed, granule, counter)` RNG coordinates, so a lost
     /// partition's sample — including overflowed reservoirs and
     /// Misra-Gries remapped samples — is re-derived exactly by replaying
@@ -171,10 +172,10 @@ impl TcConfig {
     }
 
     /// Whether the session runs on the hardened (fault-tolerant) path:
-    /// explicitly requested, or implied by an injected fault plan or by
-    /// spare cores being provisioned.
+    /// explicitly requested, or implied by an injected fault plan, by
+    /// spare cores being provisioned, or by journaling.
     pub fn effective_hardened(&self) -> bool {
-        self.hardened || self.pim.fault.is_some() || self.spare_dpus > 0
+        self.hardened || self.pim.fault.is_some() || self.spare_dpus > 0 || self.journal
     }
 
     /// Validates cross-field constraints.
@@ -817,6 +818,23 @@ mod tests {
             .build()
             .unwrap();
         assert!(faulty.effective_hardened());
+        // Journals imply hardening too, so a journal-only session keeps
+        // its journals and can scrub.
+        let journaled = TcConfig::builder()
+            .colors(2)
+            .journal(true)
+            .scrub_interval(1)
+            .pim(PimConfig {
+                total_dpus: 64,
+                mram_capacity: 1 << 20,
+                ..PimConfig::tiny()
+            })
+            .build()
+            .unwrap();
+        assert!(journaled.effective_hardened());
+        let mut session = crate::TcSession::start(&journaled).unwrap();
+        let outcome = session.scrub().unwrap();
+        assert_eq!(outcome.partitions, session.nr_dpus() as u64);
     }
 
     #[test]

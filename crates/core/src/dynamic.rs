@@ -29,7 +29,8 @@ use pim_graph::Edge;
 use pim_metrics::{ChunkObs, MetricsHub};
 use pim_sim::system::{decode_slice, encode_slice};
 use pim_sim::{
-    ClusterSpec, HostWrite, Phase, PimBackend, RankCluster, SimError, SystemReport, TimedBackend,
+    ClusterSpec, HostWrite, Phase, PimBackend, RankCluster, SimError, SimResult, SystemReport,
+    TimedBackend,
 };
 use pim_stream::{ColoringHash, MisraGries, PartitionJournal};
 use std::collections::HashSet;
@@ -72,13 +73,14 @@ pub struct TcSession<B: PimBackend = TimedBackend> {
     /// High-water mark of routed edge-key bytes materialized on the host
     /// at once — the quantity the streaming `append` bounds.
     peak_routed_bytes: u64,
-    /// Whether this session runs the hardened pipeline (checksummed
-    /// transfers, bounded retry, spare-core failover). Resolved once at
-    /// start from [`TcConfig::effective_hardened`].
+    /// Whether this session stages checksummed arrival slices and
+    /// seal-verifies its count read-backs; everything else in the
+    /// pipeline is shared with plain sessions. Resolved once at start
+    /// from [`TcConfig::effective_hardened`].
     hardened: bool,
     /// `partition → physical DPU` map. Starts as the identity; failover
-    /// repoints a lost partition at a spare core. Plain sessions never
-    /// consult it.
+    /// repoints a lost partition at a spare core (plain sessions have no
+    /// spares, so theirs stays the identity).
     partition_home: Vec<usize>,
     /// Rank currently homing each partition. Plain (non-cluster)
     /// sessions put every partition in rank 0; cluster sessions start
@@ -180,11 +182,7 @@ impl<B: PimBackend> TcSession<RankCluster<B>> {
     ) -> Result<TcSession<RankCluster<B>>, TcError> {
         config.validate()?;
         let partitions = config.nr_dpus();
-        let spares = if config.effective_hardened() {
-            config.spare_dpus as usize
-        } else {
-            0
-        };
+        let spares = config.spare_dpus as usize;
         let spec = ClusterSpec::new(partitions, spares, config.effective_ranks() as usize);
         let partition_rank = (0..partitions).map(|p| spec.rank_of_partition(p)).collect();
         let spare_pools = (0..spec.ranks)
@@ -255,11 +253,7 @@ impl<B: PimBackend> TcSession<B> {
         metrics: Option<Arc<MetricsHub>>,
     ) -> Result<TcSession<B>, TcError> {
         let nr_partitions = config.nr_dpus();
-        let spares = if config.effective_hardened() {
-            config.spare_dpus as usize
-        } else {
-            0
-        };
+        let spares = config.spare_dpus as usize;
         Self::assemble(
             config,
             metrics,
@@ -292,39 +286,16 @@ impl<B: PimBackend> TcSession<B> {
             config.local_nodes.map(u64::from).unwrap_or(0),
             config.sample_capacity,
         )?;
-        let hardened = config.effective_hardened();
         let mut sys = alloc(config)?;
         if let Some(hub) = &metrics {
             sys.attach_metrics(Arc::clone(hub));
         }
-        if !hardened {
-            let writes: Vec<HostWrite> = (0..assignment.nr_dpus())
-                .map(|dpu| {
-                    let hdr = Header {
-                        cap: layout.capacity,
-                        rng: rng::seed_for_dpu(config.seed, dpu),
-                        ..Header::default()
-                    };
-                    HostWrite {
-                        dpu,
-                        offset: 0,
-                        data: hdr.encode(),
-                    }
-                })
-                .collect();
-            sys.push(writes.clone())?;
-            verify_init_writes(&sys, &writes)?;
-        }
         let nr_partitions = assignment.nr_dpus();
-        let journals = if hardened && config.journal {
-            Some(
-                (0..nr_partitions)
-                    .map(|t| PartitionJournal::new(config.seed, t as u64))
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let journals = config.journal.then(|| {
+            (0..nr_partitions)
+                .map(|t| PartitionJournal::new(config.seed, t as u64))
+                .collect()
+        });
         // Scrubbing needs the journals as ground truth; without them the
         // cadence (explicit or the fault plan's `scrub=N` hint) is inert.
         let scrub_every = if journals.is_none() {
@@ -349,7 +320,7 @@ impl<B: PimBackend> TcSession<B> {
             kept: 0,
             route_granules: 0,
             peak_routed_bytes: 0,
-            hardened,
+            hardened: config.effective_hardened(),
             partition_home: (0..nr_partitions).collect(),
             partition_rank,
             spare_pools,
@@ -361,9 +332,7 @@ impl<B: PimBackend> TcSession<B> {
             route_scratch: RouteScratch::default(),
             routed: RoutedBatches::default(),
         };
-        if hardened {
-            session.init_banks_hardened()?;
-        }
+        session.init_banks()?;
         Ok(session)
     }
 
@@ -475,10 +444,7 @@ impl<B: PimBackend> TcSession<B> {
             self.routed = routed;
             self.route_scratch = scratch;
             self.chunks_done += 1;
-            if self.hardened
-                && self.scrub_every > 0
-                && self.chunks_done.is_multiple_of(self.scrub_every)
-            {
+            if self.scrub_every > 0 && self.chunks_done.is_multiple_of(self.scrub_every) {
                 self.scrub()?;
             }
         }
@@ -531,11 +497,26 @@ impl<B: PimBackend> TcSession<B> {
 
     /// Runs the counting pipeline (remap → sort → index → count → gather
     /// → correct) on the resident samples and returns the result. Can be
-    /// called repeatedly as more batches are appended.
+    /// called repeatedly as more batches are appended. A core that dies
+    /// mid-count is failed over and the pipeline restarts from the top
+    /// (it is idempotent over the resident samples).
     pub fn count(&mut self) -> Result<TcResult, TcError> {
-        if self.hardened {
-            return self.count_hardened();
+        loop {
+            match self.count_once() {
+                Err(TcError::Sim(SimError::DpuDead { dpu })) => {
+                    self.recover_dpu(dpu, &HashSet::new(), &mut Vec::new())?;
+                }
+                other => return other,
+            }
         }
+    }
+
+    /// One attempt at the counting pipeline: read-back-verified remap
+    /// pushes, retried kernel launches, and [`Self::read_back`] result
+    /// gathers. On a fault-free machine each step issues exactly one
+    /// backend op, plus the seal round of a hardened read-back. Core
+    /// deaths surface as `Sim(DpuDead)` for [`Self::count`] to absorb.
+    fn count_once(&mut self) -> Result<TcResult, TcError> {
         self.sys.set_phase(Phase::TriangleCount);
         let layout = self.layout;
 
@@ -544,65 +525,80 @@ impl<B: PimBackend> TcSession<B> {
             self.refresh_remap_assignments();
             if !self.remap_table.is_empty() {
                 let packed = remap::encode_table(&self.remap_table);
-                self.sys.push(
-                    (0..self.nr_dpus())
-                        .flat_map(|dpu| {
-                            [
-                                HostWrite {
-                                    dpu,
-                                    offset: layout.remap_off,
-                                    data: encode_slice(&packed),
-                                },
-                                HostWrite {
-                                    dpu,
-                                    offset: HDR_REMAP_LEN,
-                                    data: encode_slice(&[packed.len() as u64]),
-                                },
-                            ]
-                        })
-                        .collect(),
-                )?;
-                self.sys
-                    .execute_labeled("remap", move |ctx| remap::remap_kernel(ctx, &layout))?;
+                let writes = self
+                    .partition_home
+                    .iter()
+                    .flat_map(|&dpu| {
+                        [
+                            HostWrite {
+                                dpu,
+                                offset: layout.remap_off,
+                                data: encode_slice(&packed),
+                            },
+                            HostWrite {
+                                dpu,
+                                offset: HDR_REMAP_LEN,
+                                data: encode_slice(&[packed.len() as u64]),
+                            },
+                        ]
+                    })
+                    .collect();
+                self.push_verified("remap_table", writes)?;
+                self.retry("remap", |s| {
+                    s.execute_labeled_masked("remap", move |ctx| remap::remap_kernel(ctx, &layout))
+                })?;
             }
         }
 
-        self.sys
-            .execute_labeled("sort", move |ctx| sort::sort_kernel(ctx, &layout))?;
-        self.sys
-            .execute_labeled("index", move |ctx| index::index_kernel(ctx, &layout))?;
+        self.retry("sort", |s| {
+            s.execute_labeled_masked("sort", move |ctx| sort::sort_kernel(ctx, &layout))
+        })?;
+        self.retry("index", |s| {
+            s.execute_labeled_masked("index", move |ctx| index::index_kernel(ctx, &layout))
+        })?;
         let local_enabled = self.config.local_nodes.is_some();
         if local_enabled {
             // Local counts restart from zero on every (re)count.
-            self.sys.execute_labeled("local_clear", move |ctx| {
-                local::local_clear_kernel(ctx, &layout)
+            self.retry("local_clear", |s| {
+                s.execute_labeled_masked("local_clear", move |ctx| {
+                    local::local_clear_kernel(ctx, &layout)
+                })
             })?;
-            self.sys.execute_labeled("local_count", move |ctx| {
-                local::local_count_kernel(ctx, &layout)
+            self.retry("local_count", |s| {
+                s.execute_labeled_masked("local_count", move |ctx| {
+                    local::local_count_kernel(ctx, &layout)
+                })
             })?;
         } else {
             let strategy = self.config.intersect;
-            self.sys.execute_labeled("count", move |ctx| {
-                count::count_kernel_opts(ctx, &layout, count::RegionLookup::BinarySearch, strategy)
+            self.retry("count", |s| {
+                s.execute_labeled_masked("count", move |ctx| {
+                    count::count_kernel_opts(
+                        ctx,
+                        &layout,
+                        count::RegionLookup::BinarySearch,
+                        strategy,
+                    )
+                })
             })?;
         }
 
         // One rank-parallel gather of every core's header.
         let headers: Vec<Header> = self
-            .sys
-            .gather(0, 64)?
+            .read_back("headers", 0, 8)?
             .iter()
             .map(|bytes| Header::decode(bytes))
             .collect();
-        self.emit_reservoir(&headers);
+        let home_headers: Vec<Header> = self.partition_home.iter().map(|&d| headers[d]).collect();
+        self.emit_reservoir(&home_headers);
 
-        let mut reports: Vec<DpuReport> = headers
+        let mut reports: Vec<DpuReport> = home_headers
             .iter()
             .enumerate()
-            .map(|(dpu, h)| {
-                let triplet = self.assignment.triplet_of(dpu);
+            .map(|(t, h)| {
+                let triplet = self.assignment.triplet_of(t);
                 DpuReport {
-                    dpu,
+                    dpu: t,
                     triplet,
                     raw: h.result,
                     seen: h.seen,
@@ -625,10 +621,9 @@ impl<B: PimBackend> TcSession<B> {
             let nodes = u64::from(self.config.local_nodes.unwrap_or(0));
             let mut totals = vec![0.0f64; nodes as usize];
             let mut mono_totals = vec![0.0f64; nodes as usize];
-            let regions = self.sys.gather(layout.local_off, nodes * 8)?;
-            for (dpu, bytes) in regions.iter().enumerate() {
-                let raw: Vec<u64> = pim_sim::system::decode_slice(bytes);
-                let report = &reports[dpu];
+            let regions = self.read_back("locals", layout.local_off, nodes)?;
+            for (t, report) in reports.iter().enumerate() {
+                let raw: Vec<u64> = decode_slice(&regions[self.partition_home[t]]);
                 let factor = if report.raw == 0 {
                     1.0
                 } else {
@@ -655,6 +650,19 @@ impl<B: PimBackend> TcSession<B> {
             None
         };
 
+        // Journal the count barrier: every partition's resident sample was
+        // remapped (by the table prefix active right now) and sorted. A
+        // replay applies the same prefix + sort at this offset, so a bank
+        // lost *after* this point re-derives the post-count state and a
+        // bank lost *mid-count* re-derives the pre-count state (the retry
+        // re-runs remap+sort on every core, converging them).
+        if let Some(journals) = self.journals.as_mut() {
+            let table_len = self.remap_table.len() as u64;
+            for journal in journals.iter_mut() {
+                journal.mark(table_len);
+            }
+        }
+
         Ok(TcResult {
             estimate: assembled.estimate,
             raw_total: assembled.raw_total,
@@ -664,8 +672,8 @@ impl<B: PimBackend> TcSession<B> {
             colors: self.config.colors,
             edges_offered: self.offered,
             edges_kept: self.kept,
-            edges_routed: headers.iter().map(|h| h.seen).sum(),
-            max_dpu_load: headers.iter().map(|h| h.seen).max().unwrap_or(0),
+            edges_routed: home_headers.iter().map(|h| h.seen).sum(),
+            max_dpu_load: home_headers.iter().map(|h| h.seen).max().unwrap_or(0),
             reservoir_overflowed: assembled.any_overflow,
             energy: self.sys.energy_report(),
             local_counts,
@@ -720,11 +728,14 @@ impl<B: PimBackend> TcSession<B> {
     }
 
     // ------------------------------------------------------------------
-    // Hardened pipeline: checksummed transfers, bounded retry, and
-    // spare-core failover against the simulator's fault-injection plane
-    // (see docs/ROBUSTNESS.md). Active when the config enables `hardened`
-    // mode, carries a fault plan, or reserves spare cores. The plain
-    // paths above stay byte-identical to a fault-free build.
+    // Fault tolerance: bounded retry, read-back verification, spare-core
+    // failover and journal replay against the simulator's fault-injection
+    // plane (see docs/ROBUSTNESS.md). Plain and hardened sessions share
+    // the init and count pipeline that runs through these helpers; on a
+    // fault-free machine each helper issues exactly the one backend op
+    // it wraps. `self.hardened` adds only the checksummed staging format
+    // and the seal-verified read-backs; a fault plan, spares or journals
+    // imply it, so plain sessions never take a recovery branch.
     // ------------------------------------------------------------------
 
     /// Counters of faults the simulator has injected so far (all-zero
@@ -826,7 +837,8 @@ impl<B: PimBackend> TcSession<B> {
     /// Reinstates a snapshot's state into a freshly started session (same
     /// configuration, identity partition homes). Structural mismatches —
     /// wrong partition count, bank/sample/remap lengths out of agreement
-    /// or past their MRAM regions, a summary the configuration doesn't
+    /// or past their MRAM regions, a remap table past its region or out
+    /// of step with its id cursor, a summary the configuration doesn't
     /// call for — are refused with [`TcError::Checkpoint`]; a
     /// checksum-valid file can still be rejected here if it was written
     /// by a different session shape.
@@ -861,6 +873,24 @@ impl<B: PimBackend> TcSession<B> {
             }
         } else if self.journals.is_some() {
             return bad("journaling is on but the snapshot has no journals".to_string());
+        }
+        // The next count writes the whole table at `remap_off`, and
+        // `refresh_remap_assignments` hands out ids downward from
+        // `u32::MAX`, one per entry.
+        let table_len = snap.remap_table.len() as u64;
+        if table_len > self.layout.remap_cap {
+            return bad(format!(
+                "snapshot remap table holds {table_len} entries past this \
+                 layout's remap capacity {}",
+                self.layout.remap_cap
+            ));
+        }
+        if u64::from(u32::MAX) - table_len != u64::from(snap.next_new_id) {
+            return bad(format!(
+                "snapshot next remap id {} disagrees with its {table_len}-entry \
+                 remap table",
+                snap.next_new_id
+            ));
         }
         for (t, bank) in snap.banks.iter().enumerate() {
             if bank.header.len() != 8 {
@@ -969,58 +999,18 @@ impl<B: PimBackend> TcSession<B> {
         Ok(())
     }
 
-    /// Push with bounded retry on transient faults. Permanent deaths and
+    /// Runs one backend op with bounded retry on transient faults: each
+    /// failed attempt is charged as a `retry:<label>` backoff span and
+    /// counted against [`TcConfig::max_retries`]. Permanent deaths and
     /// programming errors propagate to the caller.
-    fn retry_push(&mut self, label: &str, writes: Vec<HostWrite>) -> Result<(), TcError> {
-        let mut failures = 0u32;
-        loop {
-            match self.sys.push(writes.clone()) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() => {
-                    self.charge_retry(label, failures);
-                    failures += 1;
-                    self.check_retry_budget(label, failures)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Gather with bounded retry on transient faults.
-    fn retry_gather(
+    fn retry<T>(
         &mut self,
         label: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<Vec<u8>>, TcError> {
+        mut op: impl FnMut(&mut B) -> SimResult<T>,
+    ) -> Result<T, TcError> {
         let mut failures = 0u32;
         loop {
-            match self.sys.gather(offset, len) {
-                Ok(out) => return Ok(out),
-                Err(e) if e.is_transient() => {
-                    self.charge_retry(label, failures);
-                    failures += 1;
-                    self.check_retry_budget(label, failures)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Dead-core-tolerant kernel launch with bounded retry on transient
-    /// launch faults.
-    fn retry_execute_masked<R, K>(
-        &mut self,
-        label: &str,
-        kernel: K,
-    ) -> Result<Vec<Option<R>>, TcError>
-    where
-        R: Send,
-        K: Fn(&mut pim_sim::DpuContext<'_>) -> pim_sim::SimResult<R> + Sync,
-    {
-        let mut failures = 0u32;
-        loop {
-            match self.sys.execute_labeled_masked(label, &kernel) {
+            match op(&mut self.sys) {
                 Ok(out) => return Ok(out),
                 Err(e) if e.is_transient() => {
                     self.charge_retry(label, failures);
@@ -1035,10 +1025,11 @@ impl<B: PimBackend> TcSession<B> {
     /// Push with retry *and* read-back verification through the host
     /// inspection channel, so a transient corruption of a critical write
     /// (headers, remap tables, recovery installs) is caught and redone.
+    /// The read-back is free, so a fault-free push costs one transfer.
     fn push_verified(&mut self, label: &str, writes: Vec<HostWrite>) -> Result<(), TcError> {
         let mut failures = 0u32;
         loop {
-            self.retry_push(label, writes.clone())?;
+            self.retry(label, |s| s.push(writes.clone()))?;
             let landed = writes.iter().all(|w| {
                 self.sys
                     .dpu(w.dpu)
@@ -1055,20 +1046,23 @@ impl<B: PimBackend> TcSession<B> {
         }
     }
 
-    /// Verify-on-gather: every live core seals the region with an FNV
-    /// digest; the host gathers both and re-checks the math, retrying the
-    /// whole round until the partition homes' copies verify.
-    fn gather_verified(
-        &mut self,
-        label: &str,
-        offset: u64,
-        words: u64,
-    ) -> Result<Vec<Vec<u8>>, TcError> {
+    /// Gathers `words` u64 words at `offset` from every core with
+    /// bounded retry. Hardened sessions verify on gather: every live core
+    /// first seals the region with an FNV digest, the host gathers both
+    /// and re-checks the math, retrying the whole round until the
+    /// partition homes' copies verify. The seal launch and its gather are
+    /// the only ops a hardened count adds to a plain one.
+    fn read_back(&mut self, label: &str, offset: u64, words: u64) -> Result<Vec<Vec<u8>>, TcError> {
+        if !self.hardened {
+            return self.retry(label, |s| s.gather(offset, words * 8));
+        }
         let layout = self.layout;
         let mut failures = 0u32;
         loop {
-            let sealed = self.retry_execute_masked("seal", move |ctx| {
-                checksum::seal_kernel(ctx, offset, words, layout.staging_slot(0))
+            let sealed = self.retry("seal", |s| {
+                s.execute_labeled_masked("seal", move |ctx| {
+                    checksum::seal_kernel(ctx, offset, words, layout.staging_slot(0))
+                })
             })?;
             // A masked `None` at a partition home is a death the launch
             // absorbed (a cluster rank re-issues a killed launch instead
@@ -1077,8 +1071,8 @@ impl<B: PimBackend> TcSession<B> {
             if let Some(&home) = self.partition_home.iter().find(|&&d| sealed[d].is_none()) {
                 return Err(TcError::Sim(SimError::DpuDead { dpu: home }));
             }
-            let regions = self.retry_gather(label, offset, words * 8)?;
-            let seals = self.retry_gather("seal", layout.staging_off, 8)?;
+            let regions = self.retry(label, |s| s.gather(offset, words * 8))?;
+            let seals = self.retry("seal", |s| s.gather(layout.staging_off, 8))?;
             let ok = self.partition_home.iter().all(|&d| {
                 let sealed = u64::from_le_bytes(seals[d][..8].try_into().unwrap());
                 checksum::fnv1a_words(&decode_slice::<u64>(&regions[d])) == sealed
@@ -1092,12 +1086,15 @@ impl<B: PimBackend> TcSession<B> {
         }
     }
 
-    /// Writes every physical core's initial bank (partition headers keyed
-    /// by partition id, zeroed staging region), verifying the writes and
-    /// absorbing cores that die mid-initialization.
-    fn init_banks_hardened(&mut self) -> Result<(), TcError> {
+    /// Writes every physical core's initial bank header (keyed by
+    /// partition id; spares by their own id) and, on hardened sessions,
+    /// a zeroed staging region, verifying the writes and absorbing cores
+    /// that die mid-initialization.
+    fn init_banks(&mut self) -> Result<(), TcError> {
         loop {
-            let zeros = vec![0u8; (self.layout.stage_edges * 8) as usize];
+            let zeros = self
+                .hardened
+                .then(|| vec![0u8; (self.layout.stage_edges * 8) as usize]);
             let mut writes = Vec::new();
             let bank = |dpu: usize, rng_key: usize| {
                 let hdr = Header {
@@ -1105,18 +1102,17 @@ impl<B: PimBackend> TcSession<B> {
                     rng: rng::seed_for_dpu(self.config.seed, rng_key),
                     ..Header::default()
                 };
-                [
-                    HostWrite {
-                        dpu,
-                        offset: 0,
-                        data: hdr.encode(),
-                    },
-                    HostWrite {
-                        dpu,
-                        offset: self.layout.staging_off,
-                        data: zeros.clone(),
-                    },
-                ]
+                let header = HostWrite {
+                    dpu,
+                    offset: 0,
+                    data: hdr.encode(),
+                };
+                let staging = zeros.as_ref().map(|zeros| HostWrite {
+                    dpu,
+                    offset: self.layout.staging_off,
+                    data: zeros.clone(),
+                });
+                std::iter::once(header).chain(staging)
             };
             for t in 0..self.assignment.nr_dpus() {
                 writes.extend(bank(self.partition_home[t], t));
@@ -1611,17 +1607,11 @@ impl<B: PimBackend> TcSession<B> {
     /// Requires journals: without them there is no reference to scrub
     /// against, so the session refuses rather than sweep blind.
     pub fn scrub(&mut self) -> Result<ScrubOutcome, TcError> {
-        if !self.hardened {
-            return Err(TcError::Config(
-                "scrubbing walks the hardened seal-verify path; enable \
-                 hardened mode (or configure faults/spares/scrub_interval)"
-                    .into(),
-            ));
-        }
         if self.journals.is_none() {
             return Err(TcError::Config(
-                "scrubbing compares resident banks against their replayed \
-                 journals; enable journaling to scrub"
+                "scrubbing seal-verifies resident banks against their \
+                 replayed journals; enable journaling (which implies the \
+                 hardened pipeline) to scrub"
                     .into(),
             ));
         }
@@ -1631,14 +1621,17 @@ impl<B: PimBackend> TcSession<B> {
         let mut repaired = 0u64;
         let none = HashSet::new();
         let seals = loop {
-            match self.retry_execute_masked("scrub_seal", move |ctx| {
-                let len = {
-                    let mut t0 = ctx.tasklet(0)?;
-                    Header::read(&mut t0)?.len
-                };
-                checksum::seal_kernel(ctx, layout.sample_off, len, layout.staging_slot(0))?;
-                Ok(len)
-            }) {
+            let sealed = self.retry("scrub_seal", |s| {
+                s.execute_labeled_masked("scrub_seal", move |ctx| {
+                    let len = {
+                        let mut t0 = ctx.tasklet(0)?;
+                        Header::read(&mut t0)?.len
+                    };
+                    checksum::seal_kernel(ctx, layout.sample_off, len, layout.staging_slot(0))?;
+                    Ok(len)
+                })
+            });
+            match sealed {
                 Ok(r) => break r,
                 Err(TcError::Sim(SimError::DpuDead { dpu })) => {
                     let mut rec = Vec::new();
@@ -1689,202 +1682,6 @@ impl<B: PimBackend> TcSession<B> {
         }
         Ok(outcome)
     }
-
-    /// Hardened counting: runs the verified pipeline, failing over and
-    /// restarting from the top if a core dies mid-count (the pipeline is
-    /// idempotent over the resident samples).
-    fn count_hardened(&mut self) -> Result<TcResult, TcError> {
-        loop {
-            match self.count_hardened_once() {
-                Err(TcError::Sim(SimError::DpuDead { dpu })) => {
-                    let mut recovered = Vec::new();
-                    self.recover_dpu(dpu, &HashSet::new(), &mut recovered)?;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// One attempt at the counting pipeline with checksummed transfers:
-    /// verified remap pushes, retried kernel launches, and seal-verified
-    /// result gathers. Core deaths surface as `Sim(DpuDead)` for
-    /// [`Self::count_hardened`] to absorb.
-    fn count_hardened_once(&mut self) -> Result<TcResult, TcError> {
-        self.sys.set_phase(Phase::TriangleCount);
-        let layout = self.layout;
-
-        if self.config.misra_gries.is_some() {
-            self.refresh_remap_assignments();
-            if !self.remap_table.is_empty() {
-                let packed = remap::encode_table(&self.remap_table);
-                let writes = self
-                    .partition_home
-                    .iter()
-                    .flat_map(|&dpu| {
-                        [
-                            HostWrite {
-                                dpu,
-                                offset: layout.remap_off,
-                                data: encode_slice(&packed),
-                            },
-                            HostWrite {
-                                dpu,
-                                offset: HDR_REMAP_LEN,
-                                data: encode_slice(&[packed.len() as u64]),
-                            },
-                        ]
-                    })
-                    .collect();
-                self.push_verified("remap_table", writes)?;
-                self.retry_execute_masked("remap", move |ctx| remap::remap_kernel(ctx, &layout))?;
-            }
-        }
-
-        self.retry_execute_masked("sort", move |ctx| sort::sort_kernel(ctx, &layout))?;
-        self.retry_execute_masked("index", move |ctx| index::index_kernel(ctx, &layout))?;
-        let local_enabled = self.config.local_nodes.is_some();
-        if local_enabled {
-            self.retry_execute_masked("local_clear", move |ctx| {
-                local::local_clear_kernel(ctx, &layout)
-            })?;
-            self.retry_execute_masked("local_count", move |ctx| {
-                local::local_count_kernel(ctx, &layout)
-            })?;
-        } else {
-            let strategy = self.config.intersect;
-            self.retry_execute_masked("count", move |ctx| {
-                count::count_kernel_opts(ctx, &layout, count::RegionLookup::BinarySearch, strategy)
-            })?;
-        }
-
-        let headers: Vec<Header> = self
-            .gather_verified("headers", 0, 8)?
-            .iter()
-            .map(|bytes| Header::decode(bytes))
-            .collect();
-        let home_headers: Vec<Header> = self.partition_home.iter().map(|&d| headers[d]).collect();
-        self.emit_reservoir(&home_headers);
-
-        let mut reports: Vec<DpuReport> = home_headers
-            .iter()
-            .enumerate()
-            .map(|(t, h)| {
-                let triplet = self.assignment.triplet_of(t);
-                DpuReport {
-                    dpu: t,
-                    triplet,
-                    raw: h.result,
-                    seen: h.seen,
-                    capacity: h.cap,
-                    resident: h.len,
-                    corrected: 0.0,
-                    mono: triplet.is_mono(),
-                }
-            })
-            .collect();
-        let assembled =
-            correction::assemble(&mut reports, self.config.colors, self.config.uniform_p);
-
-        let local_counts = if local_enabled {
-            let nodes = u64::from(self.config.local_nodes.unwrap_or(0));
-            let mut totals = vec![0.0f64; nodes as usize];
-            let mut mono_totals = vec![0.0f64; nodes as usize];
-            let regions = self.gather_verified("locals", layout.local_off, nodes)?;
-            for (t, report) in reports.iter().enumerate() {
-                let raw: Vec<u64> = decode_slice(&regions[self.partition_home[t]]);
-                let factor = if report.raw == 0 {
-                    1.0
-                } else {
-                    report.corrected / report.raw as f64
-                };
-                for (node, &count) in raw.iter().enumerate() {
-                    if count == 0 {
-                        continue;
-                    }
-                    let corrected = count as f64 * factor;
-                    totals[node] += corrected;
-                    if report.mono {
-                        mono_totals[node] += corrected;
-                    }
-                }
-            }
-            let dedup_c = self.config.colors.saturating_sub(1) as f64;
-            let p3 = self.config.uniform_p.powi(3);
-            for (t, m) in totals.iter_mut().zip(&mono_totals) {
-                *t = ((*t - dedup_c * m) / p3).max(0.0);
-            }
-            Some(totals)
-        } else {
-            None
-        };
-
-        // Journal the count barrier: every partition's resident sample was
-        // remapped (by the table prefix active right now) and sorted. A
-        // replay applies the same prefix + sort at this offset, so a bank
-        // lost *after* this point re-derives the post-count state and a
-        // bank lost *mid-count* re-derives the pre-count state (the retry
-        // re-runs remap+sort on every core, converging them).
-        if let Some(journals) = self.journals.as_mut() {
-            let table_len = self.remap_table.len() as u64;
-            for journal in journals.iter_mut() {
-                journal.mark(table_len);
-            }
-        }
-
-        Ok(TcResult {
-            estimate: assembled.estimate,
-            raw_total: assembled.raw_total,
-            exact: self.config.uniform_p >= 1.0 && !assembled.any_overflow,
-            times: self.sys.phase_times(),
-            nr_dpus: self.nr_dpus(),
-            colors: self.config.colors,
-            edges_offered: self.offered,
-            edges_kept: self.kept,
-            edges_routed: home_headers.iter().map(|h| h.seen).sum(),
-            max_dpu_load: home_headers.iter().map(|h| h.seen).max().unwrap_or(0),
-            reservoir_overflowed: assembled.any_overflow,
-            energy: self.sys.energy_report(),
-            local_counts,
-            dpu_reports: reports,
-        })
-    }
-}
-
-/// Checksum coverage for the initial bank broadcast on the *plain*
-/// (non-hardened) path: reads every header back through the host
-/// inspection channel and compares FNV-1a digests against what was
-/// pushed. Inspection reads are free (no modeled time), so a verified
-/// plain init stays time-identical to an unverified one; a mismatch —
-/// a corruption fault landing on the very first transfer — fails the
-/// session loudly instead of silently seeding a core with a corrupt
-/// header.
-fn verify_init_writes<B: PimBackend>(sys: &B, writes: &[HostWrite]) -> Result<(), TcError> {
-    for w in writes {
-        let got = sys
-            .dpu(w.dpu)?
-            .host_read(w.offset, w.data.len() as u64)
-            .map_err(TcError::Sim)?;
-        if !init_write_verifies(&w.data, &got) {
-            return Err(TcError::Faulted(format!(
-                "initial header for core {} failed checksum verification \
-                 after the init transfer (a corruption fault landed on it); \
-                 enable hardened mode for retrying transfers",
-                w.dpu
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Digest comparison for one init write: both sides are hashed (rather
-/// than byte-compared) so the check exercises the same FNV-1a primitive
-/// the hardened pipeline seals staged slices with.
-pub(crate) fn init_write_verifies(expected: &[u8], got: &[u8]) -> bool {
-    if expected.len() != got.len() || !expected.len().is_multiple_of(8) {
-        return false;
-    }
-    checksum::fnv1a_words(&decode_slice::<u64>(expected))
-        == checksum::fnv1a_words(&decode_slice::<u64>(got))
 }
 
 #[cfg(test)]
@@ -2290,6 +2087,24 @@ mod tests {
             assert!(matches!(err, TcError::Checkpoint(_)), "got {err:?}");
             assert!(err.to_string().contains("partition 0"), "got: {err}");
         }
+
+        // A remap table past `remap_cap` (with the id cursor in step)
+        // would spill into the sample region on the next count; a cursor
+        // out of step with the table would underflow on the next remap.
+        let mut overfull_table = s.checkpoint(1).unwrap();
+        let entries = layout.remap_cap as u32 + 1;
+        overfull_table.remap_table = (0..entries).map(|i| (i, u32::MAX - i)).collect();
+        overfull_table.next_new_id = u32::MAX - entries;
+        let mut stale_cursor = s.checkpoint(1).unwrap();
+        stale_cursor.next_new_id = 0;
+        for snap in [overfull_table, stale_cursor] {
+            let Err(err) = TcSession::<RankCluster<TimedBackend>>::restore_cluster(&snap, None)
+            else {
+                panic!("inconsistent remap state must be refused");
+            };
+            assert!(matches!(err, TcError::Checkpoint(_)), "got {err:?}");
+            assert!(err.to_string().contains("remap"), "got: {err}");
+        }
     }
 
     #[test]
@@ -2449,6 +2264,24 @@ mod tests {
         for expected in ["receive", "sort", "index", "count"] {
             assert!(labels.contains(expected), "missing launch label {expected}");
         }
+        // Plain and hardened sessions share one count pipeline; only the
+        // hardened one seal-verifies its read-backs, and both agree.
+        assert!(!labels.contains("seal"), "a plain count must not seal");
+        let hardened_config = TcConfig {
+            hardened: true,
+            ..config
+        };
+        let traced = crate::Capture {
+            trace: true,
+            ..Default::default()
+        };
+        let hardened = crate::count_triangles_with(&g, &hardened_config, traced).unwrap();
+        assert!(hardened.report.launches.iter().any(|l| l.label == "seal"));
+        assert_eq!(
+            hardened.result.estimate.to_bits(),
+            profile.result.estimate.to_bits()
+        );
+        assert_eq!(hardened.result.dpu_reports, profile.result.dpu_reports);
         // The host-side routing work is a named span too.
         assert!(profile.trace.events().iter().any(|e| matches!(
             e,
@@ -2479,19 +2312,6 @@ mod tests {
         let r = crate::count_triangles(&CooGraph::new(), &tiny_config(2)).unwrap();
         assert_eq!(r.rounded(), 0);
         assert!(r.exact);
-    }
-
-    #[test]
-    fn init_write_digest_rejects_tampering() {
-        let data: Vec<u8> = (0..32u8).collect();
-        assert!(init_write_verifies(&data, &data.clone()));
-        let mut tampered = data.clone();
-        tampered[9] ^= 0x40;
-        assert!(!init_write_verifies(&data, &tampered));
-        // Length mismatch and non-word-aligned payloads are rejected
-        // outright rather than hashed.
-        assert!(!init_write_verifies(&data, &data[..24]));
-        assert!(!init_write_verifies(&data[..7], &data[..7]));
     }
 
     #[test]
