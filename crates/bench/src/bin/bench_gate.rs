@@ -166,7 +166,7 @@ struct CheckRecord {
 
 /// Self-contained cluster-parity check: an R = 1 [`pim_sim::RankCluster`] run must
 /// be bit-identical to driving the backend directly — counts, per-DPU
-/// reports, and system-report totals. No recorded baseline is needed; the
+/// reports, system-report totals and kernel aggregates. No recorded baseline is needed; the
 /// plain run *is* the baseline. A mismatch fails the gate.
 fn run_cluster_parity(harness: &Harness) {
     use pim_sim::{FunctionalBackend, RankCluster};
@@ -212,6 +212,14 @@ fn run_cluster_parity(harness: &Harness) {
     ] {
         assert_eq!(a, b, "cluster parity: {label} diverged");
     }
+    assert!(
+        !plain_report.kernels.is_empty(),
+        "cluster parity: no kernels"
+    );
+    assert_eq!(
+        plain_report.kernels, cluster_report.kernels,
+        "cluster parity: kernels diverged"
+    );
     eprintln!("[bench_gate] cluster parity ok");
 }
 
@@ -292,6 +300,12 @@ fn main() {
 
         let result = &profile.result;
         let report = &profile.report;
+        let mut kernel_cycles = std::collections::BTreeMap::new();
+        for k in &report.kernels {
+            *kernel_cycles
+                .entry(k.phase.metric_name().to_string())
+                .or_default() += k.max_cycles;
+        }
         observed.push(GateRow {
             graph: b.graph.clone(),
             triangles: result.rounded(),
@@ -307,11 +321,7 @@ fn main() {
             transfer_bytes: report.total_transfer_bytes,
             total_instructions: report.total_instructions,
             total_dma_bytes: report.total_dma_bytes,
-            kernel_cycles: report
-                .phase_kernel_cycles
-                .iter()
-                .map(|p| (p.phase.metric_name().to_string(), p.max_cycles))
-                .collect(),
+            kernel_cycles,
         });
     }
 

@@ -835,26 +835,18 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     prep::preprocess(&mut graph, 0);
     let config = build_config_with_default_colors(args, &graph, colors_for_dpus(dpus))?;
 
-    // The metrics hub also powers the functional kernel table, so a
-    // functional profile always runs one (with an in-memory sink) even
-    // without --metrics-out.
+    // Retries are counted from the run's own metric stream, so every
+    // profile runs a hub (with an in-memory sink) even without
+    // --metrics-out.
     let mut plane = metrics_plane(args)?;
     let functional = config.backend == pim_tc::ExecBackend::Functional;
-    let hub = match (&plane, functional) {
-        (Some(p), _) => Some(Arc::clone(&p.hub)),
-        (None, true) => Some(Arc::new(MetricsHub::new())),
-        (None, false) => None,
-    };
-    let obs = if functional {
-        let sink = MemorySink::new();
-        let hub = hub.as_ref().expect("functional profile always has a hub");
-        hub.add_sink(Box::new(sink.clone()));
-        Some(sink)
-    } else {
-        None
-    };
+    let hub = plane
+        .as_ref()
+        .map_or_else(|| Arc::new(MetricsHub::new()), |p| Arc::clone(&p.hub));
+    let sink = MemorySink::new();
+    hub.add_sink(Box::new(sink.clone()));
     let capture = pim_tc::Capture {
-        metrics: hub,
+        metrics: Some(hub),
         trace: true,
     };
     let profile =
@@ -869,27 +861,11 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         result.nr_dpus,
         result.colors
     );
-
-    let retries: u64;
-    if let Some(sink) = &obs {
-        // Functional engine: no modeled clock, so the per-kernel table
-        // comes from the live metric stream (cycle counts are derived
-        // from the same per-DPU execution data as timed runs).
-        let summary = pim_metrics::summarize(&sink.events());
+    if functional {
         println!(
             "functional backend: no modeled time/energy; cycle and traffic \
              figures below are data-derived and match a timed run"
         );
-        println!("transfers: {} B", report.total_transfer_bytes);
-        println!("kernel        launches   max cycles   instructions     dma bytes");
-        for (label, agg) in &summary.launches {
-            println!(
-                "{:<13} {:>8} {:>12} {:>14} {:>13}",
-                label, agg.launches, agg.max_cycles_total, agg.instructions, agg.dma_bytes
-            );
-        }
-        retries = summary.retries.values().sum();
-        println!("no chrome trace: the functional engine records no timeline");
     } else {
         println!(
             "modeled time: setup {:.3} ms, sample creation {:.3} ms, count {:.3} ms",
@@ -897,53 +873,37 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
             result.times.sample_creation * 1e3,
             result.times.triangle_count * 1e3
         );
-        println!(
-            "transfers: {} B in {:.3} ms ({:.1}% of aggregate bandwidth cap)",
-            report.total_transfer_bytes,
-            report.transfer_seconds * 1e3,
-            report.transfer_bandwidth_utilization * 100.0
-        );
-
-        // One row per kernel label, aggregated over its launches.
-        println!("kernel        launches   time (ms)   max cycles   p99/p50      imbalance");
-        let mut seen: Vec<&str> = Vec::new();
-        for l in &report.launches {
-            if seen.contains(&l.label.as_str()) {
-                continue;
-            }
-            seen.push(&l.label);
-            let group: Vec<_> = report
-                .launches
-                .iter()
-                .filter(|x| x.label == l.label)
-                .collect();
-            let seconds: f64 = group.iter().map(|x| x.seconds).sum();
-            let max_cycles: u64 = group.iter().map(|x| x.max_cycles).max().unwrap_or(0);
-            let p50: u64 = group.iter().map(|x| x.p50_cycles).max().unwrap_or(0);
-            let p99: u64 = group.iter().map(|x| x.p99_cycles).max().unwrap_or(0);
-            let imbalance = group.iter().map(|x| x.imbalance).fold(0.0f64, f64::max);
-            println!(
-                "{:<13} {:>8} {:>11.3} {:>12} {:>7}/{:<7} {:>8.2}x",
-                l.label,
-                group.len(),
-                seconds * 1e3,
-                max_cycles,
-                p99,
-                p50,
-                imbalance
-            );
-        }
-        retries = profile
-            .trace
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(e, pim_sim::TraceEvent::HostWork { label, .. }
-                         if label.starts_with("retry:"))
-            })
-            .count() as u64;
     }
+    println!(
+        "transfers: {} B in {:.3} ms ({:.1}% of aggregate bandwidth cap)",
+        report.total_transfer_bytes,
+        report.transfer_seconds * 1e3,
+        report.transfer_bandwidth_utilization * 100.0
+    );
 
+    // One row per kernel label and phase, over every rank. Cycles are the
+    // summed slowest-DPU cycles; p99/p50 and imbalance are the worst launch's.
+    println!(
+        "kernel        phase             launches   failed   time (ms)       cycles   p99/p50      imbalance"
+    );
+    for k in &report.kernels {
+        println!(
+            "{:<13} {:<16} {:>9} {:>8} {:>11.3} {:>12} {:>7}/{:<7} {:>8.2}x",
+            k.label,
+            k.phase.metric_name(),
+            k.launches,
+            k.failed,
+            k.seconds * 1e3,
+            k.max_cycles,
+            k.p99_cycles,
+            k.p50_cycles,
+            k.imbalance
+        );
+    }
+    let retries = pim_metrics::summarize(&sink.events())
+        .retries
+        .values()
+        .sum();
     print_fault_section(&report.fault_counters, retries);
 
     if !functional {
@@ -961,6 +921,8 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         std::fs::write(&out, serde_json::to_string(&chrome).unwrap())
             .map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("chrome trace written to {out}");
+    } else {
+        println!("no chrome trace: the functional engine records no timeline");
     }
     if let Some(p) = plane.as_mut() {
         p.watch();

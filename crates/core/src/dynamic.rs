@@ -2254,10 +2254,10 @@ mod tests {
         let profile = crate::count_triangles_with(&g, &config, traced).unwrap();
         assert_eq!(profile.result.rounded(), 455);
 
-        // Every pipeline kernel shows up as a labeled launch profile.
+        // Every pipeline kernel shows up as a labeled kernel aggregate.
         let labels: HashSet<&str> = profile
             .report
-            .launches
+            .kernels
             .iter()
             .map(|l| l.label.as_str())
             .collect();
@@ -2276,7 +2276,7 @@ mod tests {
             ..Default::default()
         };
         let hardened = crate::count_triangles_with(&g, &hardened_config, traced).unwrap();
-        assert!(hardened.report.launches.iter().any(|l| l.label == "seal"));
+        assert!(hardened.report.kernels.iter().any(|k| k.label == "seal"));
         assert_eq!(
             hardened.result.estimate.to_bits(),
             profile.result.estimate.to_bits()

@@ -96,8 +96,8 @@ pub struct Capture {
     /// A live hub attached before the first bank is touched; every event
     /// of the run is emitted on it as it happens (`docs/OBSERVABILITY.md`).
     pub metrics: Option<Arc<MetricsHub>>,
-    /// Record the event timeline, and with it the reports' per-launch
-    /// attribution. The traces of an untraced run are empty.
+    /// Record the event timeline. The traces of an untraced run are
+    /// empty; the reports do not depend on it.
     pub trace: bool,
 }
 
@@ -111,7 +111,8 @@ pub struct RunProfile {
     /// [`pim_sim::Trace::to_chrome_trace`] for `chrome://tracing`.
     pub trace: pim_sim::Trace,
     /// Per-DPU attribution over the whole cluster (global id order): activity
-    /// counters, per-launch cycle distributions, bandwidth utilization.
+    /// counters, per-kernel cycle aggregates over every rank, bandwidth
+    /// utilization.
     pub report: pim_sim::SystemReport,
     /// Each rank's own timeline in rank order. At `ranks = 1` this is a
     /// single trace identical to [`RunProfile::trace`]; at R>1 feed it to

@@ -604,6 +604,12 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
 
+    /// `launch_hist` for a `count` launch over its live cores.
+    fn count_hist(hub: &MetricsHub, cycles: &[u64], dma: &[u64]) {
+        let dist = crate::LaunchDist::of(cycles);
+        hub.launch_hist("count", "triangle_count", &dist, cycles, dma);
+    }
+
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
         write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
@@ -708,7 +714,7 @@ mod tests {
             writers.push(std::thread::spawn(move || {
                 for i in 0..200 {
                     hub.transfer("push", "setup", 1, 64, 0.0, true);
-                    hub.launch_hist("count", "triangle_count", &[100 + i, 300], &[8, 8]);
+                    count_hist(&hub, &[100 + i, 300], &[8, 8]);
                     let _ = t;
                 }
             }));
@@ -746,12 +752,7 @@ mod tests {
     fn lint_accepts_our_renderer_and_rejects_corruption() {
         let hub = MetricsHub::new();
         hub.transfer("push", "setup", 1, 100, 0.0, true);
-        hub.launch_hist(
-            "count",
-            "triangle_count",
-            &[500, 1500, 999_999],
-            &[10, 20, 30],
-        );
+        count_hist(&hub, &[500, 1500, 999_999], &[10, 20, 30]);
         hub.anomaly("straggler", "x");
         lint_prometheus(&hub.render_prometheus()).expect("own render lints clean");
 

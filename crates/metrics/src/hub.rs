@@ -15,6 +15,52 @@ use crate::registry::{
 };
 use std::sync::{Arc, Mutex};
 
+/// The per-DPU cycle distribution of one kernel launch over the cores
+/// that ran it (dead cores excluded). Computed once per launch; the
+/// `launch` and `hist` events and the simulator's kernel ledger all read
+/// the same value.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct LaunchDist {
+    /// Live cores that executed the kernel.
+    pub dpus: u64,
+    /// Cycles of the slowest core (the launch's critical path).
+    pub max_cycles: u64,
+    /// Mean cycles over the live cores.
+    pub mean_cycles: f64,
+    /// Nearest-rank median of per-core cycles.
+    pub p50_cycles: u64,
+    /// Nearest-rank p99 of per-core cycles.
+    pub p99_cycles: u64,
+    /// `max / mean` (1.0 = perfectly even, and when the mean is zero).
+    pub imbalance: f64,
+}
+
+impl LaunchDist {
+    /// The distribution of `cycles`, one entry per live core.
+    pub fn of(cycles: &[u64]) -> LaunchDist {
+        let mut sorted = cycles.to_vec();
+        sorted.sort_unstable();
+        let max_cycles = sorted.last().copied().unwrap_or(0);
+        let mean_cycles = if sorted.is_empty() {
+            0.0
+        } else {
+            sorted.iter().sum::<u64>() as f64 / sorted.len() as f64
+        };
+        LaunchDist {
+            dpus: sorted.len() as u64,
+            max_cycles,
+            mean_cycles,
+            p50_cycles: nearest_rank_percentile(&sorted, 50.0),
+            p99_cycles: nearest_rank_percentile(&sorted, 99.0),
+            imbalance: if mean_cycles > 0.0 {
+                max_cycles as f64 / mean_cycles
+            } else {
+                1.0
+            },
+        }
+    }
+}
+
 /// Observations for one kernel launch, emitted by a backend after the
 /// launch completes (or fails).
 #[derive(Clone, Debug)]
@@ -23,12 +69,8 @@ pub struct LaunchObs {
     pub label: String,
     /// Phase name the launch was charged to.
     pub phase: &'static str,
-    /// Number of live DPUs that executed the kernel.
-    pub dpus: u64,
-    /// Maximum per-DPU cycle count (the launch's critical path).
-    pub max_cycles: u64,
-    /// Mean per-DPU cycle count over live DPUs.
-    pub mean_cycles: f64,
+    /// Per-core cycle distribution (empty for a failed launch).
+    pub dist: LaunchDist,
     /// Instructions retired across all live DPUs in this launch.
     pub instructions: u64,
     /// MRAM DMA bytes moved across all live DPUs in this launch.
@@ -293,23 +335,24 @@ impl MetricsHub {
 
     /// One kernel launch (see [`LaunchObs`]).
     pub fn launch(&self, obs: LaunchObs) {
+        let dist = obs.dist;
         self.ctr_with("pim_launches_total", &[("label", &obs.label)])
             .inc();
         self.ctr_with("pim_kernel_cycles_total", &[("label", &obs.label)])
-            .add(obs.max_cycles);
+            .add(dist.max_cycles);
         self.ctr("pim_instructions_total").add(obs.instructions);
         self.ctr("pim_dma_bytes_total").add(obs.dma_bytes);
         self.gge("pim_launch_seconds_total").add(obs.seconds);
         self.hist("pim_launch_max_cycles", &LAUNCH_CYCLE_BUCKETS)
-            .observe(obs.max_cycles);
+            .observe(dist.max_cycles);
         self.emit(
             "launch",
             vec![
                 ("label".into(), FieldValue::Str(obs.label)),
                 ("phase".into(), FieldValue::Str(obs.phase.into())),
-                ("dpus".into(), FieldValue::U64(obs.dpus)),
-                ("max_cycles".into(), FieldValue::U64(obs.max_cycles)),
-                ("mean_cycles".into(), FieldValue::F64(obs.mean_cycles)),
+                ("dpus".into(), FieldValue::U64(dist.dpus)),
+                ("max_cycles".into(), FieldValue::U64(dist.max_cycles)),
+                ("mean_cycles".into(), FieldValue::F64(dist.mean_cycles)),
                 ("instructions".into(), FieldValue::U64(obs.instructions)),
                 ("dma_bytes".into(), FieldValue::U64(obs.dma_bytes)),
                 ("seconds".into(), FieldValue::F64(obs.seconds)),
@@ -319,46 +362,21 @@ impl MetricsHub {
     }
 
     /// The per-DPU cycle/DMA distribution of one kernel launch, streamed
-    /// live so imbalance is visible mid-run rather than only in the final
-    /// `SystemReport`.
-    ///
-    /// `per_dpu_cycles` and `per_dpu_dma_bytes` must cover every core in
-    /// launch order with dead cores as zeros — the same vectors the trace's
-    /// `Kernel` events carry — so the emitted p50/p99/imbalance match the
-    /// simulator's `LaunchProfile` (fig6) exactly: mean over the full
-    /// vector, nearest-rank percentiles, `imbalance = max/mean` (1.0 when
-    /// the mean is zero).
-    ///
-    /// Registry side effects (rank-labeled when this view is rank-scoped):
-    /// each cycle count is observed into `pim_hist_dpu_cycles{label}` and
-    /// each DMA byte count into `pim_hist_dpu_dma_bytes{label}`; the
-    /// gauges `pim_hist_last_{max,p50,p99}_cycles{label}` and
-    /// `pim_hist_last_imbalance{label}` snapshot the most recent launch
-    /// for the watchdog's straggler check.
+    /// live so imbalance is visible mid-run. `per_dpu_cycles` and
+    /// `per_dpu_dma_bytes` hold one entry per live core, the cores `dist`
+    /// was computed over. Each entry is observed into
+    /// `pim_hist_dpu_{cycles,dma_bytes}{label}`, and the gauges
+    /// `pim_hist_last_{max,p50,p99}_cycles{label}` and
+    /// `pim_hist_last_imbalance{label}` snapshot the launch for the
+    /// watchdog's straggler check (rank-labeled on a rank-scoped view).
     pub fn launch_hist(
         &self,
         label: &str,
         phase: &'static str,
+        dist: &LaunchDist,
         per_dpu_cycles: &[u64],
         per_dpu_dma_bytes: &[u64],
     ) {
-        let max_cycles = per_dpu_cycles.iter().copied().max().unwrap_or(0);
-        let mean_cycles = if per_dpu_cycles.is_empty() {
-            0.0
-        } else {
-            per_dpu_cycles.iter().sum::<u64>() as f64 / per_dpu_cycles.len() as f64
-        };
-        let mut sorted = per_dpu_cycles.to_vec();
-        sorted.sort_unstable();
-        let p50 = nearest_rank_percentile(&sorted, 50.0);
-        let p99 = nearest_rank_percentile(&sorted, 99.0);
-        let imbalance = if mean_cycles > 0.0 {
-            max_cycles as f64 / mean_cycles
-        } else {
-            1.0
-        };
-        let dma_bytes: u64 = per_dpu_dma_bytes.iter().sum();
-
         let cycles_hist = self.hist_with(
             "pim_hist_dpu_cycles",
             &[("label", label)],
@@ -376,25 +394,28 @@ impl MetricsHub {
             dma_hist.observe(b);
         }
         self.gge_with("pim_hist_last_max_cycles", &[("label", label)])
-            .set(max_cycles as f64);
+            .set(dist.max_cycles as f64);
         self.gge_with("pim_hist_last_p50_cycles", &[("label", label)])
-            .set(p50 as f64);
+            .set(dist.p50_cycles as f64);
         self.gge_with("pim_hist_last_p99_cycles", &[("label", label)])
-            .set(p99 as f64);
+            .set(dist.p99_cycles as f64);
         self.gge_with("pim_hist_last_imbalance", &[("label", label)])
-            .set(imbalance);
+            .set(dist.imbalance);
         self.emit(
             "hist",
             vec![
                 ("label".into(), FieldValue::Str(label.into())),
                 ("phase".into(), FieldValue::Str(phase.into())),
-                ("dpus".into(), FieldValue::U64(per_dpu_cycles.len() as u64)),
-                ("max_cycles".into(), FieldValue::U64(max_cycles)),
-                ("mean_cycles".into(), FieldValue::F64(mean_cycles)),
-                ("p50_cycles".into(), FieldValue::U64(p50)),
-                ("p99_cycles".into(), FieldValue::U64(p99)),
-                ("imbalance".into(), FieldValue::F64(imbalance)),
-                ("dma_bytes".into(), FieldValue::U64(dma_bytes)),
+                ("dpus".into(), FieldValue::U64(dist.dpus)),
+                ("max_cycles".into(), FieldValue::U64(dist.max_cycles)),
+                ("mean_cycles".into(), FieldValue::F64(dist.mean_cycles)),
+                ("p50_cycles".into(), FieldValue::U64(dist.p50_cycles)),
+                ("p99_cycles".into(), FieldValue::U64(dist.p99_cycles)),
+                ("imbalance".into(), FieldValue::F64(dist.imbalance)),
+                (
+                    "dma_bytes".into(),
+                    FieldValue::U64(per_dpu_dma_bytes.iter().sum()),
+                ),
             ],
         );
     }
@@ -547,6 +568,12 @@ mod tests {
     use super::*;
     use crate::event::MemorySink;
 
+    /// `launch_hist` for a `count` launch over its live cores.
+    fn count_hist(hub: &MetricsHub, cycles: &[u64], dma: &[u64]) {
+        let dist = LaunchDist::of(cycles);
+        hub.launch_hist("count", "triangle_count", &dist, cycles, dma);
+    }
+
     #[test]
     fn seq_is_strictly_increasing_across_kinds() {
         let hub = MetricsHub::new();
@@ -569,9 +596,12 @@ mod tests {
         hub.launch(LaunchObs {
             label: "tc_count".into(),
             phase: "triangle_count",
-            dpus: 4,
-            max_cycles: 2000,
-            mean_cycles: 1500.0,
+            dist: LaunchDist {
+                dpus: 4,
+                max_cycles: 2000,
+                mean_cycles: 1500.0,
+                ..LaunchDist::default()
+            },
             instructions: 6000,
             dma_bytes: 1024,
             seconds: 5e-6,
@@ -580,9 +610,12 @@ mod tests {
         hub.launch(LaunchObs {
             label: "tc_count".into(),
             phase: "triangle_count",
-            dpus: 4,
-            max_cycles: 500,
-            mean_cycles: 400.0,
+            dist: LaunchDist {
+                dpus: 4,
+                max_cycles: 500,
+                mean_cycles: 400.0,
+                ..LaunchDist::default()
+            },
             instructions: 1600,
             dma_bytes: 256,
             seconds: 2e-6,
@@ -651,13 +684,7 @@ mod tests {
         let hub = MetricsHub::new();
         let sink = MemorySink::new();
         hub.add_sink(Box::new(sink.clone()));
-        // One dead core (zero cycles) included, as the launch sites do.
-        hub.launch_hist(
-            "count",
-            "triangle_count",
-            &[1100, 2200, 3300, 4400],
-            &[10, 20, 30, 40],
-        );
+        count_hist(&hub, &[1100, 2200, 3300, 4400], &[10, 20, 30, 40]);
         let e = &sink.events()[0];
         assert_eq!(e.kind, "hist");
         assert_eq!(e.u64_field("dpus"), 4);
@@ -697,8 +724,9 @@ mod tests {
         let hub = MetricsHub::new();
         let sink = MemorySink::new();
         hub.add_sink(Box::new(sink.clone()));
-        hub.launch_hist("count", "triangle_count", &[0, 0], &[0, 0]);
+        count_hist(&hub, &[], &[]);
         let e = &sink.events()[0];
+        assert_eq!(e.u64_field("dpus"), 0);
         assert_eq!(e.u64_field("max_cycles"), 0);
         assert_eq!(e.f64_field("imbalance"), 1.0);
     }
@@ -709,7 +737,7 @@ mod tests {
         let sink = MemorySink::new();
         hub.add_sink(Box::new(sink.clone()));
         let r1 = hub.with_rank(1);
-        r1.launch_hist("count", "triangle_count", &[100, 300], &[8, 8]);
+        count_hist(&r1, &[100, 300], &[8, 8]);
         assert_eq!(sink.events()[0].u64_field("rank"), 1);
         let text = hub.render_prometheus();
         assert!(

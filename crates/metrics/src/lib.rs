@@ -47,7 +47,7 @@ pub use event::{Event, FieldValue, JsonlSink, MemorySink, MetricsSink};
 pub use exporter::{
     lint_prometheus, parse_request_line, respond_http, HealthSink, HealthState, MetricsServer,
 };
-pub use hub::{ChunkObs, LaunchObs, MetricsHub};
+pub use hub::{ChunkObs, LaunchDist, LaunchObs, MetricsHub};
 pub use registry::{
     nearest_rank_percentile, Counter, Gauge, Histogram, Registry, DMA_BYTES_BUCKETS,
     LAUNCH_CYCLE_BUCKETS,

@@ -30,9 +30,8 @@ pub const DMA_BYTES_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000,
 /// Nearest-rank percentile over an ascending-sorted slice: the value at
 /// rank `ceil(p/100 * n)` (1-based, clamped), or 0 when empty.
 ///
-/// This is the exact definition used by the simulator's `LaunchProfile`
-/// (fig6 p50/p99), shared here so per-DPU histogram events on the metric
-/// stream reconcile bit-for-bit with the final `SystemReport`.
+/// This is the definition behind [`crate::LaunchDist`]'s p50/p99, which
+/// the `hist` events and the simulator's kernel ledger share.
 pub fn nearest_rank_percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;

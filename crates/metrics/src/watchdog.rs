@@ -212,6 +212,12 @@ mod tests {
     use super::*;
     use crate::event::MemorySink;
 
+    /// `launch_hist` for a `count` launch over its live cores.
+    fn count_hist(hub: &MetricsHub, cycles: &[u64], dma: &[u64]) {
+        let dist = crate::LaunchDist::of(cycles);
+        hub.launch_hist("count", "triangle_count", &dist, cycles, dma);
+    }
+
     fn hub_with_sink() -> (Arc<MetricsHub>, MemorySink) {
         let hub = Arc::new(MetricsHub::new());
         let sink = MemorySink::new();
@@ -224,12 +230,7 @@ mod tests {
         let (hub, sink) = hub_with_sink();
         let mut wd = Watchdog::new(Arc::clone(&hub), WatchdogConfig::default());
         hub.transfer("push", "setup", 1, 100, 0.0, true);
-        hub.launch_hist(
-            "count",
-            "triangle_count",
-            &[90_000, 100_000, 110_000],
-            &[8, 8, 8],
-        );
+        count_hist(&hub, &[90_000, 100_000, 110_000], &[8, 8, 8]);
         assert!(wd.check().is_empty());
         hub.transfer("push", "setup", 1, 100, 0.0, true);
         assert!(wd.check().is_empty());
@@ -243,12 +244,7 @@ mod tests {
         let (hub, sink) = hub_with_sink();
         let mut wd = Watchdog::new(Arc::clone(&hub), WatchdogConfig::default());
         // One DPU 10x slower than the median.
-        hub.launch_hist(
-            "count",
-            "triangle_count",
-            &[100_000, 100_000, 100_000, 1_000_000],
-            &[8, 8, 8, 8],
-        );
+        count_hist(&hub, &[100_000, 100_000, 100_000, 1_000_000], &[8, 8, 8, 8]);
         let found = wd.check();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].kind, "straggler");
@@ -258,12 +254,7 @@ mod tests {
             found[0].detail
         );
         // Same series still skewed: reported once, not every check.
-        hub.launch_hist(
-            "count",
-            "triangle_count",
-            &[100_000, 100_000, 100_000, 1_000_000],
-            &[8, 8, 8, 8],
-        );
+        count_hist(&hub, &[100_000, 100_000, 100_000, 1_000_000], &[8, 8, 8, 8]);
         assert!(wd.check().is_empty());
         assert_eq!(wd.fired().len(), 1);
         let anomalies: Vec<_> = sink
@@ -286,7 +277,7 @@ mod tests {
         let (hub, _sink) = hub_with_sink();
         let mut wd = Watchdog::new(Arc::clone(&hub), WatchdogConfig::default());
         // 10x skew but far below straggler_min_cycles.
-        hub.launch_hist("count", "triangle_count", &[100, 100, 1000], &[8, 8, 8]);
+        count_hist(&hub, &[100, 100, 1000], &[8, 8, 8]);
         assert!(wd.check().is_empty());
     }
 

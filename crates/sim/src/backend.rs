@@ -35,6 +35,7 @@ use crate::error::SimResult;
 use crate::fault::FaultCounters;
 use crate::kernel::{DpuContext, Pod};
 use crate::phase::{Phase, PhaseTimes};
+use crate::stats::Ledger;
 use crate::system::{Functional, HostWrite, PimSystem, Timed};
 use crate::trace::Trace;
 use pim_metrics::MetricsHub;
@@ -83,8 +84,14 @@ pub trait PimBackend: Send {
     /// Phase currently accruing time.
     fn phase(&self) -> Phase;
 
+    /// Everything settled so far: phase times, transfer totals, fault
+    /// counters and per-kernel aggregates. A cluster folds its ranks'.
+    fn ledger(&self) -> Ledger;
+
     /// Modeled per-phase times so far (all-zero with the clock off).
-    fn phase_times(&self) -> PhaseTimes;
+    fn phase_times(&self) -> PhaseTimes {
+        self.ledger().times
+    }
 
     /// Starts recording an event timeline. No-op with the clock off.
     fn enable_tracing(&mut self);
@@ -133,8 +140,8 @@ pub trait PimBackend: Send {
     }
 
     /// Launches a labeled SPMD kernel on every allocated DPU, returning
-    /// each DPU's result in id order. The label lets traces and
-    /// [`crate::SystemReport`] launch profiles attribute time to a specific
+    /// each DPU's result in id order. The label lets traces and the
+    /// [`Ledger`]'s kernel aggregates attribute time to a specific
     /// kernel (e.g. `"sort"` vs `"count"`). The launch bills
     /// `launch_overhead + max per-DPU cycles` to the current phase when
     /// the clock runs.
@@ -169,20 +176,15 @@ pub trait PimBackend: Send {
     fn is_dpu_lost(&self, dpu: usize) -> bool;
 
     /// Counters of faults injected so far (all-zero without a plan).
-    fn fault_counters(&self) -> FaultCounters;
-
-    /// Sum of MRAM bytes in use across all DPUs.
-    fn total_mram_used(&self) -> u64;
+    fn fault_counters(&self) -> FaultCounters {
+        self.ledger().faults
+    }
 
     /// Total CPU↔PIM bytes moved so far (tracked with the clock off too —
     /// it is a data quantity, not a time).
-    fn total_transfer_bytes(&self) -> u64;
-
-    /// Total modeled seconds spent on CPU↔PIM transfers (zero with the
-    /// clock off). Together with [`PimBackend::total_transfer_bytes`] this
-    /// gives the achieved transfer bandwidth, comparable against the cost
-    /// model's aggregate bandwidth cap.
-    fn total_transfer_seconds(&self) -> SimSeconds;
+    fn total_transfer_bytes(&self) -> u64 {
+        self.ledger().transfer_bytes
+    }
 
     /// Energy totals for everything executed so far, derived from the
     /// lifetime activity counters and the modeled runtime (all-zero with
@@ -194,7 +196,10 @@ pub trait PimBackend: Send {
     /// code, mirroring `dpu_free` in the UPMEM SDK.)
     fn release(self) -> PhaseTimes
     where
-        Self: Sized;
+        Self: Sized,
+    {
+        self.phase_times()
+    }
 }
 
 /// The engine with its clock on: full cycle, transfer-bandwidth, trace,
@@ -264,7 +269,7 @@ mod tests {
             assert_eq!(decode_slice::<u64>(&bytes), vec![7, 9]);
         }
         assert_eq!(sys.total_transfer_bytes(), 32);
-        assert_eq!(sys.total_transfer_seconds(), 0.0);
+        assert_eq!(sys.ledger().transfer_seconds, 0.0);
         assert_eq!(sys.phase_times(), PhaseTimes::default());
         assert_eq!(sys.energy_report().total_j(), 0.0);
     }

@@ -16,8 +16,9 @@
 //! * **Time.** Ranks run in parallel in the modeled machine: phase times
 //!   are the elementwise **max** over ranks. Host seconds are charged to
 //!   every rank, so each rank's clock reads host + its own PIM time and
-//!   the max is the cluster wall-clock. Resource totals (bytes, energy,
-//!   fault counters) **sum**.
+//!   the max is the cluster wall-clock. Everything else in the ranks'
+//!   [`Ledger`]s (bytes, fault counters, kernel aggregates) and their
+//!   energy **sum**.
 //! * **Identity.** A 1-rank cluster forwards every call verbatim, so
 //!   R = 1 is bit-identical to driving the backend directly — counts,
 //!   reports, and metric streams.
@@ -36,11 +37,11 @@ use crate::dpu::Dpu;
 use crate::energy::EnergyReport;
 use crate::error::{SimError, SimResult};
 use crate::fault::{
-    splitmix64, DpuKill, FaultCounters, FaultPlan, RankKill, MAX_KILLS, MAX_RANK_KILLS,
-    RANK_AT_COUNT,
+    splitmix64, DpuKill, FaultPlan, RankKill, MAX_KILLS, MAX_RANK_KILLS, RANK_AT_COUNT,
 };
 use crate::kernel::DpuContext;
-use crate::phase::{Phase, PhaseTimes};
+use crate::phase::Phase;
+use crate::stats::Ledger;
 use crate::system::HostWrite;
 use crate::trace::Trace;
 use pim_metrics::MetricsHub;
@@ -487,17 +488,15 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         self.phase
     }
 
-    /// Elementwise max over ranks: ranks run in parallel, so the slowest
-    /// rank's clock is the cluster's wall-clock for each phase.
-    fn phase_times(&self) -> PhaseTimes {
-        let mut out = PhaseTimes::default();
+    /// The ranks' ledgers folded into one (max of phase times, sum of the
+    /// rest), plus the whole-rank deaths only the cluster sees.
+    fn ledger(&self) -> Ledger {
+        let mut total = Ledger::default();
         for b in &self.ranks {
-            let t = b.phase_times();
-            out.setup = out.setup.max(t.setup);
-            out.sample_creation = out.sample_creation.max(t.sample_creation);
-            out.triangle_count = out.triangle_count.max(t.triangle_count);
+            total.merge_rank(b.ledger());
         }
-        out
+        total.faults.rank_deaths += self.rank_deaths;
+        total
     }
 
     fn enable_tracing(&mut self) {
@@ -520,9 +519,8 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         }
     }
 
-    /// Rank 0's trace. Multi-rank launch attribution lives in each
-    /// rank's own [`SystemReport`](crate::SystemReport) (capture it over
-    /// [`RankCluster::rank_backends`]).
+    /// Rank 0's trace; [`RankCluster::rank_traces`] has every rank's.
+    /// Launch attribution over all ranks is in [`PimBackend::ledger`].
     fn trace(&self) -> &Trace {
         self.ranks[0].trace()
     }
@@ -730,36 +728,9 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         }
     }
 
-    fn fault_counters(&self) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        for b in &self.ranks {
-            let c = b.fault_counters();
-            total.transfer_faults += c.transfer_faults;
-            total.corruptions += c.corruptions;
-            total.launch_faults += c.launch_faults;
-            total.dpu_deaths += c.dpu_deaths;
-            total.rank_deaths += c.rank_deaths;
-        }
-        total.rank_deaths += self.rank_deaths;
-        total
-    }
-
-    fn total_mram_used(&self) -> u64 {
-        self.ranks.iter().map(|b| b.total_mram_used()).sum()
-    }
-
-    fn total_transfer_bytes(&self) -> u64 {
-        self.ranks.iter().map(|b| b.total_transfer_bytes()).sum()
-    }
-
-    fn total_transfer_seconds(&self) -> SimSeconds {
-        self.ranks.iter().map(|b| b.total_transfer_seconds()).sum()
-    }
-
     fn energy_report(&self) -> EnergyReport {
         let mut total = EnergyReport::default();
-        for b in &self.ranks {
-            let e = b.energy_report();
+        for e in self.ranks.iter().map(PimBackend::energy_report) {
             total.instr_j += e.instr_j;
             total.dma_j += e.dma_j;
             total.transfer_j += e.transfer_j;
@@ -767,17 +738,13 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         }
         total
     }
-
-    /// Every rank's `release()` equals its `phase_times()`.
-    fn release(self) -> PhaseTimes {
-        self.phase_times()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::FunctionalBackend;
+    use crate::phase::PhaseTimes;
     use crate::stats::SystemReport;
     use crate::system::PimSystem;
 
@@ -928,6 +895,12 @@ mod tests {
             .sum();
         assert_eq!(SystemReport::capture(&cluster).total_instructions, insts);
         assert_eq!(cluster.rank_backends().len(), 2);
+        // Kernel aggregates sum over ranks: one launch each, and the
+        // slowest cores' cycles (rank 0: 2·1100, rank 1: 2·1100) add up.
+        let kernels = cluster.ledger().kernels;
+        assert_eq!(kernels.len(), 1);
+        assert_eq!(kernels[0].launches, 2);
+        assert_eq!(kernels[0].max_cycles, 2200 + 2200);
         // Host seconds are charged to every rank (blocking work).
         let before = cluster.phase_times().triangle_count;
         cluster.charge_host_seconds_labeled("route", 0.5);

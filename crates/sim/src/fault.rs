@@ -325,6 +325,19 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
+    /// Counts one injected fault of `kind` (`kill`, `transfer_fail`,
+    /// `launch_fail` or `corrupt`, the kinds an engine settles).
+    pub(crate) fn count(&mut self, kind: &str) {
+        let counter = match kind {
+            "kill" => &mut self.dpu_deaths,
+            "transfer_fail" => &mut self.transfer_faults,
+            "launch_fail" => &mut self.launch_faults,
+            "corrupt" => &mut self.corruptions,
+            other => unreachable!("unknown fault kind {other}"),
+        };
+        *counter += 1;
+    }
+
     /// Total number of injected events.
     pub fn total(&self) -> u64 {
         self.transfer_faults
@@ -332,6 +345,16 @@ impl FaultCounters {
             + self.launch_faults
             + self.dpu_deaths
             + self.rank_deaths
+    }
+}
+
+impl std::ops::AddAssign for FaultCounters {
+    fn add_assign(&mut self, other: FaultCounters) {
+        self.transfer_faults += other.transfer_faults;
+        self.corruptions += other.corruptions;
+        self.launch_faults += other.launch_faults;
+        self.dpu_deaths += other.dpu_deaths;
+        self.rank_deaths += other.rank_deaths;
     }
 }
 
@@ -371,13 +394,13 @@ pub enum FaultDecision {
 }
 
 /// Per-system fault state: the plan, the operation counter, and which DPUs
-/// have died so far. Both backends embed one of these.
+/// have died so far. The engine counts what fires when it settles the
+/// resulting fault record.
 #[derive(Clone, Debug)]
 pub struct FaultState {
     plan: Option<FaultPlan>,
     op_index: u64,
     dead: Vec<bool>,
-    counters: FaultCounters,
 }
 
 impl FaultState {
@@ -388,7 +411,6 @@ impl FaultState {
             plan,
             op_index: 0,
             dead: vec![false; if plan.is_some() { nr_dpus } else { 0 }],
-            counters: FaultCounters::default(),
         }
     }
 
@@ -405,11 +427,6 @@ impl FaultState {
     /// Snapshot of dead flags (empty without an active plan).
     pub fn dead_flags(&self) -> &[bool] {
         &self.dead
-    }
-
-    /// Counters of injected events so far.
-    pub fn counters(&self) -> FaultCounters {
-        self.counters
     }
 
     /// Deterministic draw for op `op` with stream salt `salt`.
@@ -432,7 +449,6 @@ impl FaultState {
         for kill in plan.kills.iter().flatten() {
             if kill.at_op <= op && kill.dpu < self.dead.len() && !self.dead[kill.dpu] {
                 self.dead[kill.dpu] = true;
-                self.counters.dpu_deaths += 1;
                 return FaultDecision::Kill { dpu: kill.dpu, op };
             }
         }
@@ -441,10 +457,6 @@ impl FaultState {
             OpKind::Launch => (plan.launch_fail_ppm, false),
         };
         if self.draw(op, 1) % PPM < u64::from(fail_ppm) {
-            match kind {
-                OpKind::Transfer => self.counters.transfer_faults += 1,
-                OpKind::Launch => self.counters.launch_faults += 1,
-            }
             return FaultDecision::Fail { op };
         }
         if can_corrupt && self.draw(op, 2) % PPM < u64::from(plan.corrupt_ppm) {
@@ -454,13 +466,6 @@ impl FaultState {
             };
         }
         FaultDecision::None
-    }
-
-    /// Record that a corruption decision was actually applied to a payload.
-    /// Counted here (not in [`FaultState::decide`]) so ops with nothing to
-    /// corrupt don't inflate the counter.
-    pub fn count_corruption(&mut self) {
-        self.counters.corruptions += 1;
     }
 }
 
@@ -584,7 +589,6 @@ mod tests {
         }
         assert!(st.is_dead(2));
         assert!(!st.is_dead(1));
-        assert_eq!(st.counters().dpu_deaths, 1);
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub use error::{SimError, SimResult};
 pub use fault::{DpuKill, FaultCounters, FaultPlan, RankFlaky, RankKill, RANK_AT_COUNT};
 pub use kernel::{DpuContext, Tasklet};
 pub use phase::{Phase, PhaseTimes};
-pub use stats::{
-    DpuActivity, LaunchProfile, PhaseKernelCycles, SystemReport, CYCLE_HISTOGRAM_BUCKETS,
-};
+pub use stats::{DpuActivity, KernelAgg, Ledger, SystemReport};
 pub use system::{Clock, Functional, HostWrite, PimSystem, Timed};
 pub use trace::{to_chrome_trace_cluster, Trace, TraceEvent};

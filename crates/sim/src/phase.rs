@@ -84,6 +84,15 @@ impl PhaseTimes {
             triangle_count: self.triangle_count + other.triangle_count,
         }
     }
+
+    /// Element-wise max (used by clusters, whose ranks run in parallel).
+    pub(crate) fn max_with(&self, other: &PhaseTimes) -> PhaseTimes {
+        PhaseTimes {
+            setup: self.setup.max(other.setup),
+            sample_creation: self.sample_creation.max(other.sample_creation),
+            triangle_count: self.triangle_count.max(other.triangle_count),
+        }
+    }
 }
 
 #[cfg(test)]

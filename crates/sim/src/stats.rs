@@ -3,18 +3,16 @@
 //! The paper's load-balancing argument (§3.1) is about keeping PIM cores
 //! evenly busy; this module surfaces the counters to check that claim on
 //! any workload. The experiment harness logs these summaries next to the
-//! timing results. When tracing is enabled, the report also attributes
-//! cycles to individual kernel launches ([`LaunchProfile`]) and to the
-//! §4.1 phases ([`PhaseKernelCycles`]).
+//! timing results. Every engine keeps one [`Ledger`], folded from its
+//! settled operation records, and the report reads its transfer, fault
+//! and per-kernel ([`KernelAgg`]) totals from it — on either clock,
+//! traced or not.
 
 use crate::backend::PimBackend;
+use crate::cost::SimSeconds;
 use crate::fault::FaultCounters;
-use crate::phase::Phase;
-use crate::trace::TraceEvent;
+use crate::phase::{Phase, PhaseTimes};
 use serde::{Deserialize, Serialize};
-
-/// Number of buckets in each launch's cycle histogram.
-pub const CYCLE_HISTOGRAM_BUCKETS: usize = 8;
 
 /// Activity summary of one PIM core.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,91 +27,77 @@ pub struct DpuActivity {
     pub mram_used: u64,
 }
 
-/// Per-launch cycle distribution across DPUs, derived from a traced
-/// [`TraceEvent::Kernel`] event.
+/// The launches of one kernel label within one §4.1 phase. Its size does
+/// not grow with run length: per-launch distributions live on the `hist`
+/// metric stream and in the trace.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LaunchProfile {
+pub struct KernelAgg {
     /// Orchestrator-assigned launch label.
     pub label: String,
-    /// Phase the launch billed to.
+    /// Phase the launches billed to.
     pub phase: Phase,
-    /// Modeled seconds (launch overhead + slowest DPU).
+    /// Launches, failed ones included.
+    pub launches: u64,
+    /// Launches killed by an injected fault before any core ran.
+    pub failed: u64,
+    /// Summed modeled seconds (launch overhead + slowest DPU).
     pub seconds: f64,
-    /// Wall cycles of the slowest DPU.
+    /// Summed cycles of each launch's slowest DPU.
     pub max_cycles: u64,
-    /// Mean wall cycles across DPUs.
-    pub mean_cycles: f64,
-    /// Median (nearest-rank p50) of per-DPU cycles.
+    /// Worst per-launch median of per-DPU cycles.
     pub p50_cycles: u64,
-    /// Nearest-rank p99 of per-DPU cycles.
+    /// Worst per-launch p99 of per-DPU cycles.
     pub p99_cycles: u64,
-    /// Max-over-mean cycle imbalance (1.0 = perfectly even).
+    /// Worst per-launch max-over-mean cycle imbalance.
     pub imbalance: f64,
-    /// DPU counts in [`CYCLE_HISTOGRAM_BUCKETS`] equal-width buckets over
-    /// `[0, max_cycles]` (the slowest DPU lands in the last bucket).
-    pub cycle_histogram: Vec<usize>,
 }
 
-/// Kernel time attributed to one §4.1 phase.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PhaseKernelCycles {
-    /// The phase.
-    pub phase: Phase,
-    /// Kernel launches billed to this phase.
-    pub launches: usize,
-    /// Sum over launches of the slowest DPU's cycles.
-    pub max_cycles: u64,
-    /// Modeled seconds of those launches (overhead included).
-    pub seconds: f64,
+/// Everything an engine has settled so far. A single engine's `settle` is
+/// its only writer; a cluster folds its ranks' ledgers: phase times take
+/// the max, every other total sums.
+#[derive(Clone, Debug, Default)]
+pub struct Ledger {
+    /// Modeled seconds per phase (all-zero with the clock off).
+    pub times: PhaseTimes,
+    /// CPU↔PIM bytes landed by successful transfers.
+    pub transfer_bytes: u64,
+    /// Modeled seconds of every transfer, failed ones included.
+    pub transfer_seconds: SimSeconds,
+    /// Faults injected so far.
+    pub faults: FaultCounters,
+    /// One entry per (label, phase), in order of first launch.
+    pub kernels: Vec<KernelAgg>,
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice. Delegates to the
-/// shared definition in `pim-metrics` so per-DPU histogram events on the
-/// live metric stream reconcile bit-for-bit with this report's p50/p99.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    pim_metrics::nearest_rank_percentile(sorted, p)
-}
-
-impl LaunchProfile {
-    /// Builds the distribution summary for one launch.
-    pub fn from_launch(
-        label: &str,
-        phase: Phase,
-        seconds: f64,
-        per_dpu_cycles: &[u64],
-    ) -> LaunchProfile {
-        let max_cycles = per_dpu_cycles.iter().copied().max().unwrap_or(0);
-        let mean_cycles = if per_dpu_cycles.is_empty() {
-            0.0
-        } else {
-            per_dpu_cycles.iter().sum::<u64>() as f64 / per_dpu_cycles.len() as f64
+impl Ledger {
+    /// Adds `k`'s launches to the entry for its (label, phase).
+    pub(crate) fn add_kernel(&mut self, k: KernelAgg) {
+        let entry = self
+            .kernels
+            .iter_mut()
+            .find(|e| e.label == k.label && e.phase == k.phase);
+        let Some(e) = entry else {
+            self.kernels.push(k);
+            return;
         };
-        let mut sorted = per_dpu_cycles.to_vec();
-        sorted.sort_unstable();
-        let mut cycle_histogram = vec![0usize; CYCLE_HISTOGRAM_BUCKETS];
-        for &c in per_dpu_cycles {
-            let bucket = if max_cycles == 0 {
-                0
-            } else {
-                ((c as u128 * CYCLE_HISTOGRAM_BUCKETS as u128 / max_cycles as u128) as usize)
-                    .min(CYCLE_HISTOGRAM_BUCKETS - 1)
-            };
-            cycle_histogram[bucket] += 1;
-        }
-        LaunchProfile {
-            label: label.to_string(),
-            phase,
-            seconds,
-            max_cycles,
-            mean_cycles,
-            p50_cycles: percentile(&sorted, 50.0),
-            p99_cycles: percentile(&sorted, 99.0),
-            imbalance: if mean_cycles > 0.0 {
-                max_cycles as f64 / mean_cycles
-            } else {
-                1.0
-            },
-            cycle_histogram,
+        e.launches += k.launches;
+        e.failed += k.failed;
+        e.seconds += k.seconds;
+        e.max_cycles += k.max_cycles;
+        e.p50_cycles = e.p50_cycles.max(k.p50_cycles);
+        e.p99_cycles = e.p99_cycles.max(k.p99_cycles);
+        e.imbalance = e.imbalance.max(k.imbalance);
+    }
+
+    /// Folds in one rank of a cluster. Ranks run in parallel, so phase
+    /// times take the max; every other total sums.
+    pub(crate) fn merge_rank(&mut self, rank: Ledger) {
+        self.times = self.times.max_with(&rank.times);
+        self.transfer_bytes += rank.transfer_bytes;
+        self.transfer_seconds += rank.transfer_seconds;
+        self.faults += rank.faults;
+        for k in rank.kernels {
+            self.add_kernel(k);
         }
     }
 }
@@ -136,20 +120,16 @@ pub struct SystemReport {
     pub transfer_bandwidth_utilization: f64,
     /// Max-over-mean instruction imbalance (1.0 = perfectly even).
     pub instruction_imbalance: f64,
-    /// Per-launch cycle distributions (empty unless tracing was enabled).
-    pub launches: Vec<LaunchProfile>,
-    /// Kernel cycles per phase (empty unless tracing was enabled).
-    pub phase_kernel_cycles: Vec<PhaseKernelCycles>,
+    /// Kernel launches per (label, phase), in order of first launch.
+    pub kernels: Vec<KernelAgg>,
     /// Faults injected by the system's [`crate::fault::FaultPlan`]
     /// (all-zero on fault-free runs).
     pub fault_counters: FaultCounters,
 }
 
 impl SystemReport {
-    /// Builds the report from a backend's current counters. Launch-level
-    /// attribution requires tracing ([`PimBackend::enable_tracing`]) on a
-    /// backend that records events; without it only the lifetime
-    /// aggregates are populated.
+    /// Builds the report from a backend's per-DPU counters and its
+    /// [`Ledger`].
     pub fn capture<B: PimBackend>(sys: &B) -> SystemReport {
         let per_dpu: Vec<DpuActivity> = (0..sys.nr_dpus())
             .map(|id| match sys.dpu(id) {
@@ -165,9 +145,7 @@ impl SystemReport {
                 // same tombstone shape gather uses for dead ranks.
                 Err(_) => DpuActivity {
                     dpu: id,
-                    instructions: 0,
-                    dma_bytes: 0,
-                    mram_used: 0,
+                    ..DpuActivity::default()
                 },
             })
             .collect();
@@ -180,47 +158,9 @@ impl SystemReport {
             total_instructions as f64 / per_dpu.len() as f64
         };
 
-        let launches: Vec<LaunchProfile> = sys
-            .trace()
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Kernel {
-                    label,
-                    seconds,
-                    phase,
-                    per_dpu_cycles,
-                    ..
-                } => Some(LaunchProfile::from_launch(
-                    label,
-                    *phase,
-                    *seconds,
-                    per_dpu_cycles,
-                )),
-                _ => None,
-            })
-            .collect();
-
-        let mut phase_kernel_cycles: Vec<PhaseKernelCycles> = Vec::new();
-        for l in &launches {
-            match phase_kernel_cycles.iter_mut().find(|p| p.phase == l.phase) {
-                Some(p) => {
-                    p.launches += 1;
-                    p.max_cycles += l.max_cycles;
-                    p.seconds += l.seconds;
-                }
-                None => phase_kernel_cycles.push(PhaseKernelCycles {
-                    phase: l.phase,
-                    launches: 1,
-                    max_cycles: l.max_cycles,
-                    seconds: l.seconds,
-                }),
-            }
-        }
-
-        let transfer_seconds = sys.total_transfer_seconds();
-        let transfer_bandwidth_utilization = if transfer_seconds > 0.0 {
-            (sys.total_transfer_bytes() as f64 / transfer_seconds) / sys.cost().xfer_aggregate_bw
+        let ledger = sys.ledger();
+        let transfer_bandwidth_utilization = if ledger.transfer_seconds > 0.0 {
+            (ledger.transfer_bytes as f64 / ledger.transfer_seconds) / sys.cost().xfer_aggregate_bw
         } else {
             0.0
         };
@@ -228,14 +168,13 @@ impl SystemReport {
         SystemReport {
             total_instructions,
             total_dma_bytes,
-            total_transfer_bytes: sys.total_transfer_bytes(),
-            transfer_seconds,
+            total_transfer_bytes: ledger.transfer_bytes,
+            transfer_seconds: ledger.transfer_seconds,
             transfer_bandwidth_utilization,
             instruction_imbalance: if mean > 0.0 { max as f64 / mean } else { 1.0 },
             per_dpu,
-            launches,
-            phase_kernel_cycles,
-            fault_counters: sys.fault_counters(),
+            kernels: ledger.kernels,
+            fault_counters: ledger.faults,
         }
     }
 }
@@ -247,7 +186,6 @@ mod tests {
 
     fn skewed_system() -> PimSystem {
         let mut sys = PimSystem::allocate(4, PimConfig::tiny(), CostModel::default()).unwrap();
-        sys.enable_tracing();
         sys.set_phase(Phase::TriangleCount);
         sys.execute_labeled("skewed", |ctx| {
             let work = (ctx.dpu_id() as u64 + 1) * 100;
@@ -276,26 +214,23 @@ mod tests {
         // [1100, 2200, 3300, 4400].
         let sys = skewed_system();
         let report = SystemReport::capture(&sys);
-        assert_eq!(report.launches.len(), 1);
-        let l = &report.launches[0];
-        assert_eq!(l.label, "skewed");
-        assert_eq!(l.phase, Phase::TriangleCount);
-        assert_eq!(l.max_cycles, 4400);
-        assert!((l.mean_cycles - 2750.0).abs() < 1e-12);
+        assert_eq!(report.kernels.len(), 1);
+        let k = &report.kernels[0];
+        assert_eq!(k.label, "skewed");
+        assert_eq!(k.phase, Phase::TriangleCount);
+        assert_eq!((k.launches, k.failed), (1, 0));
+        assert_eq!(k.max_cycles, 4400);
         // Nearest-rank percentiles over [1100, 2200, 3300, 4400]:
         // p50 → rank ceil(0.50·4)=2 → 2200; p99 → rank ceil(0.99·4)=4 → 4400.
-        assert_eq!(l.p50_cycles, 2200);
-        assert_eq!(l.p99_cycles, 4400);
-        assert!((l.imbalance - 1.6).abs() < 1e-12);
-        // Buckets over [0, 4400]: 1100→2, 2200→4, 3300→6, 4400→7 (clamped).
-        assert_eq!(l.cycle_histogram, vec![0, 0, 1, 0, 1, 0, 1, 1]);
-
-        assert_eq!(report.phase_kernel_cycles.len(), 1);
-        let p = &report.phase_kernel_cycles[0];
-        assert_eq!(p.phase, Phase::TriangleCount);
-        assert_eq!(p.launches, 1);
-        assert_eq!(p.max_cycles, 4400);
-        assert!((p.seconds - l.seconds).abs() < 1e-15);
+        assert_eq!(k.p50_cycles, 2200);
+        assert_eq!(k.p99_cycles, 4400);
+        // Max (4400) over mean (2750).
+        assert!((k.imbalance - 1.6).abs() < 1e-12);
+        let cost = CostModel::default();
+        assert_eq!(
+            k.seconds,
+            cost.launch_overhead + cost.cycles_to_seconds(4400)
+        );
     }
 
     #[test]
@@ -315,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn untraced_systems_report_no_launches() {
+    fn untraced_systems_report_their_kernels() {
         let mut sys = PimSystem::allocate(2, PimConfig::tiny(), CostModel::default()).unwrap();
         sys.execute(|ctx| {
             let mut t = ctx.tasklet(0)?;
@@ -323,21 +258,13 @@ mod tests {
             Ok(())
         })
         .unwrap();
+        assert!(sys.trace().events().is_empty());
         let report = SystemReport::capture(&sys);
-        assert!(report.launches.is_empty());
-        assert!(report.phase_kernel_cycles.is_empty());
+        assert_eq!(report.kernels.len(), 1);
+        assert_eq!(report.kernels[0].label, "kernel");
+        assert_eq!(report.kernels[0].launches, 1);
+        assert_eq!(report.kernels[0].max_cycles, 110);
         assert_eq!(report.total_instructions, 20);
-    }
-
-    #[test]
-    fn nearest_rank_percentile_edge_cases() {
-        assert_eq!(percentile(&[], 50.0), 0);
-        assert_eq!(percentile(&[7], 50.0), 7);
-        assert_eq!(percentile(&[7], 99.0), 7);
-        let xs: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&xs, 50.0), 50);
-        assert_eq!(percentile(&xs, 99.0), 99);
-        assert_eq!(percentile(&xs, 100.0), 100);
     }
 
     #[test]
@@ -352,9 +279,13 @@ mod tests {
         })
         .unwrap();
         let report = SystemReport::capture(&sys);
-        // Data-derived counters are live; everything timed is absent.
+        // Data-derived counters are live, kernel cycles included;
+        // everything timed is zero.
         assert_eq!(report.total_instructions, 20);
-        assert!(report.launches.is_empty());
+        assert_eq!(report.kernels.len(), 1);
+        assert_eq!(report.kernels[0].launches, 1);
+        assert_eq!(report.kernels[0].max_cycles, 110);
+        assert_eq!(report.kernels[0].seconds, 0.0);
         assert_eq!(report.transfer_seconds, 0.0);
         assert_eq!(report.transfer_bandwidth_utilization, 0.0);
     }

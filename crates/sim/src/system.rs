@@ -7,7 +7,7 @@
 //! banks, with the same faults and per-DPU counters, but bill zero seconds
 //! and record no trace and no energy. Each operation builds one
 //! `OpRecord`, and `settle` is the only code that turns a record into
-//! phase time, transfer totals, trace events and metric events.
+//! the engine's [`Ledger`], trace events and metric events.
 
 use crate::backend::PimBackend;
 use crate::config::PimConfig;
@@ -15,11 +15,12 @@ use crate::cost::{CostModel, SimSeconds};
 use crate::dpu::Dpu;
 use crate::energy::{EnergyModel, EnergyReport};
 use crate::error::{SimError, SimResult};
-use crate::fault::{FaultCounters, FaultDecision, FaultState, OpKind};
+use crate::fault::{FaultDecision, FaultState, OpKind};
 use crate::kernel::{DpuContext, Pod};
-use crate::phase::{Phase, PhaseTimes};
+use crate::phase::Phase;
+use crate::stats::{KernelAgg, Ledger};
 use crate::trace::{Trace, TraceEvent};
-use pim_metrics::{LaunchObs, MetricsHub};
+use pim_metrics::{LaunchDist, LaunchObs, MetricsHub};
 use rayon::prelude::*;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -78,10 +79,8 @@ pub struct PimSystem<C: Clock = Timed> {
     config: PimConfig,
     cost: CostModel,
     dpus: Vec<Dpu>,
-    times: PhaseTimes,
     phase: Phase,
-    transfer_bytes: u64,
-    transfer_seconds: SimSeconds,
+    ledger: Ledger,
     trace: Trace,
     fault: FaultState,
     metrics: Option<Arc<MetricsHub>>,
@@ -102,12 +101,11 @@ enum OpRecord {
         per_dpu_bytes: Vec<u64>,
         ok: bool,
     },
-    /// An SPMD launch on `dpus` live cores. The per-DPU vectors are
-    /// indexed by DPU id with dead cores as zeros; a failed launch wastes
-    /// its round-trip before any tasklet runs and has none.
+    /// An SPMD launch. The per-DPU vectors are indexed by DPU id with
+    /// dead cores as zeros; a failed launch wastes its round-trip before
+    /// any tasklet runs and has none.
     Launch {
         label: String,
-        dpus: u64,
         per_dpu_cycles: Vec<u64>,
         per_dpu_instructions: Vec<u64>,
         per_dpu_dma_bytes: Vec<u64>,
@@ -206,9 +204,8 @@ impl<C: Clock> PimSystem<C> {
         }
     }
 
-    /// Counts and settles a corruption applied to `dpu`'s payload.
+    /// Settles a corruption applied to `dpu`'s payload.
     fn corrupted(&mut self, op: u64, dpu: usize) {
-        self.fault.count_corruption();
         self.settle(OpRecord::Fault {
             kind: "corrupt",
             op,
@@ -217,9 +214,9 @@ impl<C: Clock> PimSystem<C> {
     }
 
     /// The one place operation bookkeeping happens: bills the record's
-    /// seconds (zero with the clock off) to the current phase, and derives
-    /// the transfer totals, the trace event and the metric events from
-    /// the same record.
+    /// seconds (zero with the clock off) to the current phase, and folds
+    /// the same record into the ledger, the trace event and the metric
+    /// events.
     fn settle(&mut self, record: OpRecord) {
         let phase = self.phase;
         let seconds = if C::TIMED {
@@ -227,7 +224,7 @@ impl<C: Clock> PimSystem<C> {
         } else {
             0.0
         };
-        self.times.add(phase, seconds);
+        self.ledger.times.add(phase, seconds);
         let hub = self.metrics.as_deref();
         let event = match record {
             OpRecord::Alloc { nr_dpus } => TraceEvent::Allocate { nr_dpus, seconds },
@@ -238,8 +235,8 @@ impl<C: Clock> PimSystem<C> {
                 ok,
             } => {
                 let bytes = if ok { per_dpu_bytes.iter().sum() } else { 0 };
-                self.transfer_bytes += bytes;
-                self.transfer_seconds += seconds;
+                self.ledger.transfer_bytes += bytes;
+                self.ledger.transfer_seconds += seconds;
                 if let Some(hub) = hub {
                     let units = units as u64;
                     hub.transfer(name, phase.metric_name(), units, bytes, seconds, ok);
@@ -261,41 +258,55 @@ impl<C: Clock> PimSystem<C> {
             }
             OpRecord::Launch {
                 label,
-                dpus,
                 per_dpu_cycles,
                 per_dpu_instructions,
                 per_dpu_dma_bytes,
                 ok,
             } => {
-                let max_cycles = per_dpu_cycles.iter().copied().max().unwrap_or(0);
+                // The distribution covers the cores that ran: a dead
+                // core's zeros would skew its mean, percentiles and
+                // imbalance.
+                let dead = self.fault.dead_flags();
+                let live = |per_dpu: &[u64]| -> Vec<u64> {
+                    let alive = |&(d, _): &(usize, &u64)| !dead.get(d).copied().unwrap_or(false);
+                    per_dpu
+                        .iter()
+                        .enumerate()
+                        .filter(alive)
+                        .map(|(_, &v)| v)
+                        .collect()
+                };
+                let cycles = live(&per_dpu_cycles);
+                let dist = LaunchDist::of(&cycles);
                 if let Some(hub) = hub {
-                    let cycle_sum: u64 = per_dpu_cycles.iter().sum();
                     hub.launch(LaunchObs {
                         label: label.clone(),
                         phase: phase.metric_name(),
-                        dpus,
-                        max_cycles,
-                        mean_cycles: if dpus > 0 {
-                            cycle_sum as f64 / dpus as f64
-                        } else {
-                            0.0
-                        },
+                        dist,
                         instructions: per_dpu_instructions.iter().sum(),
                         dma_bytes: per_dpu_dma_bytes.iter().sum(),
                         seconds,
                         ok,
                     });
-                    // The full per-DPU distribution, so the hist event's
-                    // p50/p99/imbalance reconcile exactly with the final
-                    // report's LaunchProfile.
                     if ok {
-                        let phase = phase.metric_name();
-                        hub.launch_hist(&label, phase, &per_dpu_cycles, &per_dpu_dma_bytes);
+                        let dma = live(&per_dpu_dma_bytes);
+                        hub.launch_hist(&label, phase.metric_name(), &dist, &cycles, &dma);
                     }
                 }
+                self.ledger.add_kernel(KernelAgg {
+                    label: label.clone(),
+                    phase,
+                    launches: 1,
+                    failed: u64::from(!ok),
+                    seconds,
+                    max_cycles: dist.max_cycles,
+                    p50_cycles: dist.p50_cycles,
+                    p99_cycles: dist.p99_cycles,
+                    imbalance: dist.imbalance,
+                });
                 TraceEvent::Kernel {
                     label,
-                    max_cycles,
+                    max_cycles: dist.max_cycles,
                     seconds,
                     phase,
                     per_dpu_cycles,
@@ -314,6 +325,7 @@ impl<C: Clock> PimSystem<C> {
                 }
             }
             OpRecord::Fault { kind, op, dpu } => {
+                self.ledger.faults.count(kind);
                 if let Some(hub) = hub {
                     hub.fault(kind, phase.metric_name(), op, dpu.map(|d| d as u64));
                 }
@@ -343,10 +355,8 @@ impl<C: Clock> PimBackend for PimSystem<C> {
             dpus: (0..nr_dpus)
                 .map(|id| Dpu::new(id, config.mram_capacity, config.nr_tasklets))
                 .collect(),
-            times: PhaseTimes::default(),
             phase: Phase::Setup,
-            transfer_bytes: 0,
-            transfer_seconds: 0.0,
+            ledger: Ledger::default(),
             trace: Trace::default(),
             fault: FaultState::new(config.fault, nr_dpus),
             metrics: None,
@@ -396,8 +406,8 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         self.phase
     }
 
-    fn phase_times(&self) -> PhaseTimes {
-        self.times
+    fn ledger(&self) -> Ledger {
+        self.ledger.clone()
     }
 
     /// The system records its own `Allocate` event only when tracing is
@@ -409,7 +419,7 @@ impl<C: Clock> PimBackend for PimSystem<C> {
             self.trace.enable();
             self.trace.record(TraceEvent::Allocate {
                 nr_dpus: self.dpus.len(),
-                seconds: self.times.total(),
+                seconds: self.ledger.times.total(),
             });
         }
     }
@@ -418,7 +428,7 @@ impl<C: Clock> PimBackend for PimSystem<C> {
     /// event, so the stream's seconds close against
     /// [`PimBackend::phase_times`].
     fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
-        hub.alloc(self.dpus.len() as u64, self.times.total());
+        hub.alloc(self.dpus.len() as u64, self.ledger.times.total());
         self.metrics = Some(hub);
     }
 
@@ -577,7 +587,6 @@ impl<C: Clock> PimBackend for PimSystem<C> {
     {
         self.admit(OpKind::Launch, || OpRecord::Launch {
             label: label.to_string(),
-            dpus: 0,
             per_dpu_cycles: Vec::new(),
             per_dpu_instructions: Vec::new(),
             per_dpu_dma_bytes: Vec::new(),
@@ -617,7 +626,6 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         let (results, per_dpu_cycles): (Vec<Option<R>>, Vec<u64>) = results.into_iter().unzip();
         self.settle(OpRecord::Launch {
             label: label.to_string(),
-            dpus: results.iter().filter(|r| r.is_some()).count() as u64,
             per_dpu_cycles,
             per_dpu_instructions,
             per_dpu_dma_bytes,
@@ -630,22 +638,6 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         self.fault.is_dead(dpu)
     }
 
-    fn fault_counters(&self) -> FaultCounters {
-        self.fault.counters()
-    }
-
-    fn total_mram_used(&self) -> u64 {
-        self.dpus.iter().map(Dpu::mram_used).sum()
-    }
-
-    fn total_transfer_bytes(&self) -> u64 {
-        self.transfer_bytes
-    }
-
-    fn total_transfer_seconds(&self) -> SimSeconds {
-        self.transfer_seconds
-    }
-
     fn energy_report(&self) -> EnergyReport {
         if !C::TIMED {
             return EnergyReport::default();
@@ -655,14 +647,10 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         EnergyModel::default().report(
             instructions,
             dma_bytes,
-            self.transfer_bytes,
+            self.ledger.transfer_bytes,
             self.dpus.len(),
-            self.times.total(),
+            self.ledger.times.total(),
         )
-    }
-
-    fn release(self) -> PhaseTimes {
-        self.times
     }
 }
 
@@ -784,8 +772,8 @@ mod tests {
             via_push.total_transfer_bytes()
         );
         assert_eq!(
-            via_broadcast.total_transfer_seconds(),
-            via_push.total_transfer_seconds()
+            via_broadcast.ledger().transfer_seconds,
+            via_push.ledger().transfer_seconds
         );
         assert_eq!(via_broadcast.trace(), via_push.trace());
         for id in 0..4 {
@@ -799,12 +787,12 @@ mod tests {
     #[test]
     fn transfer_seconds_accumulate_across_directions() {
         let mut sys = small_system();
-        assert_eq!(sys.total_transfer_seconds(), 0.0);
+        assert_eq!(sys.ledger().transfer_seconds, 0.0);
         sys.broadcast(0, &[0u8; 64]).unwrap();
-        let after_push = sys.total_transfer_seconds();
+        let after_push = sys.ledger().transfer_seconds;
         assert!(after_push > 0.0);
         sys.gather(0, 64).unwrap();
-        assert!(sys.total_transfer_seconds() > after_push);
+        assert!(sys.ledger().transfer_seconds > after_push);
     }
 
     #[test]
@@ -876,6 +864,51 @@ mod tests {
     #[should_panic(expected = "element-aligned")]
     fn decode_rejects_ragged_bytes() {
         decode_slice::<u32>(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn launch_distributions_count_live_cores_only() {
+        use crate::fault::FaultPlan;
+        use pim_metrics::MemorySink;
+        let config = PimConfig {
+            fault: Some(FaultPlan::parse("kill=1@0").unwrap()),
+            ..PimConfig::tiny()
+        };
+        let mut sys = PimSystem::allocate(4, config, CostModel::default()).unwrap();
+        let hub = Arc::new(MetricsHub::new());
+        let sink = MemorySink::new();
+        hub.add_sink(Box::new(sink.clone()));
+        sys.attach_metrics(hub);
+        let even = |ctx: &mut DpuContext<'_>| {
+            ctx.tasklet(0)?.charge(100);
+            Ok(())
+        };
+        // Op 0 kills core 1 before the launch runs; the retry runs on the
+        // three survivors, evenly.
+        assert_eq!(
+            sys.execute_labeled_masked("even", even).unwrap_err(),
+            SimError::DpuDead { dpu: 1 }
+        );
+        sys.execute_labeled_masked("even", even).unwrap();
+        let events = sink.events();
+        let last = |kind: &str| events.iter().rev().find(|e| e.kind == kind).unwrap();
+        let (launch, hist) = (last("launch"), last("hist"));
+        assert_eq!(launch.u64_field("dpus"), 3);
+        assert_eq!(hist.u64_field("dpus"), 3);
+        assert_eq!(
+            hist.f64_field("mean_cycles"),
+            launch.f64_field("mean_cycles")
+        );
+        assert_eq!(hist.f64_field("mean_cycles"), 1100.0);
+        assert_eq!(hist.f64_field("imbalance"), 1.0);
+        assert_eq!(hist.u64_field("p50_cycles"), 1100);
+        let ledger = sys.ledger();
+        assert_eq!(ledger.faults.dpu_deaths, 1);
+        assert_eq!(
+            (ledger.kernels[0].launches, ledger.kernels[0].failed),
+            (1, 0)
+        );
+        assert_eq!(ledger.kernels[0].imbalance, 1.0);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use pim_metrics::{
 };
 use pim_sim::{FaultPlan, PimConfig};
 use pim_tc::{Capture, ExecBackend, TcConfig};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -201,63 +202,98 @@ fn tiny_config(backend: ExecBackend) -> TcConfig {
     config
 }
 
-/// The fig6 reproducibility claim for the stream: every `hist` event must
-/// carry exactly the per-launch p50/p99/max/imbalance the final
-/// `SystemReport` attributes to that launch — the distribution figures
-/// are recoverable from the live stream alone, on both backends.
+/// The report and the metric stream are two folds of the same settled
+/// operation records, so they agree on every clock, traced or not, at
+/// every rank count: per kernel label the report's launches, failed
+/// launches and summed slowest-DPU cycles equal the stream's; per
+/// (label, phase) its worst p50/p99/imbalance equal the worst `hist`
+/// event's; its fault counters equal the stream's fault tallies; and the
+/// cluster-wide kernels are the sum of the per-rank ones.
 #[test]
-fn hist_events_reconcile_with_launch_profiles_on_both_backends() {
+fn report_kernels_and_faults_fold_like_the_metric_stream() {
     let g = gen::erdos_renyi(150, 0.1, 7);
-    let capture = |backend: ExecBackend| {
-        let config = tiny_config(backend);
-        let hub = Arc::new(MetricsHub::new());
-        let sink = MemorySink::new();
-        hub.add_sink(Box::new(sink.clone()));
-        let profile = pim_tc::count_triangles_with(&g, &config, traced(&hub)).unwrap();
-        let hists: Vec<(String, u64, u64, u64, f64)> = sink
-            .events()
-            .iter()
-            .filter(|e| e.kind == "hist")
-            .map(|h| {
-                (
-                    h.str_field("label").to_string(),
-                    h.u64_field("max_cycles"),
-                    h.u64_field("p50_cycles"),
-                    h.u64_field("p99_cycles"),
-                    h.f64_field("imbalance"),
-                )
-            })
-            .collect();
-        (profile, hists)
-    };
+    for backend in [ExecBackend::Timed, ExecBackend::Functional] {
+        for ranks in [1, 2, 4] {
+            for trace in [false, true] {
+                let mut config = faulted_config();
+                let plan = "seed=9,transfer=60000,corrupt=30000,launch=60000,kill=1@6";
+                config.pim.fault = Some(FaultPlan::parse(plan).unwrap());
+                config.spare_dpus = 2;
+                config.backend = backend;
+                config.ranks = ranks;
+                let run = format!("{backend:?} R={ranks} trace={trace}");
+                let hub = Arc::new(MetricsHub::new());
+                let sink = MemorySink::new();
+                hub.add_sink(Box::new(sink.clone()));
+                let capture = Capture {
+                    trace,
+                    ..metered(&hub)
+                };
+                let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
+                let events = sink.events();
+                let s = summarize(&events);
+                let report = &profile.report;
 
-    // Timed: every hist event matches its launch's recorded profile.
-    let (profile, timed_hists) = capture(ExecBackend::Timed);
-    assert_eq!(
-        timed_hists.len(),
-        profile.report.launches.len(),
-        "one hist event per recorded launch"
-    );
-    for ((label, max, p50, p99, imb), l) in timed_hists.iter().zip(&profile.report.launches) {
-        assert_eq!(label, &l.label);
-        assert_eq!(*max, l.max_cycles);
-        assert_eq!(*p50, l.p50_cycles);
-        assert_eq!(*p99, l.p99_cycles);
-        assert!(
-            (imb - l.imbalance).abs() < 1e-12,
-            "stream imbalance {imb} vs report {}",
-            l.imbalance
-        );
+                let mut by_label: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+                for k in &report.kernels {
+                    let e = by_label.entry(&k.label).or_default();
+                    *e = (e.0 + k.launches, e.1 + k.failed, e.2 + k.max_cycles);
+                }
+                let stream: BTreeMap<&str, (u64, u64, u64)> = s
+                    .launches
+                    .iter()
+                    .map(|(l, a)| (l.as_str(), (a.launches, a.failed, a.max_cycles_total)))
+                    .collect();
+                assert_eq!(by_label, stream, "{run}");
+                assert!(by_label.contains_key("count"), "{run}");
+
+                for k in &report.kernels {
+                    let hists: Vec<_> = events
+                        .iter()
+                        .filter(|e| e.kind == "hist" && e.str_field("label") == k.label)
+                        .filter(|e| e.str_field("phase") == k.phase.metric_name())
+                        .collect();
+                    if hists.is_empty() {
+                        continue;
+                    }
+                    let worst = |f: &str| hists.iter().map(|e| e.u64_field(f)).max().unwrap();
+                    assert_eq!(k.p50_cycles, worst("p50_cycles"), "{run} {}", k.label);
+                    assert_eq!(k.p99_cycles, worst("p99_cycles"), "{run} {}", k.label);
+                    let imbalance = hists
+                        .iter()
+                        .map(|e| e.f64_field("imbalance"))
+                        .fold(1.0, f64::max);
+                    assert_eq!(k.imbalance, imbalance, "{run} {}", k.label);
+                }
+
+                let tally = |kind: &str| s.faults.get(kind).copied().unwrap_or(0);
+                let fc = &report.fault_counters;
+                assert_eq!(fc.transfer_faults, tally("transfer_fail"), "{run}");
+                assert_eq!(fc.corruptions, tally("corrupt"), "{run}");
+                assert_eq!(fc.launch_faults, tally("launch_fail"), "{run}");
+                assert_eq!(fc.dpu_deaths, tally("kill"), "{run}");
+                assert_eq!(fc.rank_deaths, tally("rank_dead"), "{run}");
+                assert!(fc.total() > 0, "{run}: the plan must fire");
+
+                let mut rank_sum: BTreeMap<(String, &str), (u64, u64)> = BTreeMap::new();
+                for k in profile.per_rank.iter().flat_map(|r| &r.kernels) {
+                    let e = rank_sum
+                        .entry((k.label.clone(), k.phase.metric_name()))
+                        .or_default();
+                    *e = (e.0 + k.launches, e.1 + k.max_cycles);
+                }
+                let total: BTreeMap<(String, &str), (u64, u64)> = report
+                    .kernels
+                    .iter()
+                    .map(|k| {
+                        let key = (k.label.clone(), k.phase.metric_name());
+                        (key, (k.launches, k.max_cycles))
+                    })
+                    .collect();
+                assert_eq!(total, rank_sum, "{run}");
+            }
+        }
     }
-
-    // Functional: the engine records no LaunchProfiles (no modeled
-    // clock), but its cycle counts are data-derived — the hist stream is
-    // event-for-event identical to the timed one.
-    let (_, functional_hists) = capture(ExecBackend::Functional);
-    assert_eq!(
-        functional_hists, timed_hists,
-        "functional hist stream must mirror the timed one"
-    );
 }
 
 /// Minimal HTTP/1.1 GET against the in-process exporter; the server
