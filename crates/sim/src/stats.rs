@@ -267,6 +267,19 @@ mod tests {
         assert_eq!(report.total_instructions, 20);
     }
 
+    /// The report's p50/p99 come from the shared nearest-rank definition.
+    #[test]
+    fn nearest_rank_percentile_edge_cases() {
+        use pim_metrics::nearest_rank_percentile as percentile;
+        assert_eq!(percentile(&[], 50.0), 0);
+        assert_eq!(percentile(&[7], 50.0), 7);
+        assert_eq!(percentile(&[7], 99.0), 7);
+        let xs: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&xs, 50.0), 50);
+        assert_eq!(percentile(&xs, 99.0), 99);
+        assert_eq!(percentile(&xs, 100.0), 100);
+    }
+
     #[test]
     fn functional_backend_reports_activity_without_time() {
         use crate::backend::FunctionalBackend;
