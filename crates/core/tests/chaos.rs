@@ -228,27 +228,50 @@ fn exhausted_retry_budget_fails_loudly() {
 fn every_transient_fault_charges_exactly_one_retry_span() {
     // With corruption off and no deaths, injected transient faults and
     // labeled `retry:` spans must correspond one-to-one (faults injected
-    // before tracing starts are excluded via the counter baseline).
+    // before tracing starts are excluded via the counter baseline). At
+    // R = 4 a fault is retried on the failing rank only, so the spans
+    // are summed over the ranks' traces.
+    fn injected_and_spans<B: pim_sim::PimBackend>(
+        s: &mut TcSession<B>,
+        g: &pim_graph::CooGraph,
+        traces: impl Fn(&TcSession<B>) -> Vec<pim_sim::Trace>,
+    ) -> (u64, u64) {
+        s.enable_tracing();
+        let c0 = s.fault_counters();
+        s.append(g.edges()).unwrap();
+        s.count().unwrap();
+        let c1 = s.fault_counters();
+        assert_eq!(c1.corruptions, 0);
+        assert_eq!(c1.dpu_deaths, 0);
+        let injected =
+            (c1.transfer_faults - c0.transfer_faults) + (c1.launch_faults - c0.launch_faults);
+        let spans = traces(s)
+            .iter()
+            .flat_map(|t| t.events())
+            .filter(
+                |e| matches!(e, TraceEvent::HostWork { label, .. } if label.starts_with("retry:")),
+            )
+            .count() as u64;
+        (injected, spans)
+    }
     let g = gen::erdos_renyi(120, 0.15, 3);
     let plan = FaultPlan::parse("seed=21,transfer=50000,launch=50000").unwrap();
     let mut s = TcSession::start(&config(3, Some(plan), 0)).unwrap();
-    s.enable_tracing();
-    let c0 = s.fault_counters();
-    s.append(g.edges()).unwrap();
-    s.count().unwrap();
-    let c1 = s.fault_counters();
-    let injected =
-        (c1.transfer_faults - c0.transfer_faults) + (c1.launch_faults - c0.launch_faults);
-    assert!(injected > 0, "the plan must actually inject something");
-    assert_eq!(c1.corruptions, 0);
-    assert_eq!(c1.dpu_deaths, 0);
-    let spans = s
-        .trace()
-        .events()
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::HostWork { label, .. } if label.starts_with("retry:")))
-        .count() as u64;
-    assert_eq!(spans, injected, "retry spans must match injected faults");
+    let one_rank = injected_and_spans(&mut s, &g, |s| vec![s.trace().clone()]);
+    let mut s =
+        TcSession::<RankCluster<TimedBackend>>::start_cluster(&rank4_config(Some(plan), 0, false))
+            .unwrap();
+    let four_ranks = injected_and_spans(&mut s, &g, |s| s.rank_traces());
+    for (ranks, (injected, spans)) in [(1, one_rank), (4, four_ranks)] {
+        assert!(
+            injected > 0,
+            "R = {ranks}: the plan must actually inject something"
+        );
+        assert_eq!(
+            spans, injected,
+            "R = {ranks}: retry spans must match injected faults"
+        );
+    }
 }
 
 #[test]

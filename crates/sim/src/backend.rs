@@ -31,7 +31,7 @@ use crate::config::PimConfig;
 use crate::cost::{CostModel, SimSeconds};
 use crate::dpu::Dpu;
 use crate::energy::EnergyReport;
-use crate::error::SimResult;
+use crate::error::{SimError, SimResult};
 use crate::fault::FaultCounters;
 use crate::kernel::{DpuContext, Pod};
 use crate::phase::{Phase, PhaseTimes};
@@ -144,12 +144,20 @@ pub trait PimBackend: Send {
     /// [`Ledger`]'s kernel aggregates attribute time to a specific
     /// kernel (e.g. `"sort"` vs `"count"`). The launch bills
     /// `launch_overhead + max per-DPU cycles` to the current phase when
-    /// the clock runs.
+    /// the clock runs. Survivors run even when a core is dead; the launch
+    /// then fails with [`SimError::DpuDead`] for the lowest dead id.
     fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
     where
         R: Send,
         K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-        Self: Sized;
+        Self: Sized,
+    {
+        self.execute_labeled_masked(label, kernel)?
+            .into_iter()
+            .enumerate()
+            .map(|(dpu, r)| r.ok_or(SimError::DpuDead { dpu }))
+            .collect()
+    }
 
     /// [`PimBackend::execute_labeled`] under the generic `"kernel"` label.
     fn execute<R, K>(&mut self, kernel: K) -> SimResult<Vec<R>>

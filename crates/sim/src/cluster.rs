@@ -10,9 +10,16 @@
 //!   into contiguous per-rank shards), followed by per-rank spare blocks
 //!   (`P + r·s .. P + (r+1)·s`). Orchestrators keep addressing partition
 //!   `t` as DPU `t`, exactly as on a single backend.
-//! * **Fan-out.** `push` groups host writes by owning rank (ids rewritten
-//!   to rank-local), `gather`/`execute` scatter per-rank results back
-//!   into global order, and errors are remapped to global ids.
+//! * **Fan-out.** One helper runs every op rank by rank, retries a
+//!   transient fault on the failing rank only, and answers in global ids
+//!   and global order. A dead rank follows the op's policy:
+//!
+//!   | op | dead rank |
+//!   |---|---|
+//!   | push | fails the batch if it holds writes, naming its first write's global id, before any rank mutates |
+//!   | broadcast | skipped |
+//!   | gather | zeroed tombstones |
+//!   | masked launch | `None` slots |
 //! * **Time.** Ranks run in parallel in the modeled machine: phase times
 //!   are the elementwise **max** over ranks. Host seconds are charged to
 //!   every rank, so each rank's clock reads host + its own PIM time and
@@ -181,56 +188,6 @@ impl ClusterSpec {
     }
 }
 
-/// Remaps a rank-local [`SimError`] to the cluster's global id space.
-fn remap_err(inverse: &[Vec<u32>], total: usize, rank: usize, e: SimError) -> SimError {
-    let to_global = |local: usize| -> usize {
-        inverse[rank]
-            .get(local)
-            .map(|&g| g as usize)
-            .unwrap_or(local)
-    };
-    match e {
-        SimError::MramOverflow {
-            dpu,
-            requested,
-            capacity,
-        } => SimError::MramOverflow {
-            dpu: to_global(dpu),
-            requested,
-            capacity,
-        },
-        SimError::WramOverflow {
-            dpu,
-            tasklet,
-            requested,
-            available,
-        } => SimError::WramOverflow {
-            dpu: to_global(dpu),
-            tasklet,
-            requested,
-            available,
-        },
-        SimError::BadAddress { dpu, offset, len } => SimError::BadAddress {
-            dpu: to_global(dpu),
-            offset,
-            len,
-        },
-        SimError::BadDma { dpu, len, rule } => SimError::BadDma {
-            dpu: to_global(dpu),
-            len,
-            rule,
-        },
-        SimError::NoSuchDpu { dpu, .. } => SimError::NoSuchDpu {
-            dpu: to_global(dpu),
-            allocated: total,
-        },
-        SimError::DpuDead { dpu } => SimError::DpuDead {
-            dpu: to_global(dpu),
-        },
-        other => other,
-    }
-}
-
 /// Rank-local retries of transient faults before one is surfaced. Each
 /// attempt redraws from the rank's own fault stream, so with any sane
 /// fault probability the cap is unreachable; it exists as a backstop.
@@ -241,28 +198,50 @@ const RANK_RETRY_CAP: u32 = 64;
 /// policy). The other ranks are not blocked: their op already completed.
 const RANK_RETRY_BACKOFF_BASE: f64 = 1e-4;
 
-/// Re-issues `op` against one rank until it stops failing transiently.
-///
-/// Transient faults (transfer/launch) are decided before any mutation,
-/// so the retried op is exact. Retrying *here* — instead of surfacing
-/// the error for the session to retry the cluster-level op — is what
-/// keeps the machine contract "Err ⇒ nothing mutated" at R > 1: ranks
-/// that already completed the op must never see it a second time.
-fn retry_transient<B: PimBackend, T>(
-    rank: &mut B,
-    label: &str,
-    mut op: impl FnMut(&mut B) -> SimResult<T>,
-) -> SimResult<T> {
-    let mut failures = 0u32;
-    loop {
-        match op(rank) {
-            Err(e) if e.is_transient() && failures < RANK_RETRY_CAP => {
-                failures += 1;
-                let backoff = RANK_RETRY_BACKOFF_BASE * f64::from(1u32 << failures.min(6));
-                rank.charge_host_seconds_labeled(&format!("retry:{label}"), backoff);
-            }
-            other => return other,
-        }
+/// Remaps a rank-local [`SimError`] to the cluster's global id space.
+fn remap_err(inverse: &[Vec<u32>], rank: usize, mut e: SimError) -> SimError {
+    if let Some(dpu) = e.dpu_id_mut() {
+        *dpu = inverse[rank].get(*dpu).map_or(*dpu, |&g| g as usize);
+    }
+    e
+}
+
+/// What a fan-out does with a dead rank (the module docs' policy table).
+enum OnDead<'a, T> {
+    /// Fail before any rank runs, naming the first core its share touches.
+    Refuse,
+    /// Leave the rank out.
+    Skip,
+    /// Answer each of the rank's global slots with a fresh filler.
+    Fill(&'a dyn Fn() -> T),
+}
+
+/// One cluster op's fan-out policy.
+struct FanOut<'a, T> {
+    /// Rank-local retries are charged as `retry:{label}` host spans.
+    label: &'a str,
+    dead: OnDead<'a, T>,
+    /// Whether kills decided at launch (at most [`MAX_KILLS`]) are absorbed
+    /// by re-issuing the op on that rank, so victims answer masked `None`.
+    absorb_kills: bool,
+}
+
+/// One rank's share of a fan-out.
+trait Share: Clone {
+    /// Rank-local id of the first core the share touches (`None`: none).
+    fn first_local(&self) -> Option<usize>;
+}
+
+impl Share for Vec<HostWrite> {
+    fn first_local(&self) -> Option<usize> {
+        self.first().map(|w| w.dpu)
+    }
+}
+
+/// Broadcasts, gathers and launches touch every rank.
+impl Share for () {
+    fn first_local(&self) -> Option<usize> {
+        Some(0)
     }
 }
 
@@ -366,22 +345,9 @@ impl<B: PimBackend> RankCluster<B> {
         self.ranks.iter().map(|b| b.trace()).collect()
     }
 
-    /// The global id of `local` on `rank`.
-    pub fn global_id(&self, rank: usize, local: usize) -> usize {
-        self.inverse[rank][local] as usize
-    }
-
     /// Whether `rank` has died (whole-rank failure domain).
     pub fn is_rank_dead(&self, rank: usize) -> bool {
         self.rank_dead.get(rank).copied().unwrap_or(false)
-    }
-
-    /// True while rank-level faults demand cluster-level bookkeeping:
-    /// either kills are still scheduled or a rank has already died. When
-    /// false every op takes the zero-overhead fast path, preserving the
-    /// R = 1 verbatim identity and fault-free byte-identity.
-    fn rank_faults_armed(&self) -> bool {
-        !self.pending_rank_kills.is_empty() || self.rank_deaths > 0
     }
 
     /// Advances the cluster op counter and fires any due `rank=R@OP`
@@ -394,32 +360,114 @@ impl<B: PimBackend> RankCluster<B> {
         let op = self.cluster_ops;
         self.cluster_ops += 1;
         let counting = self.phase == Phase::TriangleCount;
-        let mut i = 0;
-        while i < self.pending_rank_kills.len() {
-            let kill = self.pending_rank_kills[i];
-            let due = if kill.at_op == RANK_AT_COUNT {
-                counting
-            } else {
-                kill.at_op <= op
-            };
-            if !due {
-                i += 1;
-                continue;
-            }
-            self.pending_rank_kills.remove(i);
+        let (due, pending) = (self.pending_rank_kills.iter())
+            .partition(|k| k.at_op <= op || (k.at_op == RANK_AT_COUNT && counting));
+        self.pending_rank_kills = pending;
+        for kill in due {
             if !self.rank_dead[kill.rank] {
                 self.rank_dead[kill.rank] = true;
                 self.rank_deaths += 1;
                 if let Some(hub) = &self.hub {
-                    hub.with_rank(kill.rank as u32).fault(
-                        "rank_dead",
-                        self.phase.metric_name(),
-                        op,
-                        None,
-                    );
+                    let rank = hub.with_rank(kill.rank as u32);
+                    rank.fault("rank_dead", self.phase.metric_name(), op, None);
                 }
             }
         }
+    }
+
+    /// Routes a global id to `(rank, local)`. A dead rank's banks are
+    /// unreachable — unlike a dead core, whose bank a recovery controller
+    /// can still read from surviving rank hardware — so recovery must
+    /// come from replicas or journals.
+    fn locate(&self, id: usize) -> SimResult<(usize, usize)> {
+        let allocated = self.route.len();
+        let &(r, l) = (self.route.get(id)).ok_or(SimError::NoSuchDpu { dpu: id, allocated })?;
+        if self.rank_dead[r as usize] {
+            return Err(SimError::DpuDead { dpu: id });
+        }
+        Ok((r as usize, l as usize))
+    }
+
+    /// Splits a push into per-rank shares with rank-local ids. With one
+    /// rank local ids are global ids, so the batch passes through whole.
+    fn split_writes(&self, writes: Vec<HostWrite>) -> SimResult<Vec<Vec<HostWrite>>> {
+        if self.ranks.len() == 1 {
+            return Ok(vec![writes]);
+        }
+        let mut shares = vec![Vec::new(); self.ranks.len()];
+        for mut w in writes {
+            let (dpu, allocated) = (w.dpu, self.route.len());
+            let &(r, l) = (self.route.get(dpu)).ok_or(SimError::NoSuchDpu { dpu, allocated })?;
+            w.dpu = l as usize;
+            shares[r as usize].push(w);
+        }
+        Ok(shares)
+    }
+
+    /// The one rank fan-out: runs `op` on each rank's share and scatters
+    /// its per-core results (if any) into global order. One rank with no
+    /// rank kill scheduled or fired forwards verbatim (the R = 1
+    /// identity). Otherwise a transient fault is retried on the failing
+    /// rank only: it is decided before any mutation, so the retry is
+    /// exact, and ranks that completed the op never see it twice.
+    fn fan_out<I: Share, T>(
+        &mut self,
+        policy: FanOut<'_, T>,
+        mut shares: Vec<I>,
+        op: impl Fn(&mut B, I) -> SimResult<Vec<T>>,
+    ) -> SimResult<Vec<T>> {
+        if self.ranks.len() == 1 && self.pending_rank_kills.is_empty() && self.rank_deaths == 0 {
+            return op(&mut self.ranks[0], shares.pop().expect("one share"));
+        }
+        self.rank_fault_step();
+        let inverse = &self.inverse;
+        for (r, share) in shares.iter().enumerate() {
+            let refused = matches!(policy.dead, OnDead::Refuse) && self.rank_dead[r];
+            if let Some(dpu) = share.first_local().filter(|_| refused) {
+                return Err(remap_err(inverse, r, SimError::DpuDead { dpu }));
+            }
+        }
+        let mut out: Vec<Option<T>> = (0..self.route.len()).map(|_| None).collect();
+        for (r, share) in shares.into_iter().enumerate() {
+            if share.first_local().is_none() {
+                continue;
+            }
+            if self.rank_dead[r] {
+                if let OnDead::Fill(fill) = policy.dead {
+                    for &g in &inverse[r] {
+                        out[g as usize] = Some(fill());
+                    }
+                }
+                continue;
+            }
+            let b = &mut self.ranks[r];
+            let (mut failures, mut kills) = (0u32, 0usize);
+            let locals = loop {
+                match op(b, share.clone()) {
+                    Ok(locals) => break locals,
+                    Err(e) if e.is_transient() && failures < RANK_RETRY_CAP => {
+                        failures += 1;
+                        let backoff = RANK_RETRY_BACKOFF_BASE * f64::from(1u32 << failures.min(6));
+                        b.charge_host_seconds_labeled(&format!("retry:{}", policy.label), backoff);
+                    }
+                    // A kill decided at launch aborts it before any core
+                    // runs. Re-issuing masks the victim, where an error
+                    // would make the session repeat the op on every rank.
+                    Err(SimError::DpuDead { .. }) if policy.absorb_kills && kills <= MAX_KILLS => {
+                        kills += 1
+                    }
+                    Err(e) => return Err(remap_err(inverse, r, e)),
+                }
+            };
+            for (l, v) in locals.into_iter().enumerate() {
+                out[inverse[r][l] as usize] = Some(v);
+            }
+        }
+        // Push and broadcast answer no slots, so they get none back.
+        Ok(out
+            .into_iter()
+            .collect::<Option<Vec<T>>>()
+            .unwrap_or_default())
     }
 }
 
@@ -443,38 +491,14 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
     }
 
     fn dpu(&self, id: usize) -> SimResult<&Dpu> {
-        let Some(&(r, l)) = self.route.get(id) else {
-            return Err(SimError::NoSuchDpu {
-                dpu: id,
-                allocated: self.route.len(),
-            });
-        };
-        // A dead rank's banks are unreachable — unlike a dead core, whose
-        // bank a recovery controller can still read from surviving rank
-        // hardware. Recovery must come from replicas or journals.
-        if self.rank_dead[r as usize] {
-            return Err(SimError::DpuDead { dpu: id });
-        }
-        self.ranks[r as usize]
-            .dpu(l as usize)
-            .map_err(|e| remap_err(&self.inverse, self.route.len(), r as usize, e))
+        // A routed local id always exists on its rank.
+        let (r, l) = self.locate(id)?;
+        self.ranks[r].dpu(l)
     }
 
     fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu> {
-        let Some(&(r, l)) = self.route.get(id) else {
-            return Err(SimError::NoSuchDpu {
-                dpu: id,
-                allocated: self.route.len(),
-            });
-        };
-        if self.rank_dead[r as usize] {
-            return Err(SimError::DpuDead { dpu: id });
-        }
-        let total = self.route.len();
-        let inverse = &self.inverse;
-        self.ranks[r as usize]
-            .dpu_mut(l as usize)
-            .map_err(|e| remap_err(inverse, total, r as usize, e))
+        let (r, l) = self.locate(id)?;
+        self.ranks[r].dpu_mut(l)
     }
 
     fn set_phase(&mut self, phase: Phase) {
@@ -535,138 +559,37 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
     }
 
     fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
-        let armed = self.rank_faults_armed();
-        if self.ranks.len() == 1 && !armed {
-            return self.ranks[0].push(writes);
-        }
-        if armed {
-            self.rank_fault_step();
-        }
-        let mut per_rank: Vec<Vec<HostWrite>> = (0..self.ranks.len()).map(|_| Vec::new()).collect();
-        for mut w in writes {
-            let Some(&(r, l)) = self.route.get(w.dpu) else {
-                return Err(SimError::NoSuchDpu {
-                    dpu: w.dpu,
-                    allocated: self.route.len(),
-                });
-            };
-            w.dpu = l as usize;
-            per_rank[r as usize].push(w);
-        }
-        // A write aimed at a dead rank fails the batch atomically (before
-        // any rank mutates), surfacing the victim's *global* id so the
-        // orchestrator can fail the partition over to a surviving rank.
-        for (r, batch) in per_rank.iter().enumerate() {
-            if self.rank_dead[r] {
-                if let Some(w) = batch.first() {
-                    return Err(SimError::DpuDead {
-                        dpu: self.inverse[r][w.dpu] as usize,
-                    });
-                }
-            }
-        }
-        let total = self.route.len();
-        let inverse = &self.inverse;
-        for (r, batch) in per_rank.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            retry_transient(&mut self.ranks[r], "push", |b| b.push(batch.clone()))
-                .map_err(|e| remap_err(inverse, total, r, e))?;
-        }
+        let policy: FanOut<()> = FanOut {
+            label: "push",
+            dead: OnDead::Refuse,
+            absorb_kills: false,
+        };
+        let shares = self.split_writes(writes)?;
+        self.fan_out(policy, shares, |b, batch| b.push(batch).map(|()| vec![]))?;
         Ok(())
     }
 
     fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        let armed = self.rank_faults_armed();
-        if self.ranks.len() == 1 && !armed {
-            return self.ranks[0].broadcast(offset, data);
-        }
-        if armed {
-            self.rank_fault_step();
-        }
-        let total = self.route.len();
-        let inverse = &self.inverse;
-        let dead = &self.rank_dead;
-        for (r, b) in self.ranks.iter_mut().enumerate() {
-            // Dead ranks are skipped, mirroring how a single system's
-            // broadcast skips dead DPUs instead of failing.
-            if dead[r] {
-                continue;
-            }
-            retry_transient(b, "broadcast", |b| b.broadcast(offset, data))
-                .map_err(|e| remap_err(inverse, total, r, e))?;
-        }
+        let policy: FanOut<()> = FanOut {
+            label: "broadcast",
+            dead: OnDead::Skip,
+            absorb_kills: false,
+        };
+        let shares = vec![(); self.ranks.len()];
+        self.fan_out(policy, shares, |b, ()| {
+            b.broadcast(offset, data).map(|()| vec![])
+        })?;
         Ok(())
     }
 
     fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
-        let armed = self.rank_faults_armed();
-        if self.ranks.len() == 1 && !armed {
-            return self.ranks[0].gather(offset, len);
-        }
-        if armed {
-            self.rank_fault_step();
-        }
-        let total = self.route.len();
-        let inverse = &self.inverse;
-        let dead = &self.rank_dead;
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); total];
-        for (r, b) in self.ranks.iter_mut().enumerate() {
-            // Dead ranks answer with zeroed tombstones, mirroring how a
-            // single system gathers from dead DPUs; verified gathers catch
-            // them by checksum.
-            if dead[r] {
-                for &g in &inverse[r] {
-                    out[g as usize] = vec![0u8; len as usize];
-                }
-                continue;
-            }
-            let locals = b
-                .gather(offset, len)
-                .map_err(|e| remap_err(inverse, total, r, e))?;
-            for (l, data) in locals.into_iter().enumerate() {
-                out[inverse[r][l] as usize] = data;
-            }
-        }
-        Ok(out)
-    }
-
-    fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-        Self: Sized,
-    {
-        let armed = self.rank_faults_armed();
-        if self.ranks.len() == 1 && !armed {
-            return self.ranks[0].execute_labeled(label, kernel);
-        }
-        if armed {
-            self.rank_fault_step();
-        }
-        // A strict launch cannot produce results for a dead rank's DPUs;
-        // fail atomically with the rank's first global id, before any
-        // surviving rank runs the kernel.
-        if let Some(r) = (0..self.ranks.len()).find(|&r| self.rank_dead[r]) {
-            return Err(SimError::DpuDead {
-                dpu: self.inverse[r][0] as usize,
-            });
-        }
-        let total = self.route.len();
-        let inverse = &self.inverse;
-        let mut out: Vec<Option<R>> = (0..total).map(|_| None).collect();
-        for (r, b) in self.ranks.iter_mut().enumerate() {
-            let results = retry_transient(b, label, |b| b.execute_labeled(label, &kernel))
-                .map_err(|e| remap_err(inverse, total, r, e))?;
-            for (l, v) in results.into_iter().enumerate() {
-                out[inverse[r][l] as usize] = Some(v);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|v| v.expect("route table covers every global id"))
-            .collect())
+        let policy = FanOut {
+            label: "gather",
+            dead: OnDead::Fill(&|| vec![0u8; len as usize]),
+            absorb_kills: false,
+        };
+        let shares = vec![(); self.ranks.len()];
+        self.fan_out(policy, shares, |b, ()| b.gather(offset, len))
     }
 
     fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
@@ -675,56 +598,21 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
         Self: Sized,
     {
-        let armed = self.rank_faults_armed();
-        if self.ranks.len() == 1 && !armed {
-            return self.ranks[0].execute_labeled_masked(label, kernel);
-        }
-        if armed {
-            self.rank_fault_step();
-        }
-        let total = self.route.len();
-        let inverse = &self.inverse;
-        let dead = &self.rank_dead;
-        let mut out: Vec<Option<R>> = (0..total).map(|_| None).collect();
-        for (r, b) in self.ranks.iter_mut().enumerate() {
-            // A dead rank's slots stay `None` — exactly how masked callers
-            // learn about core deaths, now scaled to the rank domain.
-            if dead[r] {
-                continue;
-            }
-            let mut failures = 0u32;
-            let mut deaths = 0u32;
-            let results = loop {
-                match b.execute_labeled_masked(label, &kernel) {
-                    Ok(res) => break res,
-                    Err(e) if e.is_transient() && failures < RANK_RETRY_CAP => {
-                        failures += 1;
-                        let backoff = RANK_RETRY_BACKOFF_BASE * f64::from(1u32 << failures.min(6));
-                        b.charge_host_seconds_labeled(&format!("retry:{label}"), backoff);
-                    }
-                    // A kill decided at launch time aborts the rank's
-                    // launch before any DPU runs. Re-issue: the victim is
-                    // now masked to `None`, which is exactly how masked
-                    // callers learn about deaths — surfacing the error
-                    // instead would make the session repeat the op on
-                    // ranks that already completed it.
-                    Err(SimError::DpuDead { .. }) if deaths <= MAX_KILLS as u32 => deaths += 1,
-                    Err(e) => return Err(remap_err(inverse, total, r, e)),
-                }
-            };
-            for (l, v) in results.into_iter().enumerate() {
-                out[inverse[r][l] as usize] = v;
-            }
-        }
-        Ok(out)
+        let policy = FanOut {
+            label,
+            dead: OnDead::Fill(&|| None),
+            absorb_kills: true,
+        };
+        let shares = vec![(); self.ranks.len()];
+        self.fan_out(policy, shares, |b, ()| {
+            b.execute_labeled_masked(label, &kernel)
+        })
     }
 
     fn is_dpu_lost(&self, dpu: usize) -> bool {
-        match self.route.get(dpu) {
-            Some(&(r, l)) => {
-                self.rank_dead[r as usize] || self.ranks[r as usize].is_dpu_lost(l as usize)
-            }
-            None => false,
+        match self.locate(dpu) {
+            Ok((r, l)) => self.ranks[r].is_dpu_lost(l),
+            Err(e) => matches!(e, SimError::DpuDead { .. }),
         }
     }
 
@@ -1006,15 +894,34 @@ mod tests {
         assert_eq!(banks[1], vec![0u8; 8]);
         assert_eq!(banks[2], vec![9u8; 8]);
         assert_eq!(banks[3], vec![1u8; 8], "survivor baseline intact");
-        // Strict launches refuse to run while a rank is dark.
-        assert!(matches!(
-            cluster.execute_labeled("strict", |ctx| {
-                let mut t = ctx.tasklet(0)?;
-                t.charge(1);
-                Ok(())
-            }),
-            Err(SimError::DpuDead { .. })
-        ));
+        // A strict launch behaves like one system with a dead core: the
+        // survivors run, and the launch reports the lowest dead id.
+        let launches = |c: &RankCluster<FunctionalBackend>| -> u64 {
+            let kernels = c.rank_backends()[1].ledger().kernels;
+            kernels
+                .iter()
+                .filter(|k| k.label == "strict")
+                .map(|k| k.launches)
+                .sum()
+        };
+        assert_eq!(launches(&cluster), 0);
+        let strict = cluster.execute_labeled("strict", |ctx| {
+            let mut t = ctx.tasklet(0)?;
+            t.charge(1);
+            Ok(ctx.dpu_id())
+        });
+        assert_eq!(strict, Err(SimError::DpuDead { dpu: 0 }));
+        assert_eq!(launches(&cluster), 1, "rank 1's cores still ran");
+        // A masked launch answers `None` at exactly the dark ids, the
+        // lowest of which the strict launch refused.
+        let masked = cluster
+            .execute_labeled_masked("probe", |ctx| Ok(ctx.dpu_id()))
+            .unwrap();
+        let dark: Vec<usize> = (0..masked.len()).filter(|&g| masked[g].is_none()).collect();
+        assert_eq!(dark, vec![0, 1, 4]);
+        for g in dark {
+            assert_eq!(cluster.dpu(g).unwrap_err(), SimError::DpuDead { dpu: g });
+        }
     }
 
     #[test]
@@ -1086,8 +993,9 @@ mod tests {
             !p0.has_rank_faults() && !p1.has_rank_faults(),
             "rank entries never reach per-rank backends"
         );
-        // The cluster's rank-local retry loop absorbs the flakiness: data
-        // lands despite a 4% transfer-fault rate on rank 1.
+        // The cluster's rank-local retry loop absorbs the flakiness on
+        // every transfer, gathers included: each round's data lands and
+        // reads back despite a 4% transfer-fault rate on rank 1.
         let config = PimConfig {
             fault: Some(plan),
             ..PimConfig::tiny()
@@ -1097,16 +1005,17 @@ mod tests {
                 .unwrap();
         for round in 0..32u8 {
             cluster.broadcast(0, &[round; 8]).unwrap();
-        }
-        // Inspect banks out-of-band (no fault path) so the check itself
-        // cannot trip the flaky interconnect.
-        for g in 0..cluster.nr_dpus() {
-            let bank = cluster.dpu(g).unwrap().host_read(0, 8).unwrap();
-            assert_eq!(bank, vec![31u8; 8]);
+            let banks = cluster
+                .gather(0, 8)
+                .unwrap_or_else(|e| panic!("round {round}: gather failed: {e}"));
+            assert!(
+                banks.iter().all(|bank| bank == &[round; 8]),
+                "round {round}"
+            );
         }
         assert!(
             cluster.fault_counters().transfer_faults > 0,
-            "a 4% rate over 32 broadcasts should have injected something"
+            "a 4% rate over 64 transfers should have injected something"
         );
     }
 }

@@ -77,6 +77,19 @@ pub enum SimError {
 }
 
 impl SimError {
+    /// The DPU id the error names, for the variants that carry one.
+    pub fn dpu_id_mut(&mut self) -> Option<&mut usize> {
+        match self {
+            SimError::MramOverflow { dpu, .. }
+            | SimError::WramOverflow { dpu, .. }
+            | SimError::BadAddress { dpu, .. }
+            | SimError::BadDma { dpu, .. }
+            | SimError::NoSuchDpu { dpu, .. }
+            | SimError::DpuDead { dpu } => Some(dpu),
+            _ => None,
+        }
+    }
+
     /// True for injected faults that a retry can clear (transfer/launch
     /// failures). Permanent deaths and programming errors are not transient.
     pub fn is_transient(&self) -> bool {
@@ -141,6 +154,18 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("DPU 3") && s.contains("100") && s.contains("64"));
+    }
+
+    #[test]
+    fn dpu_id_mut_reaches_the_named_core() {
+        let mut e = SimError::BadDma {
+            dpu: 2,
+            len: 3,
+            rule: "aligned",
+        };
+        *e.dpu_id_mut().unwrap() = 7;
+        assert!(matches!(e, SimError::BadDma { dpu: 7, len: 3, .. }));
+        assert_eq!(SimError::FaultTransfer { op: 1 }.dpu_id_mut(), None);
     }
 
     #[test]

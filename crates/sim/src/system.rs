@@ -566,18 +566,6 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         Ok(out)
     }
 
-    fn execute_labeled<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<R>>
-    where
-        R: Send,
-        K: Fn(&mut DpuContext<'_>) -> SimResult<R> + Sync,
-    {
-        self.execute_labeled_masked(label, kernel)?
-            .into_iter()
-            .enumerate()
-            .map(|(dpu, r)| r.ok_or(SimError::DpuDead { dpu }))
-            .collect()
-    }
-
     /// Runs the kernel on every live DPU, in parallel on the host via
     /// rayon — DPUs are independent hardware.
     fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
