@@ -28,6 +28,11 @@ use std::sync::Arc;
 /// XOR mask applied to the victim byte of a corrupted payload.
 const CORRUPT_MASK: u8 = 0xA5;
 
+/// Fewest DPUs one host thread runs per launch chunk. A launch on fewer
+/// than twice this many DPUs runs inline on the calling thread: a small
+/// kernel finishes in microseconds, less than a thread spawn costs.
+const LAUNCH_MIN_DPUS_PER_CHUNK: usize = 32;
+
 mod sealed {
     pub trait Sealed {}
     impl Sealed for super::Timed {}
@@ -568,6 +573,14 @@ impl<C: Clock> PimBackend for PimSystem<C> {
 
     /// Runs the kernel on every live DPU, in parallel on the host via
     /// rayon — DPUs are independent hardware.
+    ///
+    /// Grain: the DPUs split into contiguous chunks of at least
+    /// [`LAUNCH_MIN_DPUS_PER_CHUNK`], claimed by up to one thread per host
+    /// CPU; a launch on fewer than twice that many DPUs runs inline on the
+    /// caller. Results, counters and the settled record do not depend on
+    /// the split. After a kernel error on DPU `i` the launch returns that
+    /// error (the lowest-id one), but DPUs in other chunks, including ones
+    /// above `i`, may already have run the kernel.
     fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
     where
         R: Send,
@@ -587,6 +600,7 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         let results = self
             .dpus
             .par_iter_mut()
+            .with_min_len(LAUNCH_MIN_DPUS_PER_CHUNK)
             .map(|dpu| {
                 if is_dead(dpu.id()) {
                     return Ok((None, 0));
@@ -897,6 +911,100 @@ mod tests {
             (1, 0)
         );
         assert_eq!(ledger.kernels[0].imbalance, 1.0);
+    }
+
+    #[test]
+    fn skewed_launch_across_chunks_matches_per_core_runs() {
+        use crate::fault::FaultPlan;
+        const N: usize = 64;
+        const { assert!(N >= 2 * LAUNCH_MIN_DPUS_PER_CHUNK, "the launch must split") };
+        // Instructions grow with id², and every 21st core carries a heavy
+        // tail, so the launch's chunks cost very different amounts.
+        let kernel = |ctx: &mut DpuContext<'_>| {
+            let id = ctx.dpu_id();
+            let mut t = ctx.tasklet(id % ctx.nr_tasklets())?;
+            t.charge((id * id) as u64 * 40 + if id % 21 == 5 { 200_000 } else { 0 });
+            let mut buf = vec![0u64; id % 7 + 1];
+            t.mram_read(0, &mut buf)?;
+            Ok(buf.iter().sum::<u64>() + id as u64)
+        };
+        let payload = encode_slice(&[3u64, 1, 4, 1, 5, 9, 2, 6]);
+        let config = PimConfig {
+            fault: Some(FaultPlan::parse("kill=13@2,kill=45@2").unwrap()),
+            ..PimConfig::tiny()
+        };
+        let cost = CostModel::default();
+
+        // The reference runs the kernel on one core at a time.
+        let mut reference = PimSystem::allocate(N, config, cost).unwrap();
+        reference.broadcast(0, &payload).unwrap();
+        let mut want = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for dpu in &mut reference.dpus {
+            dpu.reset_kernel_counters();
+            let mut ctx = DpuContext {
+                dpu,
+                config: &config,
+                cost: &cost,
+            };
+            want.0.push(Some(kernel(&mut ctx).unwrap()));
+            want.1
+                .push(cost.dpu_cycles(&dpu.tasklet_instr, dpu.dma_cycles));
+            want.2.push(dpu.tasklet_instr.iter().sum::<u64>());
+            want.3.push(dpu.kernel_dma_bytes);
+        }
+
+        let mut sys = PimSystem::allocate(N, config, cost).unwrap();
+        sys.enable_tracing();
+        sys.set_phase(Phase::TriangleCount);
+        sys.broadcast(0, &payload).unwrap(); // op 0
+        let results = sys.execute_labeled_masked("skew", kernel).unwrap(); // op 1
+        let Some(TraceEvent::Kernel {
+            per_dpu_cycles,
+            per_dpu_instructions,
+            per_dpu_dma_bytes,
+            ..
+        }) = sys.trace().events().last()
+        else {
+            panic!("the launch records a kernel event");
+        };
+        assert_eq!(
+            (
+                results,
+                per_dpu_cycles,
+                per_dpu_instructions,
+                per_dpu_dma_bytes
+            ),
+            (want.0.clone(), &want.1, &want.2, &want.3)
+        );
+        let dist = LaunchDist::of(&want.1);
+        let agg = &sys.ledger().kernels[0];
+        assert_eq!(
+            (agg.launches, agg.failed, agg.max_cycles),
+            (1, 0, dist.max_cycles)
+        );
+        assert_eq!(
+            (agg.p50_cycles, agg.p99_cycles),
+            (dist.p50_cycles, dist.p99_cycles)
+        );
+        assert_eq!(agg.imbalance, dist.imbalance);
+        assert_eq!(
+            agg.seconds,
+            cost.launch_overhead + cost.cycles_to_seconds(dist.max_cycles)
+        );
+
+        // Ops 2 and 3 kill a core in the middle of each chunk; the next
+        // launch masks exactly those two.
+        for dead in [13, 45] {
+            assert_eq!(
+                sys.execute_labeled_masked("skew", kernel).unwrap_err(),
+                SimError::DpuDead { dpu: dead }
+            );
+        }
+        let masked = sys.execute_labeled_masked("skew", kernel).unwrap();
+        let mut expected = want.0;
+        expected[13] = None;
+        expected[45] = None;
+        assert_eq!(masked, expected);
     }
 
     #[test]
