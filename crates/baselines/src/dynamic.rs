@@ -43,9 +43,9 @@ pub struct DynamicCheckpoint {
 }
 
 /// Per-update observer for [`pim_dynamic_with`]: invoked after every
-/// counted update, before the next append, with its timing and the trace
-/// so far (empty unless [`Capture::trace`] is set).
-pub type UpdateObserver<'a> = &'a mut dyn FnMut(&UpdateTiming, &pim_sim::Trace);
+/// counted update, before the next append, with its timing. The events
+/// so far are on the hub in [`Capture::metrics`].
+pub type UpdateObserver<'a> = &'a mut dyn FnMut(&UpdateTiming);
 
 /// Per-update timing for one system.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -115,7 +115,7 @@ pub fn pim_dynamic(batches: &[Vec<Edge>], config: &TcConfig) -> Result<Vec<Updat
 /// [`pim_dynamic`] run.
 #[derive(Default)]
 pub struct DynamicRun<'a> {
-    /// Live metrics hub and tracing for the session.
+    /// Live metrics hub for the session.
     pub capture: Capture,
     /// Called after every counted update.
     pub observer: Option<UpdateObserver<'a>>,
@@ -164,9 +164,6 @@ fn run_in<B: PimBackend>(
             0,
         ),
     };
-    if run.capture.trace {
-        session.enable_tracing();
-    }
     let mut out = Vec::with_capacity(batches.len().saturating_sub(start_from));
     let mut prev_total = 0.0;
     for (update, batch) in batches.iter().enumerate().skip(start_from) {
@@ -184,7 +181,7 @@ fn run_in<B: PimBackend>(
             triangles: result.estimate,
         };
         if let Some(obs) = run.observer.as_mut() {
-            obs(&timing, session.trace());
+            obs(&timing);
         }
         out.push(timing);
         if let Some(ckpt) = &run.checkpoint {

@@ -22,7 +22,7 @@ use pim_bench::gate::{
 use pim_bench::routing::{measure_routing_throughput, RoutingWorkload};
 use pim_bench::{pim_config, Harness, MdTable};
 use pim_graph::datasets::DatasetId;
-use pim_metrics::{JsonlSink, MetricsHub};
+use pim_metrics::{parse_jsonl, JsonlSink, MetricsHub};
 use pim_tc::Capture;
 use serde::Serialize;
 use std::path::Path;
@@ -85,7 +85,6 @@ fn run_fig7(harness: &Harness) -> Fig7Section {
     let run = DynamicRun {
         capture: Capture {
             metrics: Some(Arc::clone(&hub)),
-            trace: false,
         },
         ..DynamicRun::default()
     };
@@ -292,11 +291,15 @@ fn main() {
         ));
         let capture = Capture {
             metrics: Some(Arc::clone(&hub)),
-            trace: true,
         };
         let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
         hub.flush().expect("flush metrics");
-        harness.save_profile(&format!("bench_gate_{}", b.graph), &profile);
+        if harness.emit_profile {
+            // The capture just written holds the run's whole timeline.
+            let text = std::fs::read_to_string(&metrics_path).expect("read metrics jsonl");
+            let events = parse_jsonl(&text).expect("parse metrics jsonl");
+            harness.save_profile(&format!("bench_gate_{}", b.graph), &profile, &events);
+        }
 
         let result = &profile.result;
         let report = &profile.report;

@@ -11,7 +11,9 @@
 use pim_baselines::{cpu_count, GpuModel};
 use pim_bench::{fmt_secs, pim_config, Harness, MdTable};
 use pim_graph::datasets::DatasetId;
+use pim_metrics::{MemorySink, MetricsHub};
 use serde::Serialize;
+use std::sync::Arc;
 
 const COLORS: u32 = 23; // the paper's 2300-core configuration
 
@@ -45,14 +47,15 @@ fn main() {
         let pim = {
             let config = pim_config(COLORS, &g).build().unwrap();
             if harness.emit_profile {
-                // Traced run: same result, plus a per-kernel observability
+                // Metered run: same result, plus a per-kernel observability
                 // capture saved next to the experiment's results.
-                let traced = pim_tc::Capture {
-                    trace: true,
-                    ..Default::default()
-                };
-                let profile = pim_tc::count_triangles_with(&g, &config, traced).unwrap();
-                harness.save_profile(&format!("fig6_static_{}", id.name()), &profile);
+                let hub = Arc::new(MetricsHub::new());
+                let sink = MemorySink::new();
+                hub.add_sink(Box::new(sink.clone()));
+                let capture = pim_tc::Capture { metrics: Some(hub) };
+                let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
+                let name = format!("fig6_static_{}", id.name());
+                harness.save_profile(&name, &profile, &sink.events());
                 profile.result
             } else {
                 pim_tc::count_triangles(&g, &config).unwrap()

@@ -64,7 +64,6 @@ fn main() {
     let run = DynamicRun {
         capture: pim_tc::Capture {
             metrics: hub.clone(),
-            trace: false,
         },
         ..DynamicRun::default()
     };

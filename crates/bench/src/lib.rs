@@ -90,10 +90,15 @@ impl Harness {
 
     /// Persists one run's observability capture next to the experiment's
     /// results as `<name>.profile.json`: the [`pim_tc::RunProfile`]
-    /// (trace + per-DPU report) plus its ready-to-load Chrome export
-    /// under the `"chrome_trace"` key. No-op unless `--profile` was
-    /// passed.
-    pub fn save_profile(&self, name: &str, profile: &pim_tc::RunProfile) {
+    /// (result + per-DPU reports) plus the ready-to-load Chrome export of
+    /// the run's metric `events` under the `"chrome_trace"` key. No-op
+    /// unless `--profile` was passed.
+    pub fn save_profile(
+        &self,
+        name: &str,
+        profile: &pim_tc::RunProfile,
+        events: &[pim_metrics::Event],
+    ) {
         if !self.emit_profile {
             return;
         }
@@ -103,7 +108,7 @@ impl Harness {
                 "run".to_string(),
                 serde_json::to_value(profile).expect("serialize profile"),
             ),
-            ("chrome_trace".to_string(), profile.trace.to_chrome_trace()),
+            ("chrome_trace".to_string(), pim_sim::chrome_trace(events)),
         ]);
         let path = self.results_dir.join(format!("{name}.profile.json"));
         let json = serde_json::to_string_pretty(&record).expect("serialize profile");
@@ -251,18 +256,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let g = pim_graph::gen::erdos_renyi(60, 0.2, 5);
         let config = pim_config(2, &g).build().unwrap();
-        let traced = pim_tc::Capture {
-            trace: true,
-            ..Default::default()
-        };
-        let profile = pim_tc::count_triangles_with(&g, &config, traced).unwrap();
+        let hub = std::sync::Arc::new(pim_metrics::MetricsHub::new());
+        let sink = pim_metrics::MemorySink::new();
+        hub.add_sink(Box::new(sink.clone()));
+        let capture = pim_tc::Capture { metrics: Some(hub) };
+        let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
+        let events = sink.events();
 
         let harness = Harness {
             profile: Profile::Test,
             results_dir: dir.clone(),
             emit_profile: false,
         };
-        harness.save_profile("smoke", &profile);
+        harness.save_profile("smoke", &profile, &events);
         assert!(
             !dir.join("smoke.profile.json").exists(),
             "disabled => no file"
@@ -272,11 +278,16 @@ mod tests {
             emit_profile: true,
             ..harness
         };
-        harness.save_profile("smoke", &profile);
+        harness.save_profile("smoke", &profile, &events);
         let text = std::fs::read_to_string(dir.join("smoke.profile.json")).unwrap();
         let v: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert!(v.get("run").is_some());
-        assert!(v.get("chrome_trace").unwrap().get("traceEvents").is_some());
+        let chrome = v.get("chrome_trace").unwrap().get("traceEvents").unwrap();
+        assert!(chrome
+            .as_array()
+            .unwrap()
+            .iter()
+            .any(|e| { e.get("name").and_then(|n| n.as_str()) == Some("kernel:count") }));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -100,8 +100,9 @@ usage:
   pimtc profile --graph <path> [--dpus N] [--out trace.json]
       [--colors C] [--uniform-p P] [--capacity M] [--misra-gries K,T]
       [--backend timed|functional] [--route-chunk E] [--intersect STRAT]
-      Run a traced count and write a Chrome trace-event JSON (load it in
-      chrome://tracing or ui.perfetto.dev), plus a per-kernel summary on
+      Run a count and write the Chrome trace-event JSON of its metric
+      events (load it in chrome://tracing or ui.perfetto.dev; at --ranks
+      N > 1 one process per rank), plus a per-kernel summary on
       stdout. --dpus picks the largest color count whose triplet grid
       fits N cores; --colors overrides it. On --backend functional the
       kernel table is built from the live metric stream (cycle counts
@@ -293,6 +294,9 @@ struct MetricsPlane {
     /// The in-process `/metrics` + `/healthz` + `/trace` server, if
     /// `--serve-metrics` (or `PIM_TC_SERVE_METRICS`) asked for one.
     server: Option<MetricsServer>,
+    /// The run's events so far, kept only while a server renders them
+    /// on `/trace`.
+    timeline: Option<MemorySink>,
     watchdog: Watchdog,
     /// `--watchdog-fail`: turn any raised anomaly into a non-zero exit.
     watchdog_fail: bool,
@@ -308,12 +312,11 @@ impl MetricsPlane {
         }
     }
 
-    /// What a run attached to this plane records: the hub, plus the
-    /// event timeline only when a live server can serve it on `/trace`.
+    /// What a run attached to this plane records: every event, on the
+    /// plane's hub.
     fn capture(&self) -> pim_tc::Capture {
         pim_tc::Capture {
             metrics: Some(Arc::clone(&self.hub)),
-            trace: self.server.is_some(),
         }
     }
 
@@ -325,11 +328,11 @@ impl MetricsPlane {
         }
     }
 
-    /// After a traced run or update: refresh `/trace` (when served),
-    /// then run the watchdog.
-    fn on_update(&mut self, trace: &pim_sim::Trace) {
-        if self.server.is_some() {
-            self.publish_trace(&trace.to_chrome_trace());
+    /// After a run or update: refresh `/trace` (when served), then run
+    /// the watchdog.
+    fn on_update(&mut self) {
+        if let Some(timeline) = &self.timeline {
+            self.publish_trace(&pim_sim::chrome_trace(&timeline.events()));
         }
         self.watch();
     }
@@ -407,6 +410,11 @@ fn metrics_plane(args: &Args) -> Result<Option<MetricsPlane>, String> {
         }
         None => None,
     };
+    let timeline = server.as_ref().map(|_| {
+        let sink = MemorySink::new();
+        hub.add_sink(Box::new(sink.clone()));
+        sink
+    });
     let watchdog = Watchdog::new(
         Arc::clone(&hub),
         WatchdogConfig {
@@ -419,6 +427,7 @@ fn metrics_plane(args: &Args) -> Result<Option<MetricsPlane>, String> {
         out,
         prom,
         server,
+        timeline,
         watchdog,
         watchdog_fail,
     }))
@@ -559,9 +568,9 @@ fn cmd_count(args: &Args) -> Result<(), String> {
     let profile =
         pim_tc::count_triangles_with(&graph, &config, capture).map_err(|e| e.to_string())?;
     if let Some(p) = plane.as_mut() {
-        // With a live server the run was traced, so `/trace` serves the
-        // final timeline alongside the scrape.
-        p.on_update(&profile.trace);
+        // With a live server, `/trace` serves the final timeline
+        // alongside the scrape.
+        p.on_update();
         p.finish()?;
     }
     let result = profile.result;
@@ -779,9 +788,9 @@ fn cmd_dynamic(args: &Args) -> Result<(), String> {
         .map(MetricsPlane::capture)
         .unwrap_or_default();
     // Between-update hook: refresh `/trace`, run the watchdog.
-    let mut on_update = |_t: &pim_baselines::dynamic::UpdateTiming, trace: &pim_sim::Trace| {
+    let mut on_update = |_t: &pim_baselines::dynamic::UpdateTiming| {
         if let Some(p) = plane.as_mut() {
-            p.on_update(trace);
+            p.on_update();
         }
     };
     let run = pim_baselines::dynamic::DynamicRun {
@@ -835,9 +844,9 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     prep::preprocess(&mut graph, 0);
     let config = build_config_with_default_colors(args, &graph, colors_for_dpus(dpus))?;
 
-    // Retries are counted from the run's own metric stream, so every
-    // profile runs a hub (with an in-memory sink) even without
-    // --metrics-out.
+    // Retries and the chrome trace come from the run's own metric
+    // stream, so every profile runs a hub (with an in-memory sink) even
+    // without --metrics-out.
     let mut plane = metrics_plane(args)?;
     let functional = config.backend == pim_tc::ExecBackend::Functional;
     let hub = plane
@@ -845,10 +854,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         .map_or_else(|| Arc::new(MetricsHub::new()), |p| Arc::clone(&p.hub));
     let sink = MemorySink::new();
     hub.add_sink(Box::new(sink.clone()));
-    let capture = pim_tc::Capture {
-        metrics: Some(hub),
-        trace: true,
-    };
+    let capture = pim_tc::Capture { metrics: Some(hub) };
     let profile =
         pim_tc::count_triangles_with(&graph, &config, capture).map_err(|e| e.to_string())?;
 
@@ -900,21 +906,13 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
             k.imbalance
         );
     }
-    let retries = pim_metrics::summarize(&sink.events())
-        .retries
-        .values()
-        .sum();
+    let events = sink.events();
+    let retries = pim_metrics::summarize(&events).retries.values().sum();
     print_fault_section(&report.fault_counters, retries);
 
     if !functional {
-        // At R>1 export every rank's own timeline as its own chrome-trace
-        // process group; a single-rank run keeps the flat layout.
-        let chrome = if config.effective_ranks() > 1 {
-            let refs: Vec<&pim_sim::Trace> = profile.rank_traces.iter().collect();
-            pim_sim::to_chrome_trace_cluster(&refs)
-        } else {
-            profile.trace.to_chrome_trace()
-        };
+        // At R>1 every rank's events render as their own process group.
+        let chrome = pim_sim::chrome_trace(&events);
         if let Some(p) = &plane {
             p.publish_trace(&chrome);
         }
@@ -1322,6 +1320,49 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| { e.get("name").and_then(|n| n.as_str()) == Some("kernel:count") }));
+    }
+
+    /// The live `/trace` at `--ranks 2` carries every rank: a process per
+    /// rank, each with its own `kernel:count` span.
+    #[test]
+    fn live_trace_covers_every_rank() {
+        use std::io::{Read, Write};
+        let g = pim_graph::gen::erdos_renyi(100, 0.15, 7);
+        let argv = ["--colors", "3", "--ranks", "2", "--backend", "timed"];
+        let argv = [&argv[..], &["--serve-metrics", "127.0.0.1:0"]].concat();
+        let args = Args::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap();
+        let config = build_config(&args, &g).unwrap();
+        let mut plane = metrics_plane(&args).unwrap().unwrap();
+        pim_tc::count_triangles_with(&g, &config, plane.capture()).unwrap();
+        plane.on_update();
+
+        let addr = plane.server.as_ref().unwrap().addr();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        write!(stream, "GET /trace HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        plane.finish().unwrap();
+        let (head, body) = raw.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 200"), "got: {head}");
+        let chrome: serde_json::Value = serde_json::from_str(body).unwrap();
+        let events = chrome.get("traceEvents").unwrap().as_array().unwrap();
+        let named = |e: &serde_json::Value, name: &str| {
+            e.get("name").and_then(|n| n.as_str()) == Some(name)
+        };
+        for (rank, pid) in [(0u64, 1u64), (1, 2)] {
+            let label = format!("rank {rank}");
+            assert!(
+                events.iter().any(|e| named(e, "process_name")
+                    && e.get("pid").and_then(|p| p.as_u64()) == Some(pid)
+                    && named(e.get("args").unwrap(), &label)),
+                "no process for rank {rank}"
+            );
+            assert!(
+                events.iter().any(|e| named(e, "kernel:count")
+                    && e.get("pid").and_then(|p| p.as_u64()) == Some(pid)),
+                "no kernel:count span for rank {rank}"
+            );
+        }
     }
 
     #[test]

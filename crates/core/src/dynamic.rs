@@ -227,13 +227,6 @@ impl<B: PimBackend> TcSession<RankCluster<B>> {
             .map(SystemReport::capture)
             .collect()
     }
-
-    /// Each rank's recorded trace in rank order (clones; empty unless
-    /// tracing was enabled). Feed to [`pim_sim::to_chrome_trace_cluster`]
-    /// to export an R>1 run with per-rank process groups.
-    pub fn rank_traces(&self) -> Vec<pim_sim::Trace> {
-        self.sys.rank_traces().into_iter().cloned().collect()
-    }
 }
 
 impl<B: PimBackend> TcSession<B> {
@@ -344,17 +337,6 @@ impl<B: PimBackend> TcSession<B> {
     /// The per-core MRAM layout in effect.
     pub fn layout(&self) -> &MramLayout {
         &self.layout
-    }
-
-    /// Starts recording the simulator's event timeline (see
-    /// [`pim_sim::trace`]); retrieve it with [`TcSession::trace`].
-    pub fn enable_tracing(&mut self) {
-        self.sys.enable_tracing();
-    }
-
-    /// The recorded event timeline (empty unless tracing was enabled).
-    pub fn trace(&self) -> &pim_sim::Trace {
-        self.sys.trace()
     }
 
     /// Per-core activity/utilization report (instructions, DMA traffic,
@@ -2237,8 +2219,9 @@ mod tests {
 
     #[test]
     fn profiled_run_labels_every_launch() {
+        use pim_metrics::{MemorySink, MetricsHub};
         // Single-machine pin (like the Timed pin): the chrome-span closure
-        // below sums spans from ONE trace, while a cluster merges phase
+        // below sums spans from ONE process, while a cluster merges phase
         // times as a per-rank max — cluster aggregates are pinned in
         // tests/cluster_equivalence.rs instead.
         let g = gen::simple::complete(15); // 455 triangles
@@ -2247,10 +2230,10 @@ mod tests {
             ranks: 1,
             ..tiny_config(2)
         };
-        let traced = crate::Capture {
-            trace: true,
-            ..Default::default()
-        };
+        let hub = Arc::new(MetricsHub::new());
+        let sink = MemorySink::new();
+        hub.add_sink(Box::new(sink.clone()));
+        let traced = crate::Capture { metrics: Some(hub) };
         let profile = crate::count_triangles_with(&g, &config, traced).unwrap();
         assert_eq!(profile.result.rounded(), 455);
 
@@ -2271,11 +2254,8 @@ mod tests {
             hardened: true,
             ..config
         };
-        let traced = crate::Capture {
-            trace: true,
-            ..Default::default()
-        };
-        let hardened = crate::count_triangles_with(&g, &hardened_config, traced).unwrap();
+        let hardened =
+            crate::count_triangles_with(&g, &hardened_config, crate::Capture::default()).unwrap();
         assert!(hardened.report.kernels.iter().any(|k| k.label == "seal"));
         assert_eq!(
             hardened.result.estimate.to_bits(),
@@ -2283,14 +2263,12 @@ mod tests {
         );
         assert_eq!(hardened.result.dpu_reports, profile.result.dpu_reports);
         // The host-side routing work is a named span too.
-        assert!(profile.trace.events().iter().any(|e| matches!(
-            e,
-            pim_sim::TraceEvent::HostWork { label, .. } if label == "route_edges"
-        )));
+        let events = sink.events();
+        assert!((events.iter()).any(|e| e.kind == "host" && e.str_field("label") == "route_edges"));
 
         // The Chrome export covers the entire modeled runtime: summed span
         // durations equal the phase-time total.
-        let chrome = profile.trace.to_chrome_trace();
+        let chrome = pim_sim::chrome_trace(&events);
         let span_dur_us: f64 = chrome
             .get("traceEvents")
             .unwrap()
@@ -2331,7 +2309,6 @@ mod tests {
             hub.add_sink(Box::new(sink.clone()));
             let traced = crate::Capture {
                 metrics: Some(Arc::clone(&hub)),
-                trace: true,
             };
             let profile = crate::count_triangles_with(&g, &config, traced).unwrap();
             let summary = summarize(&sink.events());
@@ -2397,7 +2374,6 @@ mod tests {
         hub.add_sink(Box::new(sink.clone()));
         let traced = crate::Capture {
             metrics: Some(Arc::clone(&hub)),
-            trace: true,
         };
         let profile = crate::count_triangles_with(&g, &config, traced).unwrap();
         let summary = summarize(&sink.events());

@@ -67,7 +67,7 @@ use std::sync::Arc;
 /// kernels, gathering, and statistical correction.
 ///
 /// The run executes on the engine named by [`TcConfig::backend`]: the
-/// timed simulator (modeled times, trace, energy) or the functional
+/// timed simulator (modeled times, energy) or the functional
 /// engine (same counts, zero clocks). `result.exact` is true iff no
 /// sampling affected the run (uniform sampling disabled *and* no
 /// reservoir overflowed), in which case `result.estimate` equals the true
@@ -95,10 +95,9 @@ pub fn count_triangles_in<B: PimBackend>(
 pub struct Capture {
     /// A live hub attached before the first bank is touched; every event
     /// of the run is emitted on it as it happens (`docs/OBSERVABILITY.md`).
+    /// For a timeline, add a `MemorySink` to it and render its events
+    /// with [`pim_sim::chrome_trace`].
     pub metrics: Option<Arc<MetricsHub>>,
-    /// Record the event timeline. The traces of an untraced run are
-    /// empty; the reports do not depend on it.
-    pub trace: bool,
 }
 
 /// Everything a run produces: the counting result plus the
@@ -107,27 +106,19 @@ pub struct Capture {
 pub struct RunProfile {
     /// The counting result, identical to [`count_triangles`]'s.
     pub result: TcResult,
-    /// The labeled event timeline; export with
-    /// [`pim_sim::Trace::to_chrome_trace`] for `chrome://tracing`.
-    pub trace: pim_sim::Trace,
     /// Per-DPU attribution over the whole cluster (global id order): activity
     /// counters, per-kernel cycle aggregates over every rank, bandwidth
     /// utilization.
     pub report: pim_sim::SystemReport,
-    /// Each rank's own timeline in rank order. At `ranks = 1` this is a
-    /// single trace identical to [`RunProfile::trace`]; at R>1 feed it to
-    /// [`pim_sim::to_chrome_trace_cluster`] for per-rank process groups.
-    pub rank_traces: Vec<pim_sim::Trace>,
     /// Each rank's own utilization report, in rank order.
     pub per_rank: Vec<pim_sim::SystemReport>,
 }
 
 /// [`count_triangles`] with a [`Capture`]: returns the result next to the
-/// trace and the cluster-wide and per-rank reports.
+/// cluster-wide and per-rank reports.
 ///
-/// On the functional backend the result and activity counters are
-/// identical, but the trace is empty and every time/energy figure is
-/// zero — that engine produces no timing events.
+/// On the functional backend the result, activity counters and metric
+/// events are identical, but every time/energy figure is zero.
 pub fn count_triangles_with(
     graph: &CooGraph,
     config: &TcConfig,
@@ -146,16 +137,11 @@ fn run<B: PimBackend>(
     capture: Capture,
 ) -> Result<RunProfile, TcError> {
     let mut session = TcSession::<RankCluster<B>>::start_cluster_metered(config, capture.metrics)?;
-    if capture.trace {
-        session.enable_tracing();
-    }
     session.append(graph.edges())?;
     let result = session.count()?;
     Ok(RunProfile {
         result,
-        trace: session.trace().clone(),
         report: session.system_report(),
-        rank_traces: session.rank_traces(),
         per_rank: session.rank_reports(),
     })
 }

@@ -10,7 +10,8 @@
 //! is reproducible from its spec string.
 
 use pim_graph::gen;
-use pim_sim::{FaultPlan, FunctionalBackend, PimConfig, RankCluster, TimedBackend, TraceEvent};
+use pim_metrics::{MemorySink, MetricsHub};
+use pim_sim::{FaultPlan, FunctionalBackend, PimConfig, RankCluster, TimedBackend};
 use pim_tc::{count_triangles_in, TcConfig, TcError, TcResult, TcSession};
 use proptest::prelude::*;
 
@@ -227,16 +228,16 @@ fn exhausted_retry_budget_fails_loudly() {
 #[test]
 fn every_transient_fault_charges_exactly_one_retry_span() {
     // With corruption off and no deaths, injected transient faults and
-    // labeled `retry:` spans must correspond one-to-one (faults injected
-    // before tracing starts are excluded via the counter baseline). At
-    // R = 4 a fault is retried on the failing rank only, so the spans
-    // are summed over the ranks' traces.
+    // labeled `retry:` host events must correspond one-to-one (faults
+    // injected before the append are excluded via the counter baseline
+    // and the stream offset). At R = 4 a fault is retried on the failing
+    // rank only, so the spans are summed over the ranks' events.
     fn injected_and_spans<B: pim_sim::PimBackend>(
         s: &mut TcSession<B>,
+        sink: &MemorySink,
         g: &pim_graph::CooGraph,
-        traces: impl Fn(&TcSession<B>) -> Vec<pim_sim::Trace>,
     ) -> (u64, u64) {
-        s.enable_tracing();
+        let skip = sink.events().len();
         let c0 = s.fault_counters();
         s.append(g.edges()).unwrap();
         s.count().unwrap();
@@ -245,23 +246,29 @@ fn every_transient_fault_charges_exactly_one_retry_span() {
         assert_eq!(c1.dpu_deaths, 0);
         let injected =
             (c1.transfer_faults - c0.transfer_faults) + (c1.launch_faults - c0.launch_faults);
-        let spans = traces(s)
+        let spans = sink.events()[skip..]
             .iter()
-            .flat_map(|t| t.events())
-            .filter(
-                |e| matches!(e, TraceEvent::HostWork { label, .. } if label.starts_with("retry:")),
-            )
+            .filter(|e| e.kind == "host" && e.str_field("label").starts_with("retry:"))
             .count() as u64;
         (injected, spans)
     }
+    let metered = || {
+        let hub = std::sync::Arc::new(MetricsHub::new());
+        let sink = MemorySink::new();
+        hub.add_sink(Box::new(sink.clone()));
+        (hub, sink)
+    };
     let g = gen::erdos_renyi(120, 0.15, 3);
     let plan = FaultPlan::parse("seed=21,transfer=50000,launch=50000").unwrap();
-    let mut s = TcSession::start(&config(3, Some(plan), 0)).unwrap();
-    let one_rank = injected_and_spans(&mut s, &g, |s| vec![s.trace().clone()]);
+    let (hub, sink) = metered();
     let mut s =
-        TcSession::<RankCluster<TimedBackend>>::start_cluster(&rank4_config(Some(plan), 0, false))
-            .unwrap();
-    let four_ranks = injected_and_spans(&mut s, &g, |s| s.rank_traces());
+        TcSession::<TimedBackend>::start_metered(&config(3, Some(plan), 0), Some(hub)).unwrap();
+    let one_rank = injected_and_spans(&mut s, &sink, &g);
+    let (hub, sink) = metered();
+    let cfg = rank4_config(Some(plan), 0, false);
+    let mut s =
+        TcSession::<RankCluster<TimedBackend>>::start_cluster_metered(&cfg, Some(hub)).unwrap();
+    let four_ranks = injected_and_spans(&mut s, &sink, &g);
     for (ranks, (injected, spans)) in [(1, one_rank), (4, four_ranks)] {
         assert!(
             injected > 0,

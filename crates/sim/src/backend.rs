@@ -6,19 +6,19 @@
 //! characterization*; this module exposes the same split for the
 //! simulator. [`PimBackend`] abstracts everything an orchestrator does to
 //! the PIM machine — allocation, rank-parallel `push`/`gather` transfers,
-//! labeled SPMD kernel launches, phase accounting, and trace/report
+//! labeled SPMD kernel launches, phase accounting, metrics and report
 //! access. [`PimSystem`] implements it once, and its [`Clock`] parameter
 //! picks the mode:
 //!
 //! * [`TimedBackend`] (`PimSystem<Timed>`): every operation is billed
-//!   modeled seconds against the PrIM-calibrated [`CostModel`], traced,
-//!   and counted toward energy. Use it whenever modeled time matters.
+//!   modeled seconds against the PrIM-calibrated [`CostModel`] and
+//!   counted toward energy. Use it whenever modeled time matters.
 //! * [`FunctionalBackend`] (`PimSystem<Functional>`): the same operations
 //!   on the same MRAM banks, with the same faults and the same per-DPU
 //!   cycle, instruction and DMA counters (the cost model still prices
 //!   kernel work, and the count kernel picks its strategy from it). Only
-//!   the clock is off: phase times, transfer seconds and energy report
-//!   zero, and the trace stays empty. Use it for correctness tests,
+//!   the clock is off: phase times, transfer seconds, energy and every
+//!   metric event's `seconds` report zero. Use it for correctness tests,
 //!   proptests, and exact-count baselines.
 //!
 //! Both modes are bit-identical on *data*: MRAM contents, kernel results,
@@ -37,7 +37,6 @@ use crate::kernel::{DpuContext, Pod};
 use crate::phase::{Phase, PhaseTimes};
 use crate::stats::Ledger;
 use crate::system::{Functional, HostWrite, PimSystem, Timed};
-use crate::trace::Trace;
 use pim_metrics::MetricsHub;
 use std::sync::Arc;
 
@@ -93,9 +92,6 @@ pub trait PimBackend: Send {
         self.ledger().times
     }
 
-    /// Starts recording an event timeline. No-op with the clock off.
-    fn enable_tracing(&mut self);
-
     /// Attaches a live metrics hub: transfers, launches, host spans, and
     /// faults are emitted as structured events and folded into the hub's
     /// registry as they happen. Attach immediately after allocation for a
@@ -104,11 +100,9 @@ pub trait PimBackend: Send {
     /// (bytes, cycles, instructions, faults) are identical.
     fn attach_metrics(&mut self, hub: Arc<MetricsHub>);
 
-    /// The recorded timeline (always empty with the clock off).
-    fn trace(&self) -> &Trace;
-
     /// Folds measured host-side seconds (e.g. batch-creation wall time)
-    /// into the current phase under a span label, so traces show *which*
+    /// into the current phase under a span label, so the metric stream
+    /// (and the Chrome trace rendered from it) shows *which*
     /// host work the time went to. The paper's timings include host work;
     /// the simulator cannot model arbitrary host Rust code, so the
     /// orchestrator measures it and accounts it here. With the clock off
@@ -140,7 +134,7 @@ pub trait PimBackend: Send {
     }
 
     /// Launches a labeled SPMD kernel on every allocated DPU, returning
-    /// each DPU's result in id order. The label lets traces and the
+    /// each DPU's result in id order. The label lets metric events and the
     /// [`Ledger`]'s kernel aggregates attribute time to a specific
     /// kernel (e.g. `"sort"` vs `"count"`). The launch bills
     /// `launch_overhead + max per-DPU cycles` to the current phase when
@@ -210,8 +204,8 @@ pub trait PimBackend: Send {
     }
 }
 
-/// The engine with its clock on: full cycle, transfer-bandwidth, trace,
-/// and energy accounting.
+/// The engine with its clock on: full cycle, transfer-bandwidth and
+/// energy accounting.
 pub type TimedBackend = PimSystem<Timed>;
 
 /// The engine with its clock off: same banks, same kernels, same
@@ -283,9 +277,9 @@ mod tests {
     }
 
     #[test]
-    fn functional_backend_produces_no_trace_events() {
+    fn functional_backend_renders_a_zero_length_timeline() {
         let mut sys = FunctionalBackend::allocate_default(2).unwrap();
-        sys.enable_tracing();
+        let sink = crate::chrome::metered(&mut sys);
         sys.set_phase(Phase::SampleCreation);
         sys.broadcast(0, &[0u8; 64]).unwrap();
         sys.execute(|ctx| {
@@ -294,8 +288,20 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert!(sys.trace().events().is_empty());
-        assert!(!sys.trace().is_enabled());
+        // Every operation is on the timeline, and none takes any time.
+        let chrome = crate::chrome_trace(&sink.events());
+        let spans: Vec<_> = (chrome.get("traceEvents").unwrap().as_array().unwrap())
+            .iter()
+            .filter(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .collect();
+        let names: Vec<&str> = spans
+            .iter()
+            .map(|e| e.get("name").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(names, vec!["allocate", "broadcast", "kernel:kernel"]);
+        assert!(spans
+            .iter()
+            .all(|e| e.get("dur").unwrap().as_f64() == Some(0.0)));
     }
 
     #[test]

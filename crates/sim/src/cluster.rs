@@ -50,7 +50,6 @@ use crate::kernel::DpuContext;
 use crate::phase::Phase;
 use crate::stats::Ledger;
 use crate::system::HostWrite;
-use crate::trace::Trace;
 use pim_metrics::MetricsHub;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -338,13 +337,6 @@ impl<B: PimBackend> RankCluster<B> {
         &self.ranks
     }
 
-    /// Each rank's recorded trace, rank order (empty traces unless tracing
-    /// was enabled). Feed to [`crate::to_chrome_trace_cluster`] to export
-    /// an R>1 run with per-rank process groups.
-    pub fn rank_traces(&self) -> Vec<&Trace> {
-        self.ranks.iter().map(|b| b.trace()).collect()
-    }
-
     /// Whether `rank` has died (whole-rank failure domain).
     pub fn is_rank_dead(&self, rank: usize) -> bool {
         self.rank_dead.get(rank).copied().unwrap_or(false)
@@ -523,12 +515,6 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         total
     }
 
-    fn enable_tracing(&mut self) {
-        for b in &mut self.ranks {
-            b.enable_tracing();
-        }
-    }
-
     /// With one rank the hub is forwarded untouched (byte-compatible
     /// streams); with more, each rank gets a rank-scoped view of the hub
     /// so its events and series carry a `rank` label.
@@ -541,12 +527,6 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
                 b.attach_metrics(hub.with_rank(r as u32));
             }
         }
-    }
-
-    /// Rank 0's trace; [`RankCluster::rank_traces`] has every rank's.
-    /// Launch attribution over all ranks is in [`PimBackend::ledger`].
-    fn trace(&self) -> &Trace {
-        self.ranks[0].trace()
     }
 
     /// Host work blocks every rank: each rank's clock advances by the

@@ -29,6 +29,7 @@
 //! DESIGN.md §5 documents the model and its parameters.
 
 pub mod backend;
+pub mod chrome;
 pub mod cluster;
 pub mod config;
 pub mod cost;
@@ -40,9 +41,9 @@ pub mod kernel;
 pub mod phase;
 pub mod stats;
 pub mod system;
-pub mod trace;
 
 pub use backend::{FunctionalBackend, PimBackend, TimedBackend};
+pub use chrome::chrome_trace;
 pub use cluster::{ClusterSpec, RankCluster};
 pub use config::PimConfig;
 pub use cost::CostModel;
@@ -54,4 +55,3 @@ pub use kernel::{DpuContext, Tasklet};
 pub use phase::{Phase, PhaseTimes};
 pub use stats::{DpuActivity, KernelAgg, Ledger, SystemReport};
 pub use system::{Clock, Functional, HostWrite, PimSystem, Timed};
-pub use trace::{to_chrome_trace_cluster, Trace, TraceEvent};

@@ -6,7 +6,7 @@
 //! timing results. Every engine keeps one [`Ledger`], folded from its
 //! settled operation records, and the report reads its transfer, fault
 //! and per-kernel ([`KernelAgg`]) totals from it — on either clock,
-//! traced or not.
+//! with or without a metrics hub.
 
 use crate::backend::PimBackend;
 use crate::cost::SimSeconds;
@@ -28,8 +28,8 @@ pub struct DpuActivity {
 }
 
 /// The launches of one kernel label within one §4.1 phase. Its size does
-/// not grow with run length: per-launch distributions live on the `hist`
-/// metric stream and in the trace.
+/// not grow with run length: per-launch distributions live on the
+/// `launch` and `hist` metric events.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct KernelAgg {
     /// Orchestrator-assigned launch label.
@@ -258,7 +258,6 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert!(sys.trace().events().is_empty());
         let report = SystemReport::capture(&sys);
         assert_eq!(report.kernels.len(), 1);
         assert_eq!(report.kernels[0].label, "kernel");
@@ -284,7 +283,6 @@ mod tests {
     fn functional_backend_reports_activity_without_time() {
         use crate::backend::FunctionalBackend;
         let mut sys = FunctionalBackend::allocate_default(2).unwrap();
-        sys.enable_tracing();
         sys.execute(|ctx| {
             let mut t = ctx.tasklet(0)?;
             t.charge(10);

@@ -5,9 +5,9 @@
 //! Under [`Timed`] every operation is billed modeled seconds from the
 //! [`CostModel`]; under [`Functional`] the same operations run on the same
 //! banks, with the same faults and per-DPU counters, but bill zero seconds
-//! and record no trace and no energy. Each operation builds one
-//! `OpRecord`, and `settle` is the only code that turns a record into
-//! the engine's [`Ledger`], trace events and metric events.
+//! and no energy. Each operation builds one `OpRecord`, and `settle` is
+//! the only code that turns a record into the engine's [`Ledger`] and
+//! metric events.
 
 use crate::backend::PimBackend;
 use crate::config::PimConfig;
@@ -19,7 +19,6 @@ use crate::fault::{FaultDecision, FaultState, OpKind};
 use crate::kernel::{DpuContext, Pod};
 use crate::phase::Phase;
 use crate::stats::{KernelAgg, Ledger};
-use crate::trace::{Trace, TraceEvent};
 use pim_metrics::{LaunchDist, LaunchObs, MetricsHub};
 use rayon::prelude::*;
 use std::marker::PhantomData;
@@ -46,14 +45,14 @@ pub trait Clock: sealed::Sealed + Send + 'static {
     const TIMED: bool;
 }
 
-/// Clock on: operations are billed modeled seconds, traced, and counted
-/// toward energy.
+/// Clock on: operations are billed modeled seconds and counted toward
+/// energy.
 #[derive(Clone, Copy, Debug)]
 pub struct Timed;
 
 /// Clock off: the same data movement, kernels, faults and per-DPU cycle,
-/// instruction and DMA counters as [`Timed`], with zero seconds, no trace
-/// and no energy.
+/// instruction and DMA counters as [`Timed`], with zero seconds and no
+/// energy.
 #[derive(Clone, Copy, Debug)]
 pub struct Functional;
 
@@ -86,7 +85,6 @@ pub struct PimSystem<C: Clock = Timed> {
     dpus: Vec<Dpu>,
     phase: Phase,
     ledger: Ledger,
-    trace: Trace,
     fault: FaultState,
     metrics: Option<Arc<MetricsHub>>,
     clock: PhantomData<C>,
@@ -220,8 +218,7 @@ impl<C: Clock> PimSystem<C> {
 
     /// The one place operation bookkeeping happens: bills the record's
     /// seconds (zero with the clock off) to the current phase, and folds
-    /// the same record into the ledger, the trace event and the metric
-    /// events.
+    /// the same record into the ledger and the metric events.
     fn settle(&mut self, record: OpRecord) {
         let phase = self.phase;
         let seconds = if C::TIMED {
@@ -231,8 +228,9 @@ impl<C: Clock> PimSystem<C> {
         };
         self.ledger.times.add(phase, seconds);
         let hub = self.metrics.as_deref();
-        let event = match record {
-            OpRecord::Alloc { nr_dpus } => TraceEvent::Allocate { nr_dpus, seconds },
+        match record {
+            // No hub can be attached yet: `attach_metrics` emits `alloc`.
+            OpRecord::Alloc { .. } => {}
             OpRecord::Transfer {
                 name,
                 units,
@@ -245,20 +243,6 @@ impl<C: Clock> PimSystem<C> {
                 if let Some(hub) = hub {
                     let units = units as u64;
                     hub.transfer(name, phase.metric_name(), units, bytes, seconds, ok);
-                }
-                if name == "gather" {
-                    TraceEvent::Gather {
-                        bytes,
-                        seconds,
-                        phase,
-                    }
-                } else {
-                    TraceEvent::Push {
-                        writes: units,
-                        bytes,
-                        seconds,
-                        phase,
-                    }
                 }
             }
             OpRecord::Launch {
@@ -299,7 +283,7 @@ impl<C: Clock> PimSystem<C> {
                     }
                 }
                 self.ledger.add_kernel(KernelAgg {
-                    label: label.clone(),
+                    label,
                     phase,
                     launches: 1,
                     failed: u64::from(!ok),
@@ -309,24 +293,10 @@ impl<C: Clock> PimSystem<C> {
                     p99_cycles: dist.p99_cycles,
                     imbalance: dist.imbalance,
                 });
-                TraceEvent::Kernel {
-                    label,
-                    max_cycles: dist.max_cycles,
-                    seconds,
-                    phase,
-                    per_dpu_cycles,
-                    per_dpu_instructions,
-                    per_dpu_dma_bytes,
-                }
             }
             OpRecord::Host { label, .. } => {
                 if let Some(hub) = hub {
                     hub.host(&label, phase.metric_name(), seconds);
-                }
-                TraceEvent::HostWork {
-                    label,
-                    seconds,
-                    phase,
                 }
             }
             OpRecord::Fault { kind, op, dpu } => {
@@ -334,15 +304,8 @@ impl<C: Clock> PimSystem<C> {
                 if let Some(hub) = hub {
                     hub.fault(kind, phase.metric_name(), op, dpu.map(|d| d as u64));
                 }
-                TraceEvent::Fault {
-                    kind: kind.to_string(),
-                    op,
-                    dpu,
-                    phase,
-                }
             }
-        };
-        self.trace.record(event);
+        }
     }
 }
 
@@ -362,7 +325,6 @@ impl<C: Clock> PimBackend for PimSystem<C> {
                 .collect(),
             phase: Phase::Setup,
             ledger: Ledger::default(),
-            trace: Trace::default(),
             fault: FaultState::new(config.fault, nr_dpus),
             metrics: None,
             clock: PhantomData,
@@ -399,7 +361,6 @@ impl<C: Clock> PimBackend for PimSystem<C> {
 
     fn set_phase(&mut self, phase: Phase) {
         if self.phase != phase {
-            self.trace.record(TraceEvent::PhaseChange { to: phase });
             if let Some(hub) = &self.metrics {
                 hub.phase_change(phase.metric_name());
             }
@@ -415,30 +376,12 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         self.ledger.clone()
     }
 
-    /// The system records its own `Allocate` event only when tracing is
-    /// already on, so the time accrued before the first enable is
-    /// backfilled as one `Allocate` event: the timeline's total always
-    /// matches [`PimBackend::phase_times`].
-    fn enable_tracing(&mut self) {
-        if C::TIMED && !self.trace.is_enabled() {
-            self.trace.enable();
-            self.trace.record(TraceEvent::Allocate {
-                nr_dpus: self.dpus.len(),
-                seconds: self.ledger.times.total(),
-            });
-        }
-    }
-
     /// The time accrued so far (allocation) is emitted as one `alloc`
     /// event, so the stream's seconds close against
     /// [`PimBackend::phase_times`].
     fn attach_metrics(&mut self, hub: Arc<MetricsHub>) {
         hub.alloc(self.dpus.len() as u64, self.ledger.times.total());
         self.metrics = Some(hub);
-    }
-
-    fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     fn charge_host_seconds_labeled(&mut self, label: &str, seconds: SimSeconds) {
@@ -748,16 +691,17 @@ mod tests {
     fn broadcast_matches_equivalent_push_batch() {
         // The shared-payload broadcast must be observationally identical
         // to pushing one cloned write per DPU: same MRAM contents, same
-        // modeled time, same byte accounting, same trace event.
+        // modeled time, same byte accounting, the same metric events but
+        // for the op name.
         let payload = encode_slice(&[3u32, 1, 4, 1, 5, 9, 2, 6]);
 
         let mut via_broadcast = small_system();
-        via_broadcast.enable_tracing();
+        let broadcast_events = crate::chrome::metered(&mut via_broadcast);
         via_broadcast.set_phase(Phase::SampleCreation);
         via_broadcast.broadcast(16, &payload).unwrap();
 
         let mut via_push = small_system();
-        via_push.enable_tracing();
+        let push_events = crate::chrome::metered(&mut via_push);
         via_push.set_phase(Phase::SampleCreation);
         let writes = (0..4)
             .map(|dpu| HostWrite {
@@ -777,7 +721,14 @@ mod tests {
             via_broadcast.ledger().transfer_seconds,
             via_push.ledger().transfer_seconds
         );
-        assert_eq!(via_broadcast.trace(), via_push.trace());
+        let without_op = |sink: &pim_metrics::MemorySink| -> Vec<pim_metrics::Event> {
+            let mut events = sink.events();
+            for e in &mut events {
+                e.fields.retain(|(k, _)| k != "op");
+            }
+            events
+        };
+        assert_eq!(without_op(&broadcast_events), without_op(&push_events));
         for id in 0..4 {
             assert_eq!(
                 via_broadcast.dpu(id).unwrap().host_read(16, 32).unwrap(),
@@ -954,27 +905,20 @@ mod tests {
         }
 
         let mut sys = PimSystem::allocate(N, config, cost).unwrap();
-        sys.enable_tracing();
         sys.set_phase(Phase::TriangleCount);
         sys.broadcast(0, &payload).unwrap(); // op 0
         let results = sys.execute_labeled_masked("skew", kernel).unwrap(); // op 1
-        let Some(TraceEvent::Kernel {
-            per_dpu_cycles,
-            per_dpu_instructions,
-            per_dpu_dma_bytes,
-            ..
-        }) = sys.trace().events().last()
-        else {
-            panic!("the launch records a kernel event");
-        };
+        let mut got = (Vec::new(), Vec::new(), Vec::new());
+        for id in 0..N {
+            let dpu = sys.dpu(id).unwrap();
+            got.0
+                .push(cost.dpu_cycles(&dpu.tasklet_instr, dpu.dma_cycles));
+            got.1.push(dpu.tasklet_instr.iter().sum::<u64>());
+            got.2.push(dpu.kernel_dma_bytes);
+        }
         assert_eq!(
-            (
-                results,
-                per_dpu_cycles,
-                per_dpu_instructions,
-                per_dpu_dma_bytes
-            ),
-            (want.0.clone(), &want.1, &want.2, &want.3)
+            (results, got),
+            (want.0.clone(), (want.1.clone(), want.2, want.3))
         );
         let dist = LaunchDist::of(&want.1);
         let agg = &sys.ledger().kernels[0];

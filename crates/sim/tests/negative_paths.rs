@@ -2,10 +2,12 @@
 //! typed [`SimError`]s — never panics — on both execution backends, and the
 //! fault-injection plane must replay deterministically.
 
+use pim_metrics::MemorySink;
 use pim_sim::backend::{FunctionalBackend, PimBackend, TimedBackend};
 use pim_sim::fault::{FaultPlan, FaultState, OpKind};
 use pim_sim::system::HostWrite;
 use pim_sim::{CostModel, PimConfig, SimError, SystemReport};
+use std::sync::Arc;
 
 fn tiny<B: PimBackend>(nr_dpus: usize) -> B {
     B::allocate(nr_dpus, PimConfig::tiny(), CostModel::default()).unwrap()
@@ -17,6 +19,15 @@ fn faulty<B: PimBackend>(nr_dpus: usize, spec: &str) -> B {
         ..PimConfig::tiny()
     };
     B::allocate(nr_dpus, config, CostModel::default()).unwrap()
+}
+
+/// Attaches a hub with an in-memory sink to `sys` and returns the sink.
+fn metered<B: PimBackend>(sys: &mut B) -> MemorySink {
+    let hub = Arc::new(pim_metrics::MetricsHub::new());
+    let sink = MemorySink::new();
+    hub.add_sink(Box::new(sink.clone()));
+    sys.attach_metrics(hub);
+    sink
 }
 
 /// Every guard, exercised once per backend through the shared trait.
@@ -248,17 +259,19 @@ fn fault_counters_surface_in_system_report_and_serde() {
 #[test]
 fn fault_events_show_up_in_the_trace() {
     let mut sys: TimedBackend = faulty(2, "seed=3,corrupt=1000000");
-    sys.enable_tracing();
+    let sink = metered(&mut sys);
     sys.push(vec![HostWrite {
         dpu: 0,
         offset: 0,
         data: vec![9u8; 8],
     }])
     .unwrap();
-    let rendered = sys.trace().render();
-    assert!(rendered.contains("fault `corrupt`"), "trace: {rendered}");
+    let events = sink.events();
+    let corrupt =
+        |e: &pim_metrics::Event| e.kind == "fault" && e.str_field("fault_kind") == "corrupt";
+    assert!(events.iter().any(corrupt), "events: {events:?}");
     // The chrome export must stay valid with fault instants present.
-    let chrome = sys.trace().to_chrome_trace();
+    let chrome = pim_sim::chrome_trace(&events);
     let text = serde_json::to_string(&chrome).unwrap();
     assert!(text.contains("fault:corrupt"));
 }
@@ -286,9 +299,9 @@ fn transient_faults_charge_wasted_time_on_timed_backend() {
 #[test]
 fn fault_free_config_is_unchanged_by_the_fault_plane() {
     // The fault plane must be invisible when no plan is set: identical
-    // times, traces, and data to a plan-free system.
+    // times, metric streams, and data to a plan-free system.
     let drive = |mut sys: TimedBackend| {
-        sys.enable_tracing();
+        let sink = metered(&mut sys);
         sys.push(vec![HostWrite {
             dpu: 0,
             offset: 0,
@@ -301,8 +314,7 @@ fn fault_free_config_is_unchanged_by_the_fault_plane() {
             Ok(())
         })
         .unwrap();
-        let trace = sys.trace().clone();
-        (trace, sys.phase_times())
+        (sink.events(), sys.phase_times())
     };
     let plain = drive(tiny(2));
     let with_inert_plan = drive(faulty(2, "seed=9"));

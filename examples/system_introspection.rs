@@ -1,5 +1,5 @@
-//! System introspection: trace a run's event timeline, inspect per-core
-//! load balance, and read the modeled energy breakdown.
+//! System introspection: print a run's metric event stream, inspect
+//! per-core load balance, and read the modeled energy breakdown.
 //!
 //! Uses the simulator directly (the same APIs `pim_tc` builds on) so the
 //! timeline is small and readable; for full pipeline runs the same data
@@ -7,17 +7,22 @@
 //!
 //! Run with: `cargo run --release -p pim-tc-examples --bin system_introspection`
 
+use pim_metrics::{MemorySink, MetricsHub};
 use pim_sim::system::encode_slice;
 use pim_sim::{CostModel, HostWrite, Phase, PimBackend, PimConfig, PimSystem, SystemReport};
+use std::sync::Arc;
 
 fn main() {
-    // A 4-core system with tracing on.
+    // A 4-core system with a metrics hub recording every event.
     let config = PimConfig {
         total_dpus: 4,
         ..PimConfig::default()
     };
     let mut sys = PimSystem::allocate(4, config, CostModel::default()).expect("allocate");
-    sys.enable_tracing();
+    let hub = Arc::new(MetricsHub::new());
+    let events = MemorySink::new();
+    hub.add_sink(Box::new(events.clone()));
+    sys.attach_metrics(hub);
 
     // Host → PIM: ship each core a different amount of work (deliberately
     // imbalanced, to show up in the report).
@@ -57,9 +62,12 @@ fn main() {
         .expect("kernel");
     println!("per-core sums: {sums:?}\n");
 
-    // 1. The event timeline.
-    println!("=== event timeline ===");
-    print!("{}", sys.trace().render());
+    // 1. The event stream, as `--metrics-out` would write it; render it
+    // with `pim_sim::chrome_trace` for chrome://tracing.
+    println!("=== event stream ===");
+    for e in events.events() {
+        println!("{}", e.to_json_line());
+    }
 
     // 2. Load balance.
     let report = SystemReport::capture(&sys);

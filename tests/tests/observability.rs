@@ -17,19 +17,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A capture streaming onto `hub`, untraced.
+/// A capture streaming onto `hub`.
 fn metered(hub: &Arc<MetricsHub>) -> Capture {
     Capture {
         metrics: Some(Arc::clone(hub)),
-        trace: false,
-    }
-}
-
-/// A capture streaming onto `hub`, with the event timeline recorded.
-fn traced(hub: &Arc<MetricsHub>) -> Capture {
-    Capture {
-        trace: true,
-        ..metered(hub)
     }
 }
 
@@ -49,7 +40,7 @@ fn faulted_config() -> TcConfig {
 }
 
 /// Chrome trace tracks: tid 0 = Setup, 1 = SampleCreation,
-/// 2 = TriangleCount (`PHASE_TRACKS` in `pim-sim`'s trace module).
+/// 2 = TriangleCount (`PHASE_TRACKS` in `pim-sim`'s chrome module).
 const SAMPLE_CREATION_TID: u64 = 1;
 const TRIANGLE_COUNT_TID: u64 = 2;
 
@@ -57,24 +48,24 @@ const TRIANGLE_COUNT_TID: u64 = 2;
 fn chrome_trace_round_trips_with_retry_and_kernel_spans_on_their_tracks() {
     let g = gen::erdos_renyi(150, 0.1, 3);
     let mut config = faulted_config();
-    // This test is about the trace export; only the timed backend records
-    // trace events, so pin it regardless of PIM_TC_BACKEND. Pin a single
-    // rank too (regardless of PIM_TC_RANKS): the trace is a one-machine
-    // record, while a cluster's fault counters sum over every rank.
+    // This test is about the trace export; only the timed backend bills
+    // span durations, so pin it regardless of PIM_TC_BACKEND. Pin a
+    // single rank too (regardless of PIM_TC_RANKS): the span total below
+    // is one machine's clock, while a cluster's phase times are the max
+    // over its ranks.
     config.backend = ExecBackend::Timed;
     config.ranks = 1;
-    let capture = Capture {
-        trace: true,
-        ..Capture::default()
-    };
-    let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
+    let hub = Arc::new(MetricsHub::new());
+    let sink = MemorySink::new();
+    hub.add_sink(Box::new(sink.clone()));
+    let profile = pim_tc::count_triangles_with(&g, &config, metered(&hub)).unwrap();
     assert!(
         profile.report.fault_counters.transfer_faults > 0,
         "the plan must actually fire for this test to mean anything"
     );
 
     // Round trip: export -> serialize -> parse back -> identical value.
-    let chrome = profile.trace.to_chrome_trace();
+    let chrome = pim_sim::chrome_trace(&sink.events());
     let text = serde_json::to_string(&chrome).unwrap();
     let parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
     assert_eq!(
@@ -203,8 +194,8 @@ fn tiny_config(backend: ExecBackend) -> TcConfig {
 }
 
 /// The report and the metric stream are two folds of the same settled
-/// operation records, so they agree on every clock, traced or not, at
-/// every rank count: per kernel label the report's launches, failed
+/// operation records, so they agree on every clock, at every rank
+/// count: per kernel label the report's launches, failed
 /// launches and summed slowest-DPU cycles equal the stream's; per
 /// (label, phase) its worst p50/p99/imbalance equal the worst `hist`
 /// event's; its fault counters equal the stream's fault tallies; and the
@@ -214,84 +205,78 @@ fn report_kernels_and_faults_fold_like_the_metric_stream() {
     let g = gen::erdos_renyi(150, 0.1, 7);
     for backend in [ExecBackend::Timed, ExecBackend::Functional] {
         for ranks in [1, 2, 4] {
-            for trace in [false, true] {
-                let mut config = faulted_config();
-                let plan = "seed=9,transfer=60000,corrupt=30000,launch=60000,kill=1@6";
-                config.pim.fault = Some(FaultPlan::parse(plan).unwrap());
-                config.spare_dpus = 2;
-                config.backend = backend;
-                config.ranks = ranks;
-                let run = format!("{backend:?} R={ranks} trace={trace}");
-                let hub = Arc::new(MetricsHub::new());
-                let sink = MemorySink::new();
-                hub.add_sink(Box::new(sink.clone()));
-                let capture = Capture {
-                    trace,
-                    ..metered(&hub)
-                };
-                let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
-                let events = sink.events();
-                let s = summarize(&events);
-                let report = &profile.report;
+            let mut config = faulted_config();
+            let plan = "seed=9,transfer=60000,corrupt=30000,launch=60000,kill=1@6";
+            config.pim.fault = Some(FaultPlan::parse(plan).unwrap());
+            config.spare_dpus = 2;
+            config.backend = backend;
+            config.ranks = ranks;
+            let run = format!("{backend:?} R={ranks}");
+            let hub = Arc::new(MetricsHub::new());
+            let sink = MemorySink::new();
+            hub.add_sink(Box::new(sink.clone()));
+            let profile = pim_tc::count_triangles_with(&g, &config, metered(&hub)).unwrap();
+            let events = sink.events();
+            let s = summarize(&events);
+            let report = &profile.report;
 
-                let mut by_label: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
-                for k in &report.kernels {
-                    let e = by_label.entry(&k.label).or_default();
-                    *e = (e.0 + k.launches, e.1 + k.failed, e.2 + k.max_cycles);
-                }
-                let stream: BTreeMap<&str, (u64, u64, u64)> = s
-                    .launches
-                    .iter()
-                    .map(|(l, a)| (l.as_str(), (a.launches, a.failed, a.max_cycles_total)))
-                    .collect();
-                assert_eq!(by_label, stream, "{run}");
-                assert!(by_label.contains_key("count"), "{run}");
-
-                for k in &report.kernels {
-                    let hists: Vec<_> = events
-                        .iter()
-                        .filter(|e| e.kind == "hist" && e.str_field("label") == k.label)
-                        .filter(|e| e.str_field("phase") == k.phase.metric_name())
-                        .collect();
-                    if hists.is_empty() {
-                        continue;
-                    }
-                    let worst = |f: &str| hists.iter().map(|e| e.u64_field(f)).max().unwrap();
-                    assert_eq!(k.p50_cycles, worst("p50_cycles"), "{run} {}", k.label);
-                    assert_eq!(k.p99_cycles, worst("p99_cycles"), "{run} {}", k.label);
-                    let imbalance = hists
-                        .iter()
-                        .map(|e| e.f64_field("imbalance"))
-                        .fold(1.0, f64::max);
-                    assert_eq!(k.imbalance, imbalance, "{run} {}", k.label);
-                }
-
-                let tally = |kind: &str| s.faults.get(kind).copied().unwrap_or(0);
-                let fc = &report.fault_counters;
-                assert_eq!(fc.transfer_faults, tally("transfer_fail"), "{run}");
-                assert_eq!(fc.corruptions, tally("corrupt"), "{run}");
-                assert_eq!(fc.launch_faults, tally("launch_fail"), "{run}");
-                assert_eq!(fc.dpu_deaths, tally("kill"), "{run}");
-                assert_eq!(fc.rank_deaths, tally("rank_dead"), "{run}");
-                assert!(fc.total() > 0, "{run}: the plan must fire");
-
-                let mut rank_sum: BTreeMap<(String, &str), (u64, u64)> = BTreeMap::new();
-                for k in profile.per_rank.iter().flat_map(|r| &r.kernels) {
-                    let e = rank_sum
-                        .entry((k.label.clone(), k.phase.metric_name()))
-                        .or_default();
-                    *e = (e.0 + k.launches, e.1 + k.max_cycles);
-                }
-                let total: BTreeMap<(String, &str), (u64, u64)> = report
-                    .kernels
-                    .iter()
-                    .map(|k| {
-                        let key = (k.label.clone(), k.phase.metric_name());
-                        (key, (k.launches, k.max_cycles))
-                    })
-                    .collect();
-                assert_eq!(total, rank_sum, "{run}");
+            let mut by_label: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+            for k in &report.kernels {
+                let e = by_label.entry(&k.label).or_default();
+                *e = (e.0 + k.launches, e.1 + k.failed, e.2 + k.max_cycles);
             }
+            let stream: BTreeMap<&str, (u64, u64, u64)> = s
+                .launches
+                .iter()
+                .map(|(l, a)| (l.as_str(), (a.launches, a.failed, a.max_cycles_total)))
+                .collect();
+            assert_eq!(by_label, stream, "{run}");
+            assert!(by_label.contains_key("count"), "{run}");
+
+            for k in &report.kernels {
+                let hists: Vec<_> = events
+                    .iter()
+                    .filter(|e| e.kind == "hist" && e.str_field("label") == k.label)
+                    .filter(|e| e.str_field("phase") == k.phase.metric_name())
+                    .collect();
+                if hists.is_empty() {
+                    continue;
+                }
+                let worst = |f: &str| hists.iter().map(|e| e.u64_field(f)).max().unwrap();
+                assert_eq!(k.p50_cycles, worst("p50_cycles"), "{run} {}", k.label);
+                assert_eq!(k.p99_cycles, worst("p99_cycles"), "{run} {}", k.label);
+                let imbalance = hists
+                    .iter()
+                    .map(|e| e.f64_field("imbalance"))
+                    .fold(1.0, f64::max);
+                assert_eq!(k.imbalance, imbalance, "{run} {}", k.label);
+            }
+
+            let tally = |kind: &str| s.faults.get(kind).copied().unwrap_or(0);
+            let fc = &report.fault_counters;
+            assert_eq!(fc.transfer_faults, tally("transfer_fail"), "{run}");
+            assert_eq!(fc.corruptions, tally("corrupt"), "{run}");
+            assert_eq!(fc.launch_faults, tally("launch_fail"), "{run}");
+            assert_eq!(fc.dpu_deaths, tally("kill"), "{run}");
+            assert_eq!(fc.rank_deaths, tally("rank_dead"), "{run}");
+            assert!(fc.total() > 0, "{run}: the plan must fire");
+
+            let mut rank_sum: BTreeMap<(String, &str), (u64, u64)> = BTreeMap::new();
+            for k in profile.per_rank.iter().flat_map(|r| &r.kernels) {
+                let e = rank_sum
+                    .entry((k.label.clone(), k.phase.metric_name()))
+                    .or_default();
+                *e = (e.0 + k.launches, e.1 + k.max_cycles);
+            }
+            let total: BTreeMap<(String, &str), (u64, u64)> = report
+                .kernels
+                .iter()
+                .map(|k| {
+                    let key = (k.label.clone(), k.phase.metric_name());
+                    (key, (k.launches, k.max_cycles))
+                })
+                .collect();
+            assert_eq!(total, rank_sum, "{run}");
         }
     }
 }
@@ -365,7 +350,7 @@ fn live_scrape_reconciles_with_the_system_report_on_both_backends() {
             })
         };
 
-        let profile = pim_tc::count_triangles_with(&g, &config, traced(&hub)).unwrap();
+        let profile = pim_tc::count_triangles_with(&g, &config, metered(&hub)).unwrap();
         stop.store(true, Ordering::Relaxed);
         let (mid_run_bytes, scrapes) = scraper.join().unwrap();
         assert!(scrapes > 0, "{backend:?}: the scraper must have run");
