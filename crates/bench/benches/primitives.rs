@@ -80,7 +80,6 @@ fn bench_routing(c: &mut Criterion) {
                         base_granule: 0,
                         mg_capacity: None,
                         threads: 1,
-                        track_arrivals: false,
                     },
                 )
                 .total_routed()

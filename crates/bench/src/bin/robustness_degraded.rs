@@ -24,7 +24,7 @@ use serde::Serialize;
 const COLORS: u32 = 11; // 286 partitions — the C=23/2556-core shape scaled down
 const SPARES: u32 = 2;
 const TRANSIENTS: &str = "seed=7,transfer=20000,corrupt=10000,launch=10000";
-const DEGRADED: &str = "seed=7,transfer=20000,corrupt=10000,launch=10000,kill=3@50,kill=120@90";
+const DEGRADED: &str = "seed=7,transfer=20000,corrupt=10000,launch=10000,kill=3@4,kill=120@8";
 /// A small/medium/large spread keeps the 4-scenario sweep affordable.
 const GRAPHS: [DatasetId; 3] = [
     DatasetId::KroneckerSmall,

@@ -69,7 +69,6 @@ impl RoutingWorkload {
             mg_capacity: None,
             threads: 1,
             base_granule: 0,
-            track_arrivals: false,
         }
     }
 

@@ -193,6 +193,37 @@ impl TcConfig {
         if self.ranks == 0 {
             return Err(TcError::Config("ranks must be >= 1".into()));
         }
+        // The simulator backs every bank with host memory, runs every
+        // tasklet and sums per-operation costs into cycle counters, so a
+        // core must keep UPMEM's shape and the cost model sane values.
+        let (pim, cost) = (&self.pim, &self.cost);
+        let rates = [cost.clock_hz, cost.xfer_per_dpu_bw, cost.xfer_aggregate_bw];
+        let spans = [
+            cost.xfer_latency,
+            cost.setup_fixed,
+            cost.setup_per_dpu,
+            cost.launch_overhead,
+        ];
+        let cycles = [
+            cost.dma_setup_cycles,
+            cost.muldiv_cycles,
+            cost.pipeline_saturation as u64,
+        ];
+        if pim.mram_capacity > 64 << 20
+            || pim.wram_capacity > 64 << 10
+            || !(1..=24).contains(&pim.nr_tasklets)
+            || !rates.iter().all(|r| r.is_finite() && *r > 0.0)
+            || !spans.iter().all(|s| s.is_finite() && *s >= 0.0)
+            || !(0.0..=1024.0).contains(&cost.dma_cycles_per_byte)
+            || cycles.iter().any(|&c| c > 1 << 20)
+        {
+            return Err(TcError::Config(format!(
+                "a PIM core has at most 64 MiB MRAM, 64 KiB WRAM and 1-24 \
+                 tasklets, and the cost model needs positive finite rates, \
+                 non-negative latencies and at most 2^20 cycles per \
+                 operation: got {pim:?}, {cost:?}"
+            )));
+        }
         let partitions = self.nr_dpus();
         let ranks = self.effective_ranks() as usize;
         // The largest contiguous shard holds ceil(P / R) partitions; every

@@ -73,8 +73,9 @@ pub struct TcSession<B: PimBackend = TimedBackend> {
     /// High-water mark of routed edge-key bytes materialized on the host
     /// at once — the quantity the streaming `append` bounds.
     peak_routed_bytes: u64,
-    /// Whether this session stages checksummed arrival slices and
-    /// seal-verifies its count read-backs; everything else in the
+    /// Whether this session seals its staging slices with a digest for
+    /// the checksumming receive kernel and seal-verifies its count
+    /// read-backs; everything else in the
     /// pipeline is shared with plain sessions. Resolved once at start
     /// from [`TcConfig::effective_hardened`].
     hardened: bool,
@@ -136,8 +137,9 @@ pub struct ScrubOutcome {
     pub failed_over: u64,
 }
 
-/// The per-partition bank state a journal replay re-derives.
-struct ReplayedBank {
+/// A partition's bank state rebuilt on the host, by journal replay or
+/// from the survivors, for a replacement (or repaired) core.
+struct RebuiltBank {
     /// Resident sample keys, slot for slot.
     sample: Vec<u64>,
     /// Stream position `t` (edges seen), which also carries the
@@ -147,7 +149,7 @@ struct ReplayedBank {
     rng: u64,
     /// The packed remap table prefix in force at the last mark.
     remap: Vec<u64>,
-    /// Remap marks applied during the replay.
+    /// Remap marks applied during a replay.
     marks_applied: u64,
 }
 
@@ -360,7 +362,7 @@ impl<B: PimBackend> TcSession<B> {
         let chunk_edges = (self.config.route_chunk_edges as usize)
             .div_ceil(ROUTE_GRANULE_EDGES)
             .max(1)
-            * ROUTE_GRANULE_EDGES;
+            .saturating_mul(ROUTE_GRANULE_EDGES);
         for chunk in edges.chunks(chunk_edges) {
             let host_start = Instant::now();
             // Route into the session-owned scratch (taken out for the
@@ -378,7 +380,6 @@ impl<B: PimBackend> TcSession<B> {
                     mg_capacity: self.config.misra_gries.map(|m| m.k),
                     threads: self.config.pim.host_threads,
                     base_granule: self.route_granules,
-                    track_arrivals: self.hardened,
                 },
                 &mut routed,
                 &mut scratch,
@@ -395,19 +396,15 @@ impl<B: PimBackend> TcSession<B> {
             }
             if let Some(journals) = self.journals.as_mut() {
                 // Journal the chunk before staging it: a failover mid-
-                // stage replays the already-staged prefix; the in-flight
-                // slice re-stages afterwards.
+                // stage replays the partition up to the chunk start; the
+                // in-flight chunk re-stages afterwards.
                 for (t, batch) in routed.per_dpu.iter().enumerate() {
                     if !batch.is_empty() {
                         journals[t].extend(batch);
                     }
                 }
             }
-            if self.hardened {
-                self.stage_arrivals(&routed.arrivals)?;
-            } else {
-                self.stage_batches(&routed.per_dpu)?;
-            }
+            self.stage(&routed.per_dpu)?;
             if let Some(hub) = &self.metrics {
                 hub.chunk(ChunkObs {
                     index: self.chunks_done,
@@ -433,38 +430,118 @@ impl<B: PimBackend> TcSession<B> {
         Ok(())
     }
 
-    /// Pushes per-core batches through the bounded staging region,
-    /// running the receive kernel after each rank-parallel round.
-    fn stage_batches(&mut self, per_dpu: &[Vec<u64>]) -> Result<(), TcError> {
-        let stage = self.layout.stage_edges as usize;
-        let rounds = per_dpu
-            .iter()
-            .map(|b| b.len().div_ceil(stage))
-            .max()
-            .unwrap_or(0);
-        for round in 0..rounds {
+    /// Stages one chunk's per-partition batches through the bounded
+    /// staging region. Each round pushes every unfinished partition's
+    /// next slice and its `stage_len` word to the partition's home core,
+    /// then runs one masked receive launch over all cores.
+    ///
+    /// `self.hardened` picks only the payload and the kernel: hardened
+    /// slices hold `stage_edges − 1` keys and end in an FNV digest the
+    /// checksumming kernel verifies. Retry and failover are shared:
+    /// transient faults are retried, slices a kernel rejected are re-sent,
+    /// and dead homes fail over. The chunk is the in-flight unit, so a
+    /// partition recovered mid-chunk comes back in its state at chunk
+    /// start (`routed_per_partition` advances only once the chunk has
+    /// landed) and re-stages its batch from offset 0.
+    fn stage(&mut self, per_dpu: &[Vec<u64>]) -> Result<(), TcError> {
+        let layout = self.layout;
+        let hardened = self.hardened;
+        let cap = if hardened {
+            (layout.stage_edges - 1).max(1)
+        } else {
+            layout.stage_edges
+        } as usize;
+        let mut landed = vec![0usize; per_dpu.len()];
+        let mut failures = 0u32;
+        loop {
             let mut writes = Vec::new();
-            for (dpu, batch) in per_dpu.iter().enumerate() {
-                let start = round * stage;
-                if start >= batch.len() {
+            let mut pending = Vec::new();
+            for (t, batch) in per_dpu.iter().enumerate() {
+                let slice = &batch[landed[t]..batch.len().min(landed[t] + cap)];
+                if slice.is_empty() {
                     continue;
                 }
-                let chunk = &batch[start..batch.len().min(start + stage)];
+                let dpu = self.partition_home[t];
+                let mut data = encode_slice(slice);
+                if hardened {
+                    data.extend_from_slice(&checksum::fnv1a_words(slice).to_le_bytes());
+                }
                 writes.push(HostWrite {
                     dpu,
-                    offset: self.layout.staging_off,
-                    data: encode_slice(chunk),
+                    offset: layout.staging_off,
+                    data,
                 });
                 writes.push(HostWrite {
                     dpu,
                     offset: HDR_STAGE_LEN,
-                    data: encode_slice(&[chunk.len() as u64]),
+                    data: encode_slice(&[slice.len() as u64]),
                 });
+                pending.push((t, slice.len()));
             }
-            self.sys.push(writes)?;
-            let layout = self.layout;
-            self.sys
-                .execute_labeled("receive", move |ctx| receive::receive_kernel(ctx, &layout))?;
+            if pending.is_empty() {
+                break;
+            }
+            let round = match self.sys.push(writes) {
+                Ok(()) => self
+                    .sys
+                    .execute_labeled_masked("receive", move |ctx| {
+                        if hardened {
+                            receive::receive_kernel_hardened(ctx, &layout)
+                        } else {
+                            receive::receive_kernel(ctx, &layout)
+                        }
+                    })
+                    .map_err(|e| ("receive", e)),
+                Err(e) => Err(("stage_push", e)),
+            };
+            let dead = match round {
+                Ok(results) => {
+                    let mut progressed = false;
+                    let mut mismatches = 0u32;
+                    let mut dead_home = None;
+                    for &(t, len) in &pending {
+                        match results[self.partition_home[t]] {
+                            Some(checksum::CHECKSUM_MISMATCH) => mismatches += 1,
+                            Some(_) => {
+                                landed[t] += len;
+                                progressed = true;
+                            }
+                            None => dead_home = Some(self.partition_home[t]),
+                        }
+                    }
+                    if let Some(dpu) = dead_home {
+                        dpu
+                    } else {
+                        if progressed {
+                            failures = 0;
+                        }
+                        if mismatches > 0 {
+                            for _ in 0..mismatches {
+                                self.charge_retry("stage_checksum", failures);
+                            }
+                            failures += 1;
+                            self.check_retry_budget("stage_checksum", failures)?;
+                        }
+                        continue;
+                    }
+                }
+                Err((label, e)) if e.is_transient() => {
+                    self.charge_retry(label, failures);
+                    failures += 1;
+                    self.check_retry_budget(label, failures)?;
+                    continue;
+                }
+                Err((_, SimError::DpuDead { dpu })) => dpu,
+                Err((_, e)) => return Err(e.into()),
+            };
+            let mut recovered = Vec::new();
+            self.recover_dpu(dead, per_dpu, &mut recovered)?;
+            for t in recovered {
+                landed[t] = 0;
+            }
+        }
+        for (routed, batch) in self.routed_per_partition.iter_mut().zip(per_dpu) {
+            *routed += batch.len() as u64;
         }
         Ok(())
     }
@@ -486,7 +563,7 @@ impl<B: PimBackend> TcSession<B> {
         loop {
             match self.count_once() {
                 Err(TcError::Sim(SimError::DpuDead { dpu })) => {
-                    self.recover_dpu(dpu, &HashSet::new(), &mut Vec::new())?;
+                    self.recover_dpu(dpu, &[], &mut Vec::new())?;
                 }
                 other => return other,
             }
@@ -713,9 +790,9 @@ impl<B: PimBackend> TcSession<B> {
     // Fault tolerance: bounded retry, read-back verification, spare-core
     // failover and journal replay against the simulator's fault-injection
     // plane (see docs/ROBUSTNESS.md). Plain and hardened sessions share
-    // the init and count pipeline that runs through these helpers; on a
-    // fault-free machine each helper issues exactly the one backend op
-    // it wraps. `self.hardened` adds only the checksummed staging format
+    // the init, staging and count pipeline that runs through these
+    // helpers; on a fault-free machine each helper issues exactly the one
+    // backend op it wraps. `self.hardened` adds only the staging digest
     // and the seal-verified read-backs; a fault plan, spares or journals
     // imply it, so plain sessions never take a recovery branch.
     // ------------------------------------------------------------------
@@ -840,7 +917,9 @@ impl<B: PimBackend> TcSession<B> {
                 snap.routed_per_partition.len()
             ));
         }
-        if snap.summary.is_some() != self.summary.is_some() {
+        if snap.summary.as_ref().map(|s| s.capacity)
+            != self.summary.as_ref().map(|s| s.capacity() as u64)
+        {
             return bad("snapshot and configuration disagree on Misra-Gries tracking".to_string());
         }
         if let Some(journals) = &snap.journals {
@@ -860,6 +939,25 @@ impl<B: PimBackend> TcSession<B> {
         // `refresh_remap_assignments` hands out ids downward from
         // `u32::MAX`, one per entry.
         let table_len = snap.remap_table.len() as u64;
+        // A replay applies each mark's table prefix at its key offset and
+        // stops at the partition's routed count, so marks must stay in
+        // order, inside the journal and inside the table, and a snapshot
+        // taken between appends has journaled exactly the routed keys.
+        for (t, journal) in snap.journals.iter().flatten().enumerate() {
+            let (keys, marks) = (journal.len(), journal.marks());
+            if keys != snap.routed_per_partition[t]
+                || marks.windows(2).any(|w| w[0].offset > w[1].offset)
+                || marks
+                    .iter()
+                    .any(|m| m.offset > keys || m.table_len > table_len)
+            {
+                return bad(format!(
+                    "partition {t} journal ({keys} keys, marks {marks:?}) does \
+                     not fit {} routed edges and a {table_len}-entry remap table",
+                    snap.routed_per_partition[t]
+                ));
+            }
+        }
         if table_len > self.layout.remap_cap {
             return bad(format!(
                 "snapshot remap table holds {table_len} entries past this \
@@ -917,6 +1015,30 @@ impl<B: PimBackend> TcSession<B> {
                     bank.header[4]
                 ));
             }
+        }
+        // The stream cursors must describe a stream this session could
+        // have ingested: kept ≤ offered ≤ the granules' edges, at least a
+        // granule per chunk, under 2^40 granules (which leaves every
+        // cursor room to grow), each kept edge routed to C partitions and
+        // both of its endpoints offered to the Misra-Gries summary.
+        let seen = snap
+            .banks
+            .iter()
+            .try_fold(0u64, |sum, bank| sum.checked_add(bank.header[2]));
+        let endpoints = snap.summary.as_ref().map(|s| s.items_seen);
+        if snap.route_granules >= 1 << 40
+            || snap.chunks_done > snap.route_granules
+            || snap.offered > snap.route_granules * ROUTE_GRANULE_EDGES as u64
+            || snap.kept > snap.offered
+            || seen != snap.kept.checked_mul(u64::from(self.config.colors))
+            || endpoints.is_some_and(|e| e != 2 * snap.kept)
+        {
+            return bad(format!(
+                "snapshot stream cursors disagree: {} chunks, {} granules, \
+                 {} edges offered, {} kept, {seen:?} routed, {endpoints:?} \
+                 endpoints summarized",
+                snap.chunks_done, snap.route_granules, snap.offered, snap.kept
+            ));
         }
         let summary = match &snap.summary {
             Some(s) => Some(
@@ -1108,147 +1230,11 @@ impl<B: PimBackend> TcSession<B> {
                 Ok(()) => return Ok(()),
                 Err(TcError::Sim(SimError::DpuDead { dpu })) => {
                     let mut recovered = Vec::new();
-                    self.recover_dpu(dpu, &HashSet::new(), &mut recovered)?;
+                    self.recover_dpu(dpu, &[], &mut recovered)?;
                 }
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Streams routed arrival keys through checksummed staging slices.
-    /// Each slice holds `stage_edges − 1` keys (one slot is the digest);
-    /// per-partition batches are rebuilt from the keys so a slice can be
-    /// replayed from scratch after a failover.
-    fn stage_arrivals(&mut self, arrivals: &[u64]) -> Result<(), TcError> {
-        let slice_cap = (self.layout.stage_edges - 1).max(1) as usize;
-        for slice in arrivals.chunks(slice_cap) {
-            self.stage_slice_hardened(slice)?;
-        }
-        Ok(())
-    }
-
-    /// Pushes one slice's per-partition batches (sealed with an FNV
-    /// digest) and drives the hardened receive kernel until every
-    /// partition has consumed its batch, retrying corrupted transfers and
-    /// failing over dead cores along the way.
-    fn stage_slice_hardened(&mut self, slice: &[u64]) -> Result<(), TcError> {
-        let nr_parts = self.assignment.nr_dpus();
-        let mut batches: Vec<Vec<u64>> = vec![Vec::new(); nr_parts];
-        let mut routes = Vec::new();
-        for &key in slice {
-            let (u, v) = edge_unkey(key);
-            let (ca, cb) = self.coloring.edge_colors(u, v);
-            self.assignment.dpus_for_edge(ca, cb, &mut routes);
-            for &t in &routes {
-                batches[t as usize].push(key);
-            }
-        }
-        let mut done: Vec<bool> = batches.iter().map(Vec::is_empty).collect();
-        let layout = self.layout;
-        let mut failures = 0u32;
-        while done.iter().any(|d| !d) {
-            let mut writes = Vec::new();
-            for (t, batch) in batches.iter().enumerate() {
-                if done[t] {
-                    continue;
-                }
-                let mut payload = batch.clone();
-                payload.push(checksum::fnv1a_words(batch));
-                writes.push(HostWrite {
-                    dpu: self.partition_home[t],
-                    offset: layout.staging_off,
-                    data: encode_slice(&payload),
-                });
-                writes.push(HostWrite {
-                    dpu: self.partition_home[t],
-                    offset: HDR_STAGE_LEN,
-                    data: encode_slice(&[batch.len() as u64]),
-                });
-            }
-            match self.sys.push(writes) {
-                Ok(()) => {}
-                Err(e) if e.is_transient() => {
-                    self.charge_retry("stage_push", failures);
-                    failures += 1;
-                    self.check_retry_budget("stage_push", failures)?;
-                    continue;
-                }
-                Err(SimError::DpuDead { dpu }) => {
-                    self.fail_over(dpu, slice, &batches, &mut done)?;
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            }
-            let results = match self.sys.execute_labeled_masked("receive", move |ctx| {
-                receive::receive_kernel_hardened(ctx, &layout)
-            }) {
-                Ok(r) => r,
-                Err(e) if e.is_transient() => {
-                    self.charge_retry("receive", failures);
-                    failures += 1;
-                    self.check_retry_budget("receive", failures)?;
-                    continue;
-                }
-                Err(SimError::DpuDead { dpu }) => {
-                    self.fail_over(dpu, slice, &batches, &mut done)?;
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let mut progressed = false;
-            let mut mismatches = 0u32;
-            let mut dead_home = None;
-            for (t, batch_done) in done.iter_mut().enumerate() {
-                if *batch_done {
-                    continue;
-                }
-                match results[self.partition_home[t]] {
-                    Some(checksum::CHECKSUM_MISMATCH) => mismatches += 1,
-                    Some(_) => {
-                        *batch_done = true;
-                        progressed = true;
-                    }
-                    None => dead_home = Some(self.partition_home[t]),
-                }
-            }
-            if let Some(dpu) = dead_home {
-                self.fail_over(dpu, slice, &batches, &mut done)?;
-                continue;
-            }
-            if progressed {
-                failures = 0;
-            }
-            if mismatches > 0 {
-                for _ in 0..mismatches {
-                    self.charge_retry("stage_checksum", failures);
-                }
-                failures += 1;
-                self.check_retry_budget("stage_checksum", failures)?;
-            }
-        }
-        for (t, batch) in batches.iter().enumerate() {
-            self.routed_per_partition[t] += batch.len() as u64;
-        }
-        Ok(())
-    }
-
-    /// Handles a core death discovered mid-slice: recover the affected
-    /// partitions (excluding the in-flight slice keys, which are replayed
-    /// afterwards), then mark their batches not-done again.
-    fn fail_over(
-        &mut self,
-        dead: usize,
-        slice: &[u64],
-        batches: &[Vec<u64>],
-        done: &mut [bool],
-    ) -> Result<(), TcError> {
-        let exclude: HashSet<u64> = slice.iter().copied().collect();
-        let mut recovered = Vec::new();
-        self.recover_dpu(dead, &exclude, &mut recovered)?;
-        for t in recovered {
-            done[t] = batches[t].is_empty();
-        }
-        Ok(())
     }
 
     /// Pops a replacement core for partition `t`: its own rank's spare
@@ -1275,14 +1261,17 @@ impl<B: PimBackend> TcSession<B> {
     }
 
     /// Replaces a permanently dead core. An idle spare just leaves the
-    /// pool; a partition home is rebuilt from the C-fold redundancy of
-    /// the surviving replicas onto a fresh spare. `exclude` lists edge
-    /// keys in flight (to be replayed by the caller); `recovered`
-    /// collects the partitions that were reinstalled.
+    /// pool; a partition home is rebuilt onto a fresh spare, from its
+    /// journal when journaling is on and from the C-fold redundancy of
+    /// the surviving replicas otherwise. `chunk` holds the per-partition
+    /// batches of the chunk in flight (empty outside staging): the
+    /// partition comes back in its state at chunk start, and the caller
+    /// re-stages its batch. `recovered` collects the partitions that were
+    /// reinstalled.
     fn recover_dpu(
         &mut self,
         dead: usize,
-        exclude: &HashSet<u64>,
+        chunk: &[Vec<u64>],
         recovered: &mut Vec<usize>,
     ) -> Result<(), TcError> {
         let start = Instant::now();
@@ -1295,26 +1284,38 @@ impl<B: PimBackend> TcSession<B> {
         let Some(t) = self.partition_home.iter().position(|&h| h == dead) else {
             return Ok(()); // Already failed over by a nested recovery.
         };
-        if self.journals.is_some() {
-            // Journaled sessions skip survivor reconstruction entirely:
-            // the lost bank — overflowed or not, remapped or not, even
-            // with C = 1 — is re-derived by replaying the journal.
-            let Some(spare) = self.take_spare(t) else {
-                return Err(TcError::Faulted(format!(
-                    "core {dead} (partition {t}) died with no spare cores left \
-                     in any rank (configure spare_dpus)"
-                )));
-            };
-            self.install_replayed(t, spare, exclude, recovered)?;
-            self.partition_home[t] = spare;
-            recovered.push(t);
-            if let Some(hub) = &self.metrics {
-                hub.failover(t as u64, spare as u64);
-            }
-            self.sys
-                .charge_host_seconds_labeled("recover", start.elapsed().as_secs_f64());
-            return Ok(());
+        // Journaled sessions skip survivor reconstruction entirely: the
+        // lost bank — overflowed or not, remapped or not, even with
+        // C = 1 — is re-derived by replaying the journal.
+        let bank = if self.journals.is_some() {
+            self.replay_partition(t)
+        } else {
+            self.survivor_bank(t, chunk)?
+        };
+        let Some(spare) = self.take_spare(t) else {
+            return Err(TcError::Faulted(format!(
+                "core {dead} (partition {t}) died with no spare cores left \
+                 in any rank (configure spare_dpus)"
+            )));
+        };
+        self.install_bank(t, spare, &bank, chunk, recovered)?;
+        self.partition_home[t] = spare;
+        recovered.push(t);
+        if let Some(hub) = &self.metrics {
+            hub.failover(t as u64, spare as u64);
         }
+        self.sys
+            .charge_host_seconds_labeled("recover", start.elapsed().as_secs_f64());
+        Ok(())
+    }
+
+    /// Reconstructs partition `t`'s bank at chunk start from the
+    /// survivors: every edge of partition t lives on C−1 other partitions
+    /// (first-seen dedup keeps arrival order, so the rebuilt sample is
+    /// bit-identical). Keys of `t`'s batch in the chunk in flight are
+    /// left out, since survivors may already hold them. Refused where
+    /// the survivors cannot hold the sample.
+    fn survivor_bank(&self, t: usize, chunk: &[Vec<u64>]) -> Result<RebuiltBank, TcError> {
         if self.config.misra_gries.is_some() {
             return Err(TcError::Faulted(format!(
                 "partition {t} lost while Misra-Gries remapping is active; \
@@ -1336,18 +1337,8 @@ impl<B: PimBackend> TcSession<B> {
                 self.layout.capacity
             )));
         }
-        let Some(spare) = self.take_spare(t) else {
-            return Err(TcError::Faulted(format!(
-                "core {dead} (partition {t}) died with no spare cores left \
-                 in any rank (configure spare_dpus)"
-            )));
-        };
-
-        // Reconstruct the lost sample from the survivors: every edge of
-        // partition t lives on C−1 other partitions (first-seen dedup
-        // keeps arrival order, so the rebuilt sample is bit-identical).
+        let mut seen_keys: HashSet<u64> = chunk.get(t).into_iter().flatten().copied().collect();
         let mut keys = Vec::new();
-        let mut seen_keys = HashSet::new();
         let mut routes = Vec::new();
         for q in 0..self.assignment.nr_dpus() {
             if q == t {
@@ -1372,7 +1363,7 @@ impl<B: PimBackend> TcSession<B> {
                 .dpu(home)?
                 .host_read(self.layout.sample_off, hdr.len * 8)?;
             for key in decode_slice::<u64>(&bytes) {
-                if exclude.contains(&key) || seen_keys.contains(&key) {
+                if seen_keys.contains(&key) {
                     continue;
                 }
                 let (u, v) = edge_unkey(key);
@@ -1392,60 +1383,92 @@ impl<B: PimBackend> TcSession<B> {
                 keys.len()
             )));
         }
-
-        // Install on the spare. The reservoir never overflowed (checked
-        // above), so its RNG stream was never drawn: the pristine
-        // per-partition seed is still the correct state.
-        let hdr = Header {
-            cap: self.layout.capacity,
-            len: keys.len() as u64,
+        // The reservoir never overflowed (checked above), so its RNG
+        // stream was never drawn: the pristine seed is still its state.
+        Ok(RebuiltBank {
+            sample: keys,
             seen: routed,
             rng: rng::seed_for_dpu(self.config.seed, t),
+            remap: Vec::new(),
+            marks_applied: 0,
+        })
+    }
+
+    /// Installs partition `t`'s rebuilt bank on physical core `target`:
+    /// header, zeroed staging region, sample and remap prefix, every
+    /// write verified. Unrelated cores that die mid-install are recovered
+    /// in turn (the recursion is bounded by the spare pool); if `target`
+    /// itself dies the install fails loudly. Journaled sessions rebuild
+    /// every bank by replay and report it as a `journal_replay` event.
+    fn install_bank(
+        &mut self,
+        t: usize,
+        target: usize,
+        bank: &RebuiltBank,
+        chunk: &[Vec<u64>],
+        recovered: &mut Vec<usize>,
+    ) -> Result<(), TcError> {
+        let journaled = self.journals.is_some();
+        let (label, during) = if journaled {
+            ("journal_install", "journal replay")
+        } else {
+            ("recover_install", "recovery")
+        };
+        let header = Header {
+            cap: self.layout.capacity,
+            len: bank.sample.len() as u64,
+            seen: bank.seen,
+            rng: bank.rng,
+            remap_len: bank.remap.len() as u64,
             ..Header::default()
         };
         let mut writes = vec![
             HostWrite {
-                dpu: spare,
+                dpu: target,
                 offset: 0,
-                data: hdr.encode(),
+                data: header.encode(),
             },
             HostWrite {
-                dpu: spare,
+                dpu: target,
                 offset: self.layout.staging_off,
                 data: vec![0u8; (self.layout.stage_edges * 8) as usize],
             },
         ];
-        if !keys.is_empty() {
-            writes.push(HostWrite {
-                dpu: spare,
-                offset: self.layout.sample_off,
-                data: encode_slice(&keys),
-            });
+        for (offset, words) in [
+            (self.layout.sample_off, &bank.sample),
+            (self.layout.remap_off, &bank.remap),
+        ] {
+            if !words.is_empty() {
+                writes.push(HostWrite {
+                    dpu: target,
+                    offset,
+                    data: encode_slice(words),
+                });
+            }
         }
         loop {
-            match self.push_verified("recover_install", writes.clone()) {
+            match self.push_verified(label, writes.clone()) {
                 Ok(()) => break,
-                Err(TcError::Sim(SimError::DpuDead { dpu })) if dpu != spare => {
-                    // Another core died mid-install; recover it too (the
-                    // recursion is bounded by the spare pool), then retry.
-                    self.recover_dpu(dpu, exclude, recovered)?;
+                Err(TcError::Sim(SimError::DpuDead { dpu })) if dpu != target => {
+                    self.recover_dpu(dpu, chunk, recovered)?;
                 }
                 Err(TcError::Sim(SimError::DpuDead { .. })) => {
                     return Err(TcError::Faulted(format!(
-                        "replacement core {spare} for partition {t} died \
-                         during recovery"
+                        "replacement core {target} for partition {t} died \
+                         during {during}"
                     )));
                 }
                 Err(e) => return Err(e),
             }
         }
-        self.partition_home[t] = spare;
-        recovered.push(t);
-        if let Some(hub) = &self.metrics {
-            hub.failover(t as u64, spare as u64);
+        if let (true, Some(hub)) = (journaled, &self.metrics) {
+            hub.journal_replay(
+                t as u64,
+                target as u64,
+                self.routed_per_partition[t],
+                bank.marks_applied,
+            );
         }
-        self.sys
-            .charge_host_seconds_labeled("recover", start.elapsed().as_secs_f64());
         Ok(())
     }
 
@@ -1455,7 +1478,7 @@ impl<B: PimBackend> TcSession<B> {
     /// identically — and the journaled remap/sort marks. Keys journaled
     /// past `routed_per_partition[t]` are in flight and re-staged by the
     /// caller, so the replay stops before them.
-    fn replay_partition(&self, t: usize) -> ReplayedBank {
+    fn replay_partition(&self, t: usize) -> RebuiltBank {
         let journal = &self
             .journals
             .as_ref()
@@ -1498,84 +1521,13 @@ impl<B: PimBackend> TcSession<B> {
             marks_applied += 1;
             mi += 1;
         }
-        ReplayedBank {
+        RebuiltBank {
             sample,
             seen,
             rng: state,
             remap: remap_packed,
             marks_applied,
         }
-    }
-
-    /// Installs partition `t`'s replayed bank onto physical core
-    /// `target`, verifying every write and absorbing unrelated cores that
-    /// die mid-install. Fails loudly if `target` itself dies.
-    fn install_replayed(
-        &mut self,
-        t: usize,
-        target: usize,
-        exclude: &HashSet<u64>,
-        recovered: &mut Vec<usize>,
-    ) -> Result<(), TcError> {
-        let bank = self.replay_partition(t);
-        let hdr = Header {
-            cap: self.layout.capacity,
-            len: bank.sample.len() as u64,
-            seen: bank.seen,
-            rng: bank.rng,
-            remap_len: bank.remap.len() as u64,
-            ..Header::default()
-        };
-        let mut writes = vec![
-            HostWrite {
-                dpu: target,
-                offset: 0,
-                data: hdr.encode(),
-            },
-            HostWrite {
-                dpu: target,
-                offset: self.layout.staging_off,
-                data: vec![0u8; (self.layout.stage_edges * 8) as usize],
-            },
-        ];
-        if !bank.sample.is_empty() {
-            writes.push(HostWrite {
-                dpu: target,
-                offset: self.layout.sample_off,
-                data: encode_slice(&bank.sample),
-            });
-        }
-        if !bank.remap.is_empty() {
-            writes.push(HostWrite {
-                dpu: target,
-                offset: self.layout.remap_off,
-                data: encode_slice(&bank.remap),
-            });
-        }
-        loop {
-            match self.push_verified("journal_install", writes.clone()) {
-                Ok(()) => break,
-                Err(TcError::Sim(SimError::DpuDead { dpu })) if dpu != target => {
-                    self.recover_dpu(dpu, exclude, recovered)?;
-                }
-                Err(TcError::Sim(SimError::DpuDead { .. })) => {
-                    return Err(TcError::Faulted(format!(
-                        "replacement core {target} for partition {t} died \
-                         during journal replay"
-                    )));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(hub) = &self.metrics {
-            hub.journal_replay(
-                t as u64,
-                target as u64,
-                self.routed_per_partition[t],
-                bank.marks_applied,
-            );
-        }
-        Ok(())
     }
 
     /// One proactive scrub sweep (see [`TcConfig::scrub_interval`]):
@@ -1601,7 +1553,6 @@ impl<B: PimBackend> TcSession<B> {
         let layout = self.layout;
         let mut failed_over = 0u64;
         let mut repaired = 0u64;
-        let none = HashSet::new();
         let seals = loop {
             let sealed = self.retry("scrub_seal", |s| {
                 s.execute_labeled_masked("scrub_seal", move |ctx| {
@@ -1617,7 +1568,7 @@ impl<B: PimBackend> TcSession<B> {
                 Ok(r) => break r,
                 Err(TcError::Sim(SimError::DpuDead { dpu })) => {
                     let mut rec = Vec::new();
-                    self.recover_dpu(dpu, &none, &mut rec)?;
+                    self.recover_dpu(dpu, &[], &mut rec)?;
                     failed_over += rec.len() as u64;
                 }
                 Err(e) => return Err(e),
@@ -1628,7 +1579,7 @@ impl<B: PimBackend> TcSession<B> {
             let Some(len) = seals[home] else {
                 // The core died after the launch round: fail over now.
                 let mut rec = Vec::new();
-                self.recover_dpu(home, &none, &mut rec)?;
+                self.recover_dpu(home, &[], &mut rec)?;
                 failed_over += rec.len() as u64;
                 continue;
             };
@@ -1639,7 +1590,7 @@ impl<B: PimBackend> TcSession<B> {
             let Ok(sealed) = readback else {
                 // The core died between the seal round and the read-back.
                 let mut rec = Vec::new();
-                self.recover_dpu(home, &none, &mut rec)?;
+                self.recover_dpu(home, &[], &mut rec)?;
                 failed_over += rec.len() as u64;
                 continue;
             };
@@ -1647,8 +1598,7 @@ impl<B: PimBackend> TcSession<B> {
             let bank = self.replay_partition(t);
             let expect = checksum::fnv1a_words(&bank.sample);
             if sealed != expect || len != bank.sample.len() as u64 {
-                let mut rec = Vec::new();
-                self.install_replayed(t, home, &none, &mut rec)?;
+                self.install_bank(t, home, &bank, &[], &mut Vec::new())?;
                 repaired += 1;
             }
         }
@@ -2397,6 +2347,74 @@ mod tests {
             summary.total_seconds(),
             profile.result.times.total()
         );
+    }
+
+    /// Hardened sessions stage through the plain loop: at
+    /// `stage_edges = 64` a hardened slice holds 63 keys plus its digest,
+    /// so the session issues exactly the staging pushes and receive
+    /// launches of a plain session at 63, and the same result. Only the
+    /// clocks differ (digest cycles, seal rounds in the count).
+    #[test]
+    fn hardened_staging_matches_plain_round_for_round() {
+        use pim_metrics::{MemorySink, MetricsHub};
+
+        let g = gen::erdos_renyi(150, 0.1, 3);
+        let run = |hardened: bool, stage_edges: u64| {
+            let config = TcConfig {
+                hardened,
+                ..TcConfig::builder()
+                    .colors(3)
+                    .pim(PimConfig {
+                        total_dpus: 512,
+                        mram_capacity: 1 << 20,
+                        ..PimConfig::tiny()
+                    })
+                    .stage_edges(stage_edges)
+                    .sample_capacity(200)
+                    .build()
+                    .unwrap()
+            };
+            let hub = Arc::new(MetricsHub::new());
+            let sink = MemorySink::new();
+            hub.add_sink(Box::new(sink.clone()));
+            let capture = crate::Capture { metrics: Some(hub) };
+            let result = crate::count_triangles_with(&g, &config, capture)
+                .unwrap()
+                .result;
+            let events = sink.events();
+            let staged = |kind: &str, field: &str, name: &str| {
+                events
+                    .iter()
+                    .filter(|e| e.kind == kind && e.str_field("phase") == "sample_creation")
+                    .filter(|e| e.str_field(field) == name)
+                    .count()
+            };
+            let ops = (
+                staged("transfer", "op", "push"),
+                staged("launch", "label", "receive"),
+            );
+            // Every data-derived field, serialized (f64s round-trip
+            // exactly); the modeled clocks are zeroed.
+            let data = TcResult {
+                times: Default::default(),
+                energy: Default::default(),
+                ..result
+            };
+            (serde_json::to_string(&data).unwrap(), result.estimate, ops)
+        };
+        let (plain, plain_estimate, plain_ops) = run(false, 63);
+        let (hardened, hardened_estimate, hardened_ops) = run(true, 64);
+        assert!(plain_ops.1 > 2, "the batches must span several rounds");
+        assert!(
+            plain.contains("\"reservoir_overflowed\":true"),
+            "capacity 200 must overflow"
+        );
+        assert_eq!(
+            hardened_ops, plain_ops,
+            "(staging pushes, receive launches)"
+        );
+        assert_eq!(hardened_estimate.to_bits(), plain_estimate.to_bits());
+        assert_eq!(hardened, plain);
     }
 
     /// The tentpole invariant, checked from inside the session: replaying

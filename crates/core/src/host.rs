@@ -23,16 +23,7 @@ use rayon::prelude::*;
 /// caller batches `route_edges` calls (see [`RouteParams::base_granule`]).
 pub const ROUTE_GRANULE_EDGES: usize = 8192;
 
-/// The finalization step of the splitmix64 generator (Steele et al.,
-/// OOPSLA 2014): a full-avalanche 64-bit mixer, so consecutive granule
-/// indices produce statistically independent sampler seeds — unlike the
-/// old `seed ^ idx * 0x9E37` mixing, which only perturbed low bits.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
+pub use pim_stream::journal::splitmix64;
 
 /// Sampler seed for one routing granule: the canonical splitmix64 stream
 /// seeded at `seed`, evaluated at the granule's global index.
@@ -51,11 +42,6 @@ pub struct RoutedBatches {
     pub kept: u64,
     /// Merged Misra-Gries summary, when heavy-hitter tracking is enabled.
     pub summary: Option<MisraGries>,
-    /// Kept edge keys in global arrival order (one entry per kept edge,
-    /// before C-fold replication). Populated only when
-    /// [`RouteParams::track_arrivals`] is set; hardened sessions slice
-    /// this stream into checksummed, transactional staging rounds.
-    pub arrivals: Vec<u64>,
 }
 
 impl RoutedBatches {
@@ -76,7 +62,6 @@ impl RoutedBatches {
         self.offered = 0;
         self.kept = 0;
         self.summary = mg_capacity.map(MisraGries::new);
-        self.arrivals.clear();
     }
 }
 
@@ -111,10 +96,6 @@ pub struct RouteParams<'a> {
     /// granules already consumed, which makes the concatenated result
     /// bit-identical to one unchunked call.
     pub base_granule: u64,
-    /// Also record the kept keys in arrival order
-    /// ([`RoutedBatches::arrivals`]). Off by default: the plain pipeline
-    /// never pays for the extra vector.
-    pub track_arrivals: bool,
 }
 
 impl RouteParams<'_> {
@@ -191,10 +172,6 @@ pub fn route_edges_into(
         for (dpu, batch) in cs.per_dpu.iter_mut().enumerate() {
             out.per_dpu[dpu].append(batch);
         }
-        if params.track_arrivals {
-            // The arrival stream is exactly the kept keys in chunk order.
-            out.arrivals.extend_from_slice(&cs.keys);
-        }
         if let (Some(acc), Some(local)) = (out.summary.as_mut(), cs.summary.as_ref()) {
             acc.merge(local);
         }
@@ -246,8 +223,8 @@ fn resolve_edge(
 }
 
 /// Per-parallel-chunk staging state, reused across [`route_edges_into`]
-/// calls. `keys` doubles as the chunk's arrival stream (kept keys in
-/// order); `pairs` holds each key's color-pair index.
+/// calls. `keys` holds the chunk's kept keys in order; `pairs` holds each
+/// key's color-pair index.
 #[derive(Debug, Default)]
 struct ChunkScratch {
     per_dpu: Vec<Vec<u64>>,
@@ -345,7 +322,7 @@ fn route_chunk(
 
 /// The pre-batching per-edge routing path, retained verbatim as the
 /// differential-testing oracle: proptests assert [`route_edges`] stays
-/// bit-identical to it (batches, counts, summary, arrivals). Not used on
+/// bit-identical to it (batches, counts, summary). Not used on
 /// any hot path.
 pub fn route_edges_reference(edges: &[Edge], params: RouteParams<'_>) -> RoutedBatches {
     struct ChunkResult {
@@ -353,7 +330,6 @@ pub fn route_edges_reference(edges: &[Edge], params: RouteParams<'_>) -> RoutedB
         offered: u64,
         kept: u64,
         summary: Option<MisraGries>,
-        arrivals: Vec<u64>,
     }
     let nr_dpus = params.assignment.nr_dpus();
     let threads = params.threads.max(1);
@@ -374,7 +350,6 @@ pub fn route_edges_reference(edges: &[Edge], params: RouteParams<'_>) -> RoutedB
             let mut routes = Vec::with_capacity(params.assignment.colors() as usize);
             let mut offered = 0u64;
             let mut kept = 0u64;
-            let mut arrivals = Vec::new();
             for (g, granule) in chunk.chunks(ROUTE_GRANULE_EDGES).enumerate() {
                 let mut sampler = UniformSampler::new(
                     params.uniform_p,
@@ -395,9 +370,6 @@ pub fn route_edges_reference(edges: &[Edge], params: RouteParams<'_>) -> RoutedB
                         mg.offer_edge(n.u, n.v);
                     }
                     let key = edge_key(n.u, n.v);
-                    if params.track_arrivals {
-                        arrivals.push(key);
-                    }
                     for &dpu in &routes {
                         per_dpu[dpu as usize].push(key);
                     }
@@ -408,7 +380,6 @@ pub fn route_edges_reference(edges: &[Edge], params: RouteParams<'_>) -> RoutedB
                 offered,
                 kept,
                 summary,
-                arrivals,
             }
         })
         .collect();
@@ -416,14 +387,12 @@ pub fn route_edges_reference(edges: &[Edge], params: RouteParams<'_>) -> RoutedB
     let mut offered = 0;
     let mut kept = 0;
     let mut summary = params.mg_capacity.map(MisraGries::new);
-    let mut arrivals = Vec::new();
     for mut cr in chunk_results {
         offered += cr.offered;
         kept += cr.kept;
         for (dpu, batch) in cr.per_dpu.iter_mut().enumerate() {
             per_dpu[dpu].append(batch);
         }
-        arrivals.append(&mut cr.arrivals);
         if let (Some(acc), Some(local)) = (summary.as_mut(), cr.summary.as_ref()) {
             acc.merge(local);
         }
@@ -433,7 +402,6 @@ pub fn route_edges_reference(edges: &[Edge], params: RouteParams<'_>) -> RoutedB
         offered,
         kept,
         summary,
-        arrivals,
     }
 }
 
@@ -454,7 +422,6 @@ mod tests {
             mg_capacity: None,
             threads: 4,
             base_granule: 0,
-            track_arrivals: false,
         }
     }
 
@@ -579,14 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn splitmix64_matches_reference_vector() {
-        // Reference values from the splitmix64 stream seeded at 0
-        // (Vigna's xoshiro seeding generator).
-        assert_eq!(splitmix64(0), 0xE220A8397B1DCDAF);
-        assert_eq!(splitmix64(0x9E3779B97F4A7C15), 0x6E789E6AA1B965F4);
-    }
-
-    #[test]
     fn misra_gries_tracks_the_hub() {
         let assignment = TripletAssignment::new(2);
         let coloring = ColoringHash::new(2, 5);
@@ -624,38 +583,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn tracked_arrivals_regenerate_the_batches() {
-        // The arrival stream plus per-key routing must reproduce exactly
-        // the per-core batches — the invariant hardened staging relies on.
-        let colors = 3;
-        let assignment = TripletAssignment::new(colors);
-        let coloring = ColoringHash::new(colors, 5);
-        let g = pim_graph::gen::erdos_renyi(150, 0.15, 9);
-        let p = RouteParams {
-            uniform_p: 0.6,
-            track_arrivals: true,
-            ..params(&assignment, &coloring)
-        };
-        let routed = route_edges(g.edges(), p);
-        assert_eq!(routed.arrivals.len() as u64, routed.kept);
-        let mut rebuilt: Vec<Vec<u64>> = vec![Vec::new(); assignment.nr_dpus()];
-        let mut routes = Vec::new();
-        for &key in &routed.arrivals {
-            let (u, v) = crate::kernel::edge_unkey(key);
-            let (ca, cb) = coloring.edge_colors(u, v);
-            assignment.dpus_for_edge(ca, cb, &mut routes);
-            for &dpu in &routes {
-                rebuilt[dpu as usize].push(key);
-            }
-        }
-        assert_eq!(rebuilt, routed.per_dpu);
-
-        // Tracking off: no arrivals are recorded.
-        let off = route_edges(g.edges(), params(&assignment, &coloring));
-        assert!(off.arrivals.is_empty());
     }
 
     #[test]

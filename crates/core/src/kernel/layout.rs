@@ -184,7 +184,13 @@ impl MramLayout {
         local_nodes: u64,
         sample_override: Option<u64>,
     ) -> Result<MramLayout, TcError> {
-        let fixed = HEADER_BYTES + stage_edges * 8 + remap_cap * 8 + local_nodes * 8;
+        // Saturating: oversized regions must fail the fit check below,
+        // not overflow.
+        let fixed = [stage_edges, remap_cap, local_nodes]
+            .iter()
+            .fold(HEADER_BYTES, |sum, words| {
+                sum.saturating_add(words.saturating_mul(8))
+            });
         let avail = mram_capacity.saturating_sub(fixed);
         // M·8 (sample) + M·8 (scratch) + (M+1)·8 (index) ≤ avail.
         let max_capacity = (avail / 8).saturating_sub(1) / 3;

@@ -284,7 +284,7 @@ fn every_transient_fault_charges_exactly_one_retry_span() {
 #[test]
 fn fault_counters_surface_in_the_system_report() {
     let g = gen::erdos_renyi(80, 0.15, 4);
-    let plan = FaultPlan::parse("seed=2,transfer=200000,corrupt=200000,kill=5@18").unwrap();
+    let plan = FaultPlan::parse("seed=2,transfer=200000,corrupt=200000,kill=5@10").unwrap();
     let mut s = TcSession::start(&config(3, Some(plan), 1)).unwrap();
     s.append(g.edges()).unwrap();
     s.count().unwrap();
@@ -304,7 +304,7 @@ fn a_whole_rank_death_recovers_from_surviving_replicas() {
     let want = run::<TimedBackend>(&g, &rank4_config(None, 0, false));
     for spec in [
         "seed=7,rank=1@count", // outage at the first counting op
-        "seed=7,rank=1@20",    // outage mid-stream, during staging
+        "seed=7,rank=1@14",    // outage mid-stream, during staging
         "seed=7,transfer=40000,corrupt=40000,launch=40000,rank=1@count",
     ] {
         let plan = FaultPlan::parse(spec).unwrap();
@@ -327,7 +327,7 @@ fn a_whole_rank_death_recovers_by_journal_replay() {
         ..rank4_config(None, 0, true)
     };
     let want = run::<TimedBackend>(&g, &base);
-    for spec in ["seed=7,rank=1@count", "seed=7,rank=1@20"] {
+    for spec in ["seed=7,rank=1@count", "seed=7,rank=1@14"] {
         let plan = FaultPlan::parse(spec).unwrap();
         let faulty = TcConfig {
             misra_gries: Some(pim_tc::MisraGriesConfig { k: 32, t: 8 }),

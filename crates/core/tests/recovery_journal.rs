@@ -229,7 +229,7 @@ fn scrub_cadence_from_the_fault_plan_sweeps_between_batches() {
     // session sweep after every streamed chunk: the kill is absorbed
     // between batches and the run still matches fault-free exactly.
     let g = gen::erdos_renyi(100, 0.15, 9);
-    let plan = FaultPlan::parse("seed=3,kill=3@25,scrub=1").unwrap();
+    let plan = FaultPlan::parse("seed=3,kill=3@15,scrub=1").unwrap();
     let mut want = TcSession::start(&plain_config(3, None, false)).unwrap();
     let mut got = TcSession::start(&config(3, Some(plan), 2, None, false)).unwrap();
     for batch in g.split_batches(4) {
@@ -244,7 +244,7 @@ fn scrub_cadence_from_the_fault_plan_sweeps_between_batches() {
 #[test]
 fn explicit_scrub_interval_matches_fault_free() {
     let g = gen::erdos_renyi(100, 0.15, 9);
-    let plan = FaultPlan::parse("seed=5,transfer=40000,kill=2@30").unwrap();
+    let plan = FaultPlan::parse("seed=5,transfer=40000,kill=2@22").unwrap();
     let cfg = TcConfig {
         scrub_interval: 2,
         ..config(3, Some(plan), 2, None, false)

@@ -3,7 +3,7 @@
 //! thread count) the flat three-pass path in `route_edges_into` must be
 //! *bit-identical* to the retained per-edge reference implementation —
 //! same per-core batches in the same arrival order, same offered/kept
-//! counters, same arrival stream, same heavy-hitter summary.
+//! counters, same heavy-hitter summary.
 
 use pim_graph::{Edge, Node};
 use pim_stream::ColoringHash;
@@ -31,7 +31,6 @@ fn assert_equivalent(a: &RoutedBatches, b: &RoutedBatches) {
     assert_eq!(a.offered, b.offered);
     assert_eq!(a.kept, b.kept);
     assert_eq!(a.per_dpu, b.per_dpu);
-    assert_eq!(a.arrivals, b.arrivals);
     assert_eq!(mg_entries(a), mg_entries(b));
 }
 
@@ -61,7 +60,6 @@ proptest! {
             mg_capacity: mg,
             threads,
             base_granule,
-            track_arrivals: true,
         };
         let batched = route_edges(&edges, params);
         let reference = route_edges_reference(&edges, params);
@@ -76,7 +74,6 @@ proptest! {
         streams in prop::collection::vec(raw_edges(32, 200), 1..4),
         colors in 1u32..5,
         seed in any::<u64>(),
-        track in any::<bool>(),
     ) {
         let assignment = TripletAssignment::new(colors);
         let coloring = ColoringHash::new(colors, seed);
@@ -91,7 +88,6 @@ proptest! {
                 mg_capacity: if i % 2 == 1 { Some(4) } else { None },
                 threads: 1 + i % 3,
                 base_granule: i as u64,
-                track_arrivals: track,
             };
             route_edges_into(edges, params, &mut out, &mut scratch);
             let fresh = route_edges(edges, params);

@@ -7,7 +7,9 @@
 //!
 //! * `straggler` — a kernel's last launch had `max_cycles` more than
 //!   `straggler_factor` × its p50 (per label/rank series, reported once
-//!   per series, ignoring launches below `straggler_min_cycles`);
+//!   per series). Launches whose `max_cycles` stays below
+//!   `straggler_min_cycles` are ignored; the p50 is not gated, so a
+//!   launch with a tiny p50 fires once its slowest DPU clears the floor;
 //! * `dpu_death` / `rank_death` — new `kill` / `rank_dead` faults landed
 //!   since the previous check;
 //! * `retry_spike` — at least `retry_spike` retries landed since the

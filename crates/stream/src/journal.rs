@@ -22,10 +22,12 @@ use serde::{Deserialize, Serialize};
 /// The splitmix64 increment (golden-ratio constant).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// One splitmix64 output for input `z` (increment + finalizer), identical
-/// to the host router's stream-seeding function.
+/// One splitmix64 output for input `z` (Steele et al., OOPSLA 2014):
+/// the golden-ratio increment, then a full-avalanche 64-bit finalizer,
+/// so consecutive inputs give statistically independent outputs. The
+/// host router seeds its per-granule samplers with it too.
 #[inline]
-fn splitmix64(z: u64) -> u64 {
+pub fn splitmix64(z: u64) -> u64 {
     let mut x = z.wrapping_add(GOLDEN);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -239,8 +241,8 @@ mod tests {
 
     #[test]
     fn splitmix64_matches_reference_vector() {
-        // Same vector the host router pins (Steele et al. / JDK
-        // SplittableRandom): outputs for state 0.
+        // Reference outputs for state 0 (Steele et al. / JDK
+        // SplittableRandom, Vigna's xoshiro seeding generator).
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
         assert_eq!(splitmix64(GOLDEN), 0x6E78_9E6A_A1B9_65F4);
     }

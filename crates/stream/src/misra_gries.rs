@@ -8,6 +8,9 @@
 
 use std::collections::HashMap;
 
+/// Counters [`MisraGries::new`] reserves at most (`1 << 16`).
+const PREALLOCATED: usize = 1 << 16;
+
 /// A Misra-Gries summary with at most `K` tracked keys.
 #[derive(Clone, Debug)]
 pub struct MisraGries {
@@ -17,12 +20,15 @@ pub struct MisraGries {
 }
 
 impl MisraGries {
-    /// Creates a summary with capacity `k ≥ 1`.
+    /// Creates a summary with capacity `k ≥ 1`. Room for at most 65 536
+    /// counters is reserved up front; a wider summary
+    /// grows its map as items arrive, so an untrusted `k` (a restored
+    /// checkpoint) cannot demand memory the stream never fills.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "capacity must be positive");
         MisraGries {
             capacity: k,
-            counts: HashMap::with_capacity(k + 1),
+            counts: HashMap::with_capacity(k.saturating_add(1).min(PREALLOCATED)),
             items_seen: 0,
         }
     }
@@ -120,6 +126,16 @@ impl MisraGries {
             return Err(format!(
                 "snapshot holds {} entries but capacity is {capacity}",
                 entries.len()
+            ));
+        }
+        // Counters only ever hold offers (decrements remove them), so
+        // they add up to at most the items seen.
+        let total = entries
+            .iter()
+            .try_fold(0u64, |sum, &(_, count)| sum.checked_add(count));
+        if total.is_none_or(|total| total > items_seen) {
+            return Err(format!(
+                "snapshot counts add up past the {items_seen} items seen"
             ));
         }
         let mut mg = MisraGries::new(capacity);
