@@ -32,16 +32,16 @@ fn loaded_system(keys: &[u64], wram: usize) -> (PimSystem, MramLayout) {
         len: keys.len() as u64,
         ..Header::default()
     };
-    sys.push(vec![
+    sys.push(&[
         HostWrite {
             dpu: 0,
             offset: 0,
-            data: hdr.encode(),
+            data: &hdr.encode(),
         },
         HostWrite {
             dpu: 0,
             offset: layout.sample_off,
-            data: encode_slice(keys),
+            data: &encode_slice(keys),
         },
     ])
     .unwrap();

@@ -37,16 +37,16 @@ fn modeled_count(keys: &[u64], lookup: RegionLookup) -> (u64, f64) {
         len: keys.len() as u64,
         ..Header::default()
     };
-    sys.push(vec![
+    sys.push(&[
         HostWrite {
             dpu: 0,
             offset: 0,
-            data: hdr.encode(),
+            data: &hdr.encode(),
         },
         HostWrite {
             dpu: 0,
             offset: layout.sample_off,
-            data: encode_slice(keys),
+            data: &encode_slice(keys),
         },
     ])
     .unwrap();

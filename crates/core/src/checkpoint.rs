@@ -48,7 +48,7 @@ const MAGIC: &[u8; 8] = b"PIMTCKPT";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// FNV-1a-64 over raw bytes (the body digest). Kept byte-oriented and
-/// local: the kernel-side `fnv1a_words` seals 64-bit MRAM words, while
+/// local: the kernel-side `digest_at` seals 64-bit MRAM words, while
 /// checkpoints hash a UTF-8 body of arbitrary length.
 fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;

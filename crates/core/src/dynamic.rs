@@ -435,9 +435,9 @@ impl<B: PimBackend> TcSession<B> {
     /// next slice and its `stage_len` word to the partition's home core,
     /// then runs one masked receive launch over all cores.
     ///
-    /// `self.hardened` picks only the payload and the kernel: hardened
-    /// slices hold `stage_edges − 1` keys and end in an FNV digest the
-    /// checksumming kernel verifies. Retry and failover are shared:
+    /// `self.hardened` picks only the payload: hardened slices hold
+    /// `stage_edges − 1` keys and end in the digest the receive kernel
+    /// checks in its copy pass. Retry and failover are shared:
     /// transient faults are retried, slices a kernel rejected are re-sent,
     /// and dead homes fail over. The chunk is the in-flight unit, so a
     /// partition recovered mid-chunk comes back in its state at chunk
@@ -445,8 +445,8 @@ impl<B: PimBackend> TcSession<B> {
     /// landed) and re-stages its batch from offset 0.
     fn stage(&mut self, per_dpu: &[Vec<u64>]) -> Result<(), TcError> {
         let layout = self.layout;
-        let hardened = self.hardened;
-        let cap = if hardened {
+        let sealed = self.hardened;
+        let cap = if sealed {
             (layout.stage_edges - 1).max(1)
         } else {
             layout.stage_edges
@@ -454,42 +454,43 @@ impl<B: PimBackend> TcSession<B> {
         let mut landed = vec![0usize; per_dpu.len()];
         let mut failures = 0u32;
         loop {
-            let mut writes = Vec::new();
             let mut pending = Vec::new();
             for (t, batch) in per_dpu.iter().enumerate() {
                 let slice = &batch[landed[t]..batch.len().min(landed[t] + cap)];
                 if slice.is_empty() {
                     continue;
                 }
-                let dpu = self.partition_home[t];
                 let mut data = encode_slice(slice);
-                if hardened {
-                    data.extend_from_slice(&checksum::fnv1a_words(slice).to_le_bytes());
+                if sealed {
+                    data.extend_from_slice(&checksum::digest_at(0, slice).to_le_bytes());
                 }
-                writes.push(HostWrite {
-                    dpu,
-                    offset: layout.staging_off,
-                    data,
-                });
-                writes.push(HostWrite {
-                    dpu,
-                    offset: HDR_STAGE_LEN,
-                    data: encode_slice(&[slice.len() as u64]),
-                });
-                pending.push((t, slice.len()));
+                pending.push((t, slice.len(), data, (slice.len() as u64).to_le_bytes()));
             }
             if pending.is_empty() {
                 break;
             }
-            let round = match self.sys.push(writes) {
+            let writes: Vec<HostWrite> = (pending.iter())
+                .flat_map(|(t, _, data, len)| {
+                    let dpu = self.partition_home[*t];
+                    [
+                        HostWrite {
+                            dpu,
+                            offset: layout.staging_off,
+                            data,
+                        },
+                        HostWrite {
+                            dpu,
+                            offset: HDR_STAGE_LEN,
+                            data: len,
+                        },
+                    ]
+                })
+                .collect();
+            let round = match self.sys.push(&writes) {
                 Ok(()) => self
                     .sys
                     .execute_labeled_masked("receive", move |ctx| {
-                        if hardened {
-                            receive::receive_kernel_hardened(ctx, &layout)
-                        } else {
-                            receive::receive_kernel(ctx, &layout)
-                        }
+                        receive::receive_kernel(ctx, &layout, sealed)
                     })
                     .map_err(|e| ("receive", e)),
                 Err(e) => Err(("stage_push", e)),
@@ -499,7 +500,7 @@ impl<B: PimBackend> TcSession<B> {
                     let mut progressed = false;
                     let mut mismatches = 0u32;
                     let mut dead_home = None;
-                    for &(t, len) in &pending {
+                    for &(t, len, ..) in &pending {
                         match results[self.partition_home[t]] {
                             Some(checksum::CHECKSUM_MISMATCH) => mismatches += 1,
                             Some(_) => {
@@ -584,25 +585,25 @@ impl<B: PimBackend> TcSession<B> {
             self.refresh_remap_assignments();
             if !self.remap_table.is_empty() {
                 let packed = remap::encode_table(&self.remap_table);
-                let writes = self
-                    .partition_home
-                    .iter()
+                let (table, table_len) =
+                    (encode_slice(&packed), encode_slice(&[packed.len() as u64]));
+                let writes: Vec<HostWrite> = (self.partition_home.iter())
                     .flat_map(|&dpu| {
                         [
                             HostWrite {
                                 dpu,
                                 offset: layout.remap_off,
-                                data: encode_slice(&packed),
+                                data: &table,
                             },
                             HostWrite {
                                 dpu,
                                 offset: HDR_REMAP_LEN,
-                                data: encode_slice(&[packed.len() as u64]),
+                                data: &table_len,
                             },
                         ]
                     })
                     .collect();
-                self.push_verified("remap_table", writes)?;
+                self.push_verified("remap_table", &writes)?;
                 self.retry("remap", |s| {
                     s.execute_labeled_masked("remap", move |ctx| remap::remap_kernel(ctx, &layout))
                 })?;
@@ -816,12 +817,12 @@ impl<B: PimBackend> TcSession<B> {
     pub fn resident_samples(&self) -> Result<Vec<(Vec<u64>, u64)>, TcError> {
         let mut out = Vec::with_capacity(self.assignment.nr_dpus());
         for &home in &self.partition_home {
-            let hdr = Header::decode(&self.sys.dpu(home)?.host_read(0, 64)?);
+            let hdr = Header::decode(self.sys.dpu(home)?.host_read(0, 64)?);
             let bytes = self
                 .sys
                 .dpu(home)?
                 .host_read(self.layout.sample_off, hdr.len * 8)?;
-            out.push((decode_slice::<u64>(&bytes), hdr.seen));
+            out.push((decode_slice::<u64>(bytes), hdr.seen));
         }
         Ok(out)
     }
@@ -843,12 +844,11 @@ impl<B: PimBackend> TcSession<B> {
     pub fn checkpoint(&self, watermark: u64) -> Result<SessionCheckpoint, TcError> {
         let mut banks = Vec::with_capacity(self.assignment.nr_dpus());
         for &home in &self.partition_home {
-            let header: Vec<u64> = decode_slice(&self.sys.dpu(home)?.host_read(0, 64)?);
+            let header: Vec<u64> = decode_slice(self.sys.dpu(home)?.host_read(0, 64)?);
             let (len, remap_len) = (header[1], header[4]);
             let sample = if len > 0 {
                 decode_slice(
-                    &self
-                        .sys
+                    self.sys
                         .dpu(home)?
                         .host_read(self.layout.sample_off, len * 8)?,
                 )
@@ -860,7 +860,7 @@ impl<B: PimBackend> TcSession<B> {
                     .sys
                     .dpu(home)?
                     .host_read(self.layout.remap_off, remap_len * 8)?;
-                decode_slice(&bytes)
+                decode_slice(bytes)
             } else {
                 Vec::new()
             };
@@ -1129,17 +1129,17 @@ impl<B: PimBackend> TcSession<B> {
     /// Push with retry *and* read-back verification through the host
     /// inspection channel, so a transient corruption of a critical write
     /// (headers, remap tables, recovery installs) is caught and redone.
-    /// The read-back is free, so a fault-free push costs one transfer.
-    fn push_verified(&mut self, label: &str, writes: Vec<HostWrite>) -> Result<(), TcError> {
+    /// The read-back compares each write with its bank in place, so it is
+    /// free and a fault-free push costs one transfer.
+    fn push_verified(&mut self, label: &str, writes: &[HostWrite]) -> Result<(), TcError> {
         let mut failures = 0u32;
         loop {
-            self.retry(label, |s| s.push(writes.clone()))?;
+            self.retry(label, |s| s.push(writes))?;
             let landed = writes.iter().all(|w| {
                 self.sys
                     .dpu(w.dpu)
                     .and_then(|d| d.host_read(w.offset, w.data.len() as u64))
-                    .map(|got| got == w.data)
-                    .unwrap_or(false)
+                    .is_ok_and(|got| got == w.data)
             });
             if landed {
                 return Ok(());
@@ -1179,7 +1179,7 @@ impl<B: PimBackend> TcSession<B> {
             let seals = self.retry("seal", |s| s.gather(layout.staging_off, 8))?;
             let ok = self.partition_home.iter().all(|&d| {
                 let sealed = u64::from_le_bytes(seals[d][..8].try_into().unwrap());
-                checksum::fnv1a_words(&decode_slice::<u64>(&regions[d])) == sealed
+                checksum::digest_at(0, &decode_slice::<u64>(&regions[d])) == sealed
             });
             if ok {
                 return Ok(regions);
@@ -1196,37 +1196,35 @@ impl<B: PimBackend> TcSession<B> {
     /// that die mid-initialization.
     fn init_banks(&mut self) -> Result<(), TcError> {
         loop {
-            let zeros = self
-                .hardened
-                .then(|| vec![0u8; (self.layout.stage_edges * 8) as usize]);
+            let zeros = (self.hardened).then(|| vec![0u8; (self.layout.stage_edges * 8) as usize]);
+            let homes = self.partition_home.iter().copied().zip(0..);
+            let spares = self.spare_pools.iter().flatten().map(|&s| (s, s));
+            let banks: Vec<_> = (homes.chain(spares))
+                .map(|(dpu, rng_key)| {
+                    let hdr = Header {
+                        cap: self.layout.capacity,
+                        rng: rng::seed_for_dpu(self.config.seed, rng_key),
+                        ..Header::default()
+                    };
+                    (dpu, hdr.encode())
+                })
+                .collect();
             let mut writes = Vec::new();
-            let bank = |dpu: usize, rng_key: usize| {
-                let hdr = Header {
-                    cap: self.layout.capacity,
-                    rng: rng::seed_for_dpu(self.config.seed, rng_key),
-                    ..Header::default()
-                };
-                let header = HostWrite {
-                    dpu,
+            for (dpu, header) in &banks {
+                writes.push(HostWrite {
+                    dpu: *dpu,
                     offset: 0,
-                    data: hdr.encode(),
-                };
-                let staging = zeros.as_ref().map(|zeros| HostWrite {
-                    dpu,
-                    offset: self.layout.staging_off,
-                    data: zeros.clone(),
+                    data: header,
                 });
-                std::iter::once(header).chain(staging)
-            };
-            for t in 0..self.assignment.nr_dpus() {
-                writes.extend(bank(self.partition_home[t], t));
-            }
-            for pool in &self.spare_pools {
-                for &s in pool {
-                    writes.extend(bank(s, s));
+                if let Some(zeros) = &zeros {
+                    writes.push(HostWrite {
+                        dpu: *dpu,
+                        offset: self.layout.staging_off,
+                        data: zeros,
+                    });
                 }
             }
-            match self.push_verified("init", writes) {
+            match self.push_verified("init", &writes) {
                 Ok(()) => return Ok(()),
                 Err(TcError::Sim(SimError::DpuDead { dpu })) => {
                     let mut recovered = Vec::new();
@@ -1354,7 +1352,7 @@ impl<B: PimBackend> TcSession<B> {
             let Ok(hdr_bytes) = self.sys.dpu(home)?.host_read(0, 64) else {
                 continue;
             };
-            let hdr = Header::decode(&hdr_bytes);
+            let hdr = Header::decode(hdr_bytes);
             if hdr.len == 0 {
                 continue;
             }
@@ -1362,7 +1360,7 @@ impl<B: PimBackend> TcSession<B> {
                 .sys
                 .dpu(home)?
                 .host_read(self.layout.sample_off, hdr.len * 8)?;
-            for key in decode_slice::<u64>(&bytes) {
+            for key in decode_slice::<u64>(bytes) {
                 if seen_keys.contains(&key) {
                     continue;
                 }
@@ -1421,33 +1419,36 @@ impl<B: PimBackend> TcSession<B> {
             rng: bank.rng,
             remap_len: bank.remap.len() as u64,
             ..Header::default()
-        };
+        }
+        .encode();
+        let zeros = vec![0u8; (self.layout.stage_edges * 8) as usize];
+        let (sample, remap) = (encode_slice(&bank.sample), encode_slice(&bank.remap));
         let mut writes = vec![
             HostWrite {
                 dpu: target,
                 offset: 0,
-                data: header.encode(),
+                data: &header,
             },
             HostWrite {
                 dpu: target,
                 offset: self.layout.staging_off,
-                data: vec![0u8; (self.layout.stage_edges * 8) as usize],
+                data: &zeros,
             },
         ];
-        for (offset, words) in [
-            (self.layout.sample_off, &bank.sample),
-            (self.layout.remap_off, &bank.remap),
+        for (offset, data) in [
+            (self.layout.sample_off, &sample),
+            (self.layout.remap_off, &remap),
         ] {
-            if !words.is_empty() {
+            if !data.is_empty() {
                 writes.push(HostWrite {
                     dpu: target,
                     offset,
-                    data: encode_slice(words),
+                    data,
                 });
             }
         }
         loop {
-            match self.push_verified(label, writes.clone()) {
+            match self.push_verified(label, &writes) {
                 Ok(()) => break,
                 Err(TcError::Sim(SimError::DpuDead { dpu })) if dpu != target => {
                     self.recover_dpu(dpu, chunk, recovered)?;
@@ -1596,7 +1597,7 @@ impl<B: PimBackend> TcSession<B> {
             };
             let sealed = u64::from_le_bytes(sealed[..8].try_into().unwrap());
             let bank = self.replay_partition(t);
-            let expect = checksum::fnv1a_words(&bank.sample);
+            let expect = checksum::digest_at(0, &bank.sample);
             if sealed != expect || len != bank.sample.len() as u64 {
                 self.install_bank(t, home, &bank, &[], &mut Vec::new())?;
                 repaired += 1;
@@ -2447,7 +2448,7 @@ mod tests {
             for t in 0..s.assignment.nr_dpus() {
                 let bank = s.replay_partition(t);
                 let home = s.partition_home[t];
-                let hdr = Header::decode(&s.sys.dpu(home).unwrap().host_read(0, 64).unwrap());
+                let hdr = Header::decode(s.sys.dpu(home).unwrap().host_read(0, 64).unwrap());
                 assert_eq!(bank.sample.len() as u64, hdr.len, "{at}: partition {t} len");
                 assert_eq!(bank.seen, hdr.seen, "{at}: partition {t} seen");
                 assert_eq!(bank.rng, hdr.rng, "{at}: partition {t} rng state");
@@ -2459,7 +2460,7 @@ mod tests {
                     .unwrap();
                 assert_eq!(
                     bank.sample,
-                    decode_slice::<u64>(&bytes),
+                    decode_slice::<u64>(bytes),
                     "{at}: partition {t} sample"
                 );
                 if hdr.seen > hdr.cap {

@@ -786,16 +786,16 @@ mod tests {
             len: edges.len() as u64,
             ..Header::default()
         };
-        sys.push(vec![
+        sys.push(&[
             HostWrite {
                 dpu: 0,
                 offset: 0,
-                data: hdr.encode(),
+                data: &hdr.encode(),
             },
             HostWrite {
                 dpu: 0,
                 offset: layout.sample_off,
-                data: encode_slice(&edges),
+                data: &encode_slice(&edges),
             },
         ])
         .unwrap();

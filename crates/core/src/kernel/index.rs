@@ -80,16 +80,16 @@ mod tests {
             len: sorted_keys.len() as u64,
             ..Header::default()
         };
-        sys.push(vec![
+        sys.push(&[
             HostWrite {
                 dpu: 0,
                 offset: 0,
-                data: hdr.encode(),
+                data: &hdr.encode(),
             },
             HostWrite {
                 dpu: 0,
                 offset: layout.sample_off,
-                data: encode_slice(sorted_keys),
+                data: &encode_slice(sorted_keys),
             },
         ])
         .unwrap();
@@ -99,7 +99,7 @@ mod tests {
             .unwrap()
             .host_read(layout.index_off, entries * 8)
             .unwrap();
-        decode_slice::<u64>(&bytes)
+        decode_slice::<u64>(bytes)
             .into_iter()
             .map(edge_unkey)
             .collect()

@@ -101,8 +101,8 @@ impl Header {
     }
 
     /// Host-side encoding of an initial header.
-    pub fn encode(&self) -> Vec<u8> {
-        pim_sim::system::encode_slice(&[
+    pub fn encode(&self) -> [u8; HEADER_BYTES as usize] {
+        let words = [
             self.cap,
             self.len,
             self.seen,
@@ -111,7 +111,8 @@ impl Header {
             self.result,
             self.stage_len,
             self.index_len,
-        ])
+        ];
+        std::array::from_fn(|i| words[i / 8].to_le_bytes()[i % 8])
     }
 
     /// Host-side decoding of a gathered header.

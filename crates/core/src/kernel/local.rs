@@ -228,16 +228,16 @@ mod tests {
             len: keys.len() as u64,
             ..Header::default()
         };
-        sys.push(vec![
+        sys.push(&[
             HostWrite {
                 dpu: 0,
                 offset: 0,
-                data: hdr.encode(),
+                data: &hdr.encode(),
             },
             HostWrite {
                 dpu: 0,
                 offset: layout.sample_off,
-                data: encode_slice(&keys),
+                data: &encode_slice(&keys),
             },
         ])
         .unwrap();
@@ -246,7 +246,7 @@ mod tests {
         sys.execute(|ctx| index_kernel(ctx, &layout)).unwrap();
         let total = sys.execute(|ctx| local_count_kernel(ctx, &layout)).unwrap()[0];
         let local: Vec<u64> = decode_slice(
-            &sys.dpu(0)
+            sys.dpu(0)
                 .unwrap()
                 .host_read(layout.local_off, nodes * 8)
                 .unwrap(),

@@ -142,29 +142,30 @@ mod tests {
             remap_len: table.len() as u64,
             ..Header::default()
         };
+        let (hdr, keys_bytes, table) = (hdr.encode(), encode_slice(&keys), encode_slice(&packed));
         let mut writes = vec![
             HostWrite {
                 dpu: 0,
                 offset: 0,
-                data: hdr.encode(),
+                data: &hdr,
             },
             HostWrite {
                 dpu: 0,
                 offset: layout.sample_off,
-                data: encode_slice(&keys),
+                data: &keys_bytes,
             },
         ];
         if !packed.is_empty() {
             writes.push(HostWrite {
                 dpu: 0,
                 offset: layout.remap_off,
-                data: encode_slice(&packed),
+                data: &table,
             });
         }
-        sys.push(writes).unwrap();
+        sys.push(&writes).unwrap();
         sys.execute(|ctx| remap_kernel(ctx, &layout)).unwrap();
         decode_slice::<u64>(
-            &sys.dpu(0)
+            sys.dpu(0)
                 .unwrap()
                 .host_read(layout.sample_off, keys.len() as u64 * 8)
                 .unwrap(),
@@ -259,26 +260,31 @@ mod tests {
                 remap_len: table.len() as u64,
                 ..Header::default()
             };
+            let (hdr, keys, packed) = (
+                hdr.encode(),
+                encode_slice(&keys),
+                encode_slice(&encode_table(table)),
+            );
             let mut writes = vec![
                 HostWrite {
                     dpu: 0,
                     offset: 0,
-                    data: hdr.encode(),
+                    data: &hdr,
                 },
                 HostWrite {
                     dpu: 0,
                     offset: layout.sample_off,
-                    data: encode_slice(&keys),
+                    data: &keys,
                 },
             ];
             if !table.is_empty() {
                 writes.push(HostWrite {
                     dpu: 0,
                     offset: layout.remap_off,
-                    data: encode_slice(&encode_table(table)),
+                    data: &packed,
                 });
             }
-            sys.push(writes).unwrap();
+            sys.push(&writes).unwrap();
             sys.execute(|ctx| remap_kernel(ctx, &layout)).unwrap();
             sys.execute(|ctx| sort_kernel(ctx, &layout)).unwrap();
             sys.execute(|ctx| index_kernel(ctx, &layout)).unwrap();

@@ -209,22 +209,22 @@ mod tests {
             len: keys.len() as u64,
             ..Header::default()
         };
-        sys.push(vec![
+        sys.push(&[
             HostWrite {
                 dpu: 0,
                 offset: 0,
-                data: hdr.encode(),
+                data: &hdr.encode(),
             },
             HostWrite {
                 dpu: 0,
                 offset: layout.sample_off,
-                data: encode_slice(keys),
+                data: &encode_slice(keys),
             },
         ])
         .unwrap();
         sys.execute(|ctx| sort_kernel(ctx, &layout)).unwrap();
         decode_slice(
-            &sys.dpu(0)
+            sys.dpu(0)
                 .unwrap()
                 .host_read(layout.sample_off, keys.len() as u64 * 8)
                 .unwrap(),

@@ -32,16 +32,16 @@ fn loaded(keys: &[u64], config: PimConfig) -> (PimSystem, MramLayout) {
         len: keys.len() as u64,
         ..Header::default()
     };
-    sys.push(vec![
+    sys.push(&[
         HostWrite {
             dpu: 0,
             offset: 0,
-            data: hdr.encode(),
+            data: &hdr.encode(),
         },
         HostWrite {
             dpu: 0,
             offset: layout.sample_off,
-            data: encode_slice(keys),
+            data: &encode_slice(keys),
         },
     ])
     .unwrap();
@@ -59,7 +59,7 @@ proptest! {
         let (mut sys, layout) = loaded(&keys, config);
         sys.execute(|ctx| sort::sort_kernel(ctx, &layout)).unwrap();
         let got: Vec<u64> = decode_slice(
-            &sys.dpu(0).unwrap().host_read(layout.sample_off, keys.len() as u64 * 8).unwrap(),
+            sys.dpu(0).unwrap().host_read(layout.sample_off, keys.len() as u64 * 8).unwrap(),
         );
         keys.sort_unstable();
         prop_assert_eq!(got, keys);
@@ -81,7 +81,7 @@ proptest! {
         let (mut sys, layout) = loaded(&keys, config);
         let entries = sys.execute(|ctx| index::index_kernel(ctx, &layout)).unwrap()[0];
         let got: Vec<(u32, u32)> = decode_slice::<u64>(
-            &sys.dpu(0).unwrap().host_read(layout.index_off, entries * 8).unwrap(),
+            sys.dpu(0).unwrap().host_read(layout.index_off, entries * 8).unwrap(),
         )
         .into_iter()
         .map(pim_tc::kernel::edge_unkey)

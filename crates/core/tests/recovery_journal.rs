@@ -73,7 +73,8 @@ fn assert_bit_identical(got: &TcResult, want: &TcResult, scenario: &str) {
 
 /// Runs the full scenario on one backend: a fault-free baseline session
 /// and a journaled session under `plan`, comparing count results *and*
-/// per-partition sample sets after every batch.
+/// per-partition sample sets after every batch. Every kill the plan
+/// schedules must fire within the run.
 fn run_differential<B: PimBackend>(
     g: &pim_graph::CooGraph,
     plan: FaultPlan,
@@ -97,14 +98,20 @@ fn run_differential<B: PimBackend>(
             "{scenario} (batch {i}): resident samples diverged"
         );
     }
+    assert_eq!(
+        got.fault_counters().dpu_deaths,
+        plan.kills.iter().flatten().count() as u64,
+        "{scenario}: a scheduled kill never fired"
+    );
 }
 
 #[test]
 fn journal_recovers_overflowed_reservoirs_bit_for_bit() {
     // Capacity 24 overflows every partition; the survivor path must
-    // refuse this (pinned below), the journal path must not.
+    // refuse this (pinned below), the journal path must not. Op 20 is a
+    // receive launch in batch 2's staging, long past overflow.
     let g = gen::erdos_renyi(120, 0.15, 9);
-    for spec in ["seed=3,kill=3@25", "seed=3,kill=0@0,kill=5@60"] {
+    for spec in ["seed=3,kill=3@25", "seed=3,kill=0@0,kill=5@20"] {
         let plan = FaultPlan::parse(spec).unwrap();
         run_differential::<TimedBackend>(&g, plan, 3, Some(24), false, spec);
         run_differential::<FunctionalBackend>(&g, plan, 3, Some(24), false, spec);
@@ -114,7 +121,8 @@ fn journal_recovers_overflowed_reservoirs_bit_for_bit() {
 #[test]
 fn journal_recovers_misra_gries_sessions_bit_for_bit() {
     // Skewed degrees so Misra-Gries actually remaps; counts between
-    // batches interleave remap marks into the journals.
+    // batches interleave remap marks into the journals. Op 26 is the
+    // remap launch of the count after batch 2.
     let mut g = gen::chung_lu(
         gen::chung_lu::ChungLuParams {
             n: 300,
@@ -125,7 +133,7 @@ fn journal_recovers_misra_gries_sessions_bit_for_bit() {
         11,
     );
     g.preprocess(0);
-    for spec in ["seed=7,kill=2@40", "seed=7,kill=6@90"] {
+    for spec in ["seed=7,kill=2@40", "seed=7,kill=6@26"] {
         let plan = FaultPlan::parse(spec).unwrap();
         run_differential::<TimedBackend>(&g, plan, 3, None, true, spec);
         run_differential::<FunctionalBackend>(&g, plan, 3, None, true, spec);
@@ -146,7 +154,8 @@ fn journal_recovers_single_color_runs() {
 
 #[test]
 fn journal_recovers_the_overflow_and_mg_combination() {
-    // Both survivor-path refusals at once, plus transient noise.
+    // Both survivor-path refusals at once, plus transient noise. Op 31
+    // is the remap launch of the count after batch 2, past overflow.
     let mut g = gen::chung_lu(
         gen::chung_lu::ChungLuParams {
             n: 300,
@@ -157,7 +166,7 @@ fn journal_recovers_the_overflow_and_mg_combination() {
         5,
     );
     g.preprocess(0);
-    let spec = "seed=13,transfer=30000,corrupt=30000,launch=30000,kill=4@70";
+    let spec = "seed=13,transfer=30000,corrupt=30000,launch=30000,kill=4@31";
     let plan = FaultPlan::parse(spec).unwrap();
     run_differential::<TimedBackend>(&g, plan, 3, Some(48), true, spec);
     run_differential::<FunctionalBackend>(&g, plan, 3, Some(48), true, spec);

@@ -637,7 +637,8 @@ fn read_frame(reader: &mut BufReader<TcpStream>, max: usize, state: &ServerState
                 if buf.last() == Some(&b'\n') {
                     return match String::from_utf8(buf) {
                         Ok(line) => FrameRead::Line(line),
-                        Err(_) => FrameRead::Line(String::new()), // surfaces as bad JSON
+                        // Not UTF-8, so not JSON: answered as a bad request.
+                        Err(_) => FrameRead::Line("\u{FFFD}".into()),
                     };
                 }
                 if buf.len() > max {

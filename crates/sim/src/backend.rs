@@ -111,8 +111,9 @@ pub trait PimBackend: Send {
 
     /// Executes a rank-parallel CPU→PIM transfer batch. Data lands in MRAM
     /// immediately; modeled time (max per-DPU payload vs. aggregate
-    /// bandwidth cap) accrues to the current phase.
-    fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()>;
+    /// bandwidth cap) accrues to the current phase. The batch is borrowed:
+    /// a caller retrying a failed push re-sends the same writes.
+    fn push(&mut self, writes: &[HostWrite]) -> SimResult<()>;
 
     /// Broadcasts the same payload to every DPU at the same offset (UPMEM
     /// supports this as an optimized parallel transfer; modeled as one
@@ -221,14 +222,15 @@ mod tests {
     /// The same small pipeline, written once against the trait.
     fn drive<B: PimBackend>(mut sys: B) -> (Vec<u32>, PhaseTimes, u64) {
         sys.set_phase(Phase::SampleCreation);
-        let writes = (0..4)
-            .map(|dpu| HostWrite {
+        let payloads: Vec<Vec<u8>> = (1..5u32).map(|v| encode_slice(&[v; 8])).collect();
+        let writes: Vec<HostWrite> = (payloads.iter().enumerate())
+            .map(|(dpu, data)| HostWrite {
                 dpu,
                 offset: 0,
-                data: encode_slice(&[dpu as u32 + 1; 8]),
+                data,
             })
             .collect();
-        sys.push(writes).unwrap();
+        sys.push(&writes).unwrap();
         sys.set_phase(Phase::TriangleCount);
         sys.execute_labeled("sum", |ctx| {
             let mut t = ctx.tasklet(0)?;
@@ -268,7 +270,7 @@ mod tests {
         sys.broadcast(0, &encode_slice(&[7u64, 9])).unwrap();
         for id in 0..2 {
             let bytes = sys.dpu(id).unwrap().host_read(0, 16).unwrap();
-            assert_eq!(decode_slice::<u64>(&bytes), vec![7, 9]);
+            assert_eq!(decode_slice::<u64>(bytes), vec![7, 9]);
         }
         assert_eq!(sys.total_transfer_bytes(), 32);
         assert_eq!(sys.ledger().transfer_seconds, 0.0);
@@ -313,10 +315,10 @@ mod tests {
         ));
         let mut sys = FunctionalBackend::allocate_default(1).unwrap();
         assert!(matches!(
-            sys.push(vec![HostWrite {
+            sys.push(&[HostWrite {
                 dpu: 5,
                 offset: 0,
-                data: vec![0],
+                data: &[0],
             }]),
             Err(SimError::NoSuchDpu { dpu: 5, .. })
         ));
@@ -336,15 +338,17 @@ mod tests {
                 } else {
                     Phase::TriangleCount
                 });
-                let writes = (0..4)
-                    .filter(|&dpu| !sys.is_dpu_lost(dpu))
-                    .map(|dpu| HostWrite {
+                let payloads: Vec<Vec<u8>> =
+                    (0..4).map(|dpu| encode_slice(&[round + dpu; 8])).collect();
+                let writes: Vec<HostWrite> = (payloads.iter().enumerate())
+                    .filter(|&(dpu, _)| !sys.is_dpu_lost(dpu))
+                    .map(|(dpu, data)| HostWrite {
                         dpu,
                         offset: 0,
-                        data: encode_slice(&[round + dpu as u32; 8]),
+                        data,
                     })
                     .collect();
-                let _ = sys.push(writes);
+                let _ = sys.push(&writes);
                 let _ = sys.broadcast(64, &encode_slice(&[round; 4]));
                 let _ = sys.execute_labeled_masked("sum", |ctx| {
                     let mut t = ctx.tasklet(0)?;

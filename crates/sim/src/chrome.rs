@@ -248,14 +248,14 @@ mod tests {
     /// Drives a push, a skewed labeled launch and a gather on `sys`.
     fn drive<B: PimBackend>(sys: &mut B) {
         sys.set_phase(Phase::SampleCreation);
-        let writes = (0..sys.nr_dpus())
+        let writes: Vec<HostWrite> = (0..sys.nr_dpus())
             .map(|dpu| HostWrite {
                 dpu,
                 offset: 0,
-                data: vec![0; 8],
+                data: &[0; 8],
             })
             .collect();
-        sys.push(writes).unwrap();
+        sys.push(&writes).unwrap();
         sys.set_phase(Phase::TriangleCount);
         sys.execute_labeled("probe", |ctx| {
             let work = 10 * (ctx.dpu_id() as u64 + 1);

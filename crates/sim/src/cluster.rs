@@ -225,13 +225,13 @@ struct FanOut<'a, T> {
     absorb_kills: bool,
 }
 
-/// One rank's share of a fan-out.
-trait Share: Clone {
+/// One rank's share of a fan-out, borrowed by every attempt.
+trait Share {
     /// Rank-local id of the first core the share touches (`None`: none).
     fn first_local(&self) -> Option<usize>;
 }
 
-impl Share for Vec<HostWrite> {
+impl Share for &[HostWrite<'_>] {
     fn first_local(&self) -> Option<usize> {
         self.first().map(|w| w.dpu)
     }
@@ -380,22 +380,6 @@ impl<B: PimBackend> RankCluster<B> {
         Ok((r as usize, l as usize))
     }
 
-    /// Splits a push into per-rank shares with rank-local ids. With one
-    /// rank local ids are global ids, so the batch passes through whole.
-    fn split_writes(&self, writes: Vec<HostWrite>) -> SimResult<Vec<Vec<HostWrite>>> {
-        if self.ranks.len() == 1 {
-            return Ok(vec![writes]);
-        }
-        let mut shares = vec![Vec::new(); self.ranks.len()];
-        for mut w in writes {
-            let (dpu, allocated) = (w.dpu, self.route.len());
-            let &(r, l) = (self.route.get(dpu)).ok_or(SimError::NoSuchDpu { dpu, allocated })?;
-            w.dpu = l as usize;
-            shares[r as usize].push(w);
-        }
-        Ok(shares)
-    }
-
     /// The one rank fan-out: runs `op` on each rank's share and scatters
     /// its per-core results (if any) into global order. One rank with no
     /// rank kill scheduled or fired forwards verbatim (the R = 1
@@ -405,11 +389,11 @@ impl<B: PimBackend> RankCluster<B> {
     fn fan_out<I: Share, T>(
         &mut self,
         policy: FanOut<'_, T>,
-        mut shares: Vec<I>,
-        op: impl Fn(&mut B, I) -> SimResult<Vec<T>>,
+        shares: &[I],
+        op: impl Fn(&mut B, &I) -> SimResult<Vec<T>>,
     ) -> SimResult<Vec<T>> {
         if self.ranks.len() == 1 && self.pending_rank_kills.is_empty() && self.rank_deaths == 0 {
-            return op(&mut self.ranks[0], shares.pop().expect("one share"));
+            return op(&mut self.ranks[0], &shares[0]);
         }
         self.rank_fault_step();
         let inverse = &self.inverse;
@@ -420,7 +404,7 @@ impl<B: PimBackend> RankCluster<B> {
             }
         }
         let mut out: Vec<Option<T>> = (0..self.route.len()).map(|_| None).collect();
-        for (r, share) in shares.into_iter().enumerate() {
+        for (r, share) in shares.iter().enumerate() {
             if share.first_local().is_none() {
                 continue;
             }
@@ -435,7 +419,7 @@ impl<B: PimBackend> RankCluster<B> {
             let b = &mut self.ranks[r];
             let (mut failures, mut kills) = (0u32, 0usize);
             let locals = loop {
-                match op(b, share.clone()) {
+                match op(b, share) {
                     Ok(locals) => break locals,
                     Err(e) if e.is_transient() && failures < RANK_RETRY_CAP => {
                         failures += 1;
@@ -538,15 +522,30 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         }
     }
 
-    fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
+    /// One rank pushes the caller's batch as is: its local ids are the
+    /// global ids. More ranks each get a share with rank-local ids whose
+    /// payloads still point into the caller's bytes.
+    fn push(&mut self, writes: &[HostWrite]) -> SimResult<()> {
         let policy: FanOut<()> = FanOut {
             label: "push",
             dead: OnDead::Refuse,
             absorb_kills: false,
         };
-        let shares = self.split_writes(writes)?;
-        self.fan_out(policy, shares, |b, batch| b.push(batch).map(|()| vec![]))?;
-        Ok(())
+        let push = |b: &mut B, share: &&[HostWrite]| b.push(share).map(|()| vec![]);
+        if self.ranks.len() == 1 {
+            return self.fan_out(policy, &[writes], push).map(drop);
+        }
+        let mut shares = vec![Vec::new(); self.ranks.len()];
+        for w in writes {
+            let (dpu, allocated) = (w.dpu, self.route.len());
+            let &(r, l) = (self.route.get(dpu)).ok_or(SimError::NoSuchDpu { dpu, allocated })?;
+            shares[r as usize].push(HostWrite {
+                dpu: l as usize,
+                ..*w
+            });
+        }
+        let shares: Vec<&[HostWrite]> = shares.iter().map(Vec::as_slice).collect();
+        self.fan_out(policy, &shares, push).map(drop)
     }
 
     fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
@@ -556,7 +555,7 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
             absorb_kills: false,
         };
         let shares = vec![(); self.ranks.len()];
-        self.fan_out(policy, shares, |b, ()| {
+        self.fan_out(policy, &shares, |b, ()| {
             b.broadcast(offset, data).map(|()| vec![])
         })?;
         Ok(())
@@ -569,7 +568,7 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
             absorb_kills: false,
         };
         let shares = vec![(); self.ranks.len()];
-        self.fan_out(policy, shares, |b, ()| b.gather(offset, len))
+        self.fan_out(policy, &shares, |b, ()| b.gather(offset, len))
     }
 
     fn execute_labeled_masked<R, K>(&mut self, label: &str, kernel: K) -> SimResult<Vec<Option<R>>>
@@ -584,7 +583,7 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
             absorb_kills: true,
         };
         let shares = vec![(); self.ranks.len()];
-        self.fan_out(policy, shares, |b, ()| {
+        self.fan_out(policy, &shares, |b, ()| {
             b.execute_labeled_masked(label, &kernel)
         })
     }
@@ -703,14 +702,15 @@ mod tests {
         .unwrap();
         assert_eq!(cluster.nr_dpus(), 6);
         assert_eq!(cluster.nr_ranks(), 3);
-        let writes: Vec<HostWrite> = (0..6)
-            .map(|dpu| HostWrite {
+        let payloads: Vec<[u8; 8]> = (1..7).map(|v| [v; 8]).collect();
+        let writes: Vec<HostWrite> = (payloads.iter().enumerate())
+            .map(|(dpu, data)| HostWrite {
                 dpu,
                 offset: 0,
-                data: vec![dpu as u8 + 1; 8],
+                data,
             })
             .collect();
-        cluster.push(writes).unwrap();
+        cluster.push(&writes).unwrap();
         let banks = cluster.gather(0, 8).unwrap();
         for (dpu, bank) in banks.iter().enumerate() {
             assert_eq!(bank, &vec![dpu as u8 + 1; 8], "global order preserved");
@@ -855,18 +855,18 @@ mod tests {
         // Pushes to the dead rank fail atomically with a global id; the
         // survivors still accept data.
         let err = cluster
-            .push(vec![HostWrite {
+            .push(&[HostWrite {
                 dpu: 1,
                 offset: 0,
-                data: vec![7; 8],
+                data: &[7; 8],
             }])
             .unwrap_err();
         assert_eq!(err, SimError::DpuDead { dpu: 1 });
         cluster
-            .push(vec![HostWrite {
+            .push(&[HostWrite {
                 dpu: 2,
                 offset: 0,
-                data: vec![9; 8],
+                data: &[9; 8],
             }])
             .unwrap();
         // Gathers answer zeroed tombstones for the dead rank.

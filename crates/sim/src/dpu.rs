@@ -73,9 +73,10 @@ impl Dpu {
         Ok(())
     }
 
-    /// Checked immutable view of MRAM `[offset, offset + len)`.
+    /// Host-side read of MRAM `[offset, offset + len)` (a PIM→CPU
+    /// transfer, timed by the system's transfer path) as a borrowed view.
     /// Zero-length views are always valid (and free).
-    pub(crate) fn mram_slice(&self, offset: u64, len: u64) -> SimResult<&[u8]> {
+    pub fn host_read(&self, offset: u64, len: u64) -> SimResult<&[u8]> {
         if len == 0 {
             return Ok(&[]);
         }
@@ -112,11 +113,6 @@ impl Dpu {
         self.mram_slice_mut(offset, data.len() as u64)?
             .copy_from_slice(data);
         Ok(())
-    }
-
-    /// Host-side read from the bank (a PIM→CPU transfer).
-    pub fn host_read(&self, offset: u64, len: u64) -> SimResult<Vec<u8>> {
-        Ok(self.mram_slice(offset, len)?.to_vec())
     }
 
     /// Resets per-kernel counters (called by the system before a launch).

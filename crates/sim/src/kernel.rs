@@ -211,7 +211,7 @@ impl<'a> Tasklet<'a> {
     pub fn mram_read<T: Pod>(&mut self, offset: u64, dst: &mut [T]) -> SimResult<()> {
         let len = (dst.len() * T::BYTES) as u64;
         self.check_dma(offset, len)?;
-        let src = self.dpu.mram_slice(offset, len)?;
+        let src = self.dpu.host_read(offset, len)?;
         for (i, d) in dst.iter_mut().enumerate() {
             *d = T::read_le(&src[i * T::BYTES..]);
         }

@@ -64,15 +64,17 @@ impl Clock for Functional {
     const TIMED: bool = false;
 }
 
-/// One host→DPU write request in a parallel transfer batch.
-#[derive(Clone, Debug)]
-pub struct HostWrite {
+/// One host→DPU write request in a parallel transfer batch. The payload
+/// is borrowed from the caller, so a retried or rank-scattered batch
+/// re-sends the same bytes without copying them.
+#[derive(Clone, Copy, Debug)]
+pub struct HostWrite<'a> {
     /// Target DPU id.
     pub dpu: usize,
     /// Destination MRAM offset (bytes).
     pub offset: u64,
     /// Payload.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
 /// A set of allocated PIM cores plus the machinery to drive them:
@@ -391,9 +393,9 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         });
     }
 
-    fn push(&mut self, writes: Vec<HostWrite>) -> SimResult<()> {
+    fn push(&mut self, writes: &[HostWrite]) -> SimResult<()> {
         let mut per_dpu_bytes = vec![0u64; self.dpus.len()];
-        for w in &writes {
+        for w in writes {
             if w.dpu >= self.dpus.len() {
                 return Err(SimError::NoSuchDpu {
                     dpu: w.dpu,
@@ -412,8 +414,8 @@ impl<C: Clock> PimBackend for PimSystem<C> {
             per_dpu_bytes: per_dpu_bytes.clone(),
             ok: false,
         })?;
-        for w in &writes {
-            self.dpus[w.dpu].host_write(w.offset, &w.data)?;
+        for w in writes {
+            self.dpus[w.dpu].host_write(w.offset, w.data)?;
         }
         if let FaultDecision::Corrupt { salt, op } = decision {
             let payloads = writes.iter().map(|w| w.data.len()).enumerate();
@@ -494,7 +496,7 @@ impl<C: Clock> PimBackend for PimSystem<C> {
                 if self.fault.is_dead(d.id()) {
                     Ok(vec![0u8; len as usize])
                 } else {
-                    d.host_read(offset, len)
+                    d.host_read(offset, len).map(<[u8]>::to_vec)
                 }
             })
             .collect::<SimResult<Vec<Vec<u8>>>>()?;
@@ -645,14 +647,15 @@ mod tests {
         let mut sys = small_system();
         sys.set_phase(Phase::SampleCreation);
         // Each DPU gets its id repeated as u32s.
-        let writes = (0..4)
-            .map(|dpu| HostWrite {
+        let payloads: Vec<Vec<u8>> = (0..4u32).map(|id| encode_slice(&[id; 8])).collect();
+        let writes: Vec<HostWrite> = (payloads.iter().enumerate())
+            .map(|(dpu, data)| HostWrite {
                 dpu,
                 offset: 0,
-                data: encode_slice(&[dpu as u32; 8]),
+                data,
             })
             .collect();
-        sys.push(writes).unwrap();
+        sys.push(&writes).unwrap();
 
         sys.set_phase(Phase::TriangleCount);
         // Kernel: every tasklet sums the values, tasklet 0 writes the sum.
@@ -683,14 +686,14 @@ mod tests {
         sys.broadcast(0, &encode_slice(&[7u32, 9])).unwrap();
         for id in 0..4 {
             let bytes = sys.dpu(id).unwrap().host_read(0, 8).unwrap();
-            assert_eq!(decode_slice::<u32>(&bytes), vec![7, 9]);
+            assert_eq!(decode_slice::<u32>(bytes), vec![7, 9]);
         }
     }
 
     #[test]
     fn broadcast_matches_equivalent_push_batch() {
         // The shared-payload broadcast must be observationally identical
-        // to pushing one cloned write per DPU: same MRAM contents, same
+        // to pushing one write per DPU: same MRAM contents, same
         // modeled time, same byte accounting, the same metric events but
         // for the op name.
         let payload = encode_slice(&[3u32, 1, 4, 1, 5, 9, 2, 6]);
@@ -703,14 +706,14 @@ mod tests {
         let mut via_push = small_system();
         let push_events = crate::chrome::metered(&mut via_push);
         via_push.set_phase(Phase::SampleCreation);
-        let writes = (0..4)
+        let writes: Vec<HostWrite> = (0..4)
             .map(|dpu| HostWrite {
                 dpu,
                 offset: 16,
-                data: payload.clone(),
+                data: &payload,
             })
             .collect();
-        via_push.push(writes).unwrap();
+        via_push.push(&writes).unwrap();
 
         assert_eq!(via_broadcast.phase_times(), via_push.phase_times());
         assert_eq!(
@@ -790,10 +793,10 @@ mod tests {
     fn push_rejects_unknown_dpu() {
         let mut sys = small_system();
         let err = sys
-            .push(vec![HostWrite {
+            .push(&[HostWrite {
                 dpu: 99,
                 offset: 0,
-                data: vec![0],
+                data: &[0],
             }])
             .unwrap_err();
         assert!(matches!(err, SimError::NoSuchDpu { dpu: 99, .. }));

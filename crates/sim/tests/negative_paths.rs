@@ -70,10 +70,10 @@ fn guards_return_errors<B: PimBackend>() {
 
     // Push to an out-of-range DPU id.
     let err = sys
-        .push(vec![HostWrite {
+        .push(&[HostWrite {
             dpu: 99,
             offset: 0,
-            data: vec![0],
+            data: &[0],
         }])
         .unwrap_err();
     assert!(matches!(err, SimError::NoSuchDpu { dpu: 99, .. }));
@@ -111,10 +111,10 @@ fn fault_log<B: PimBackend>(spec: &str) -> Vec<(usize, String)> {
     let mut log = Vec::new();
     for i in 0..48usize {
         let r: Result<(), SimError> = match i % 3 {
-            0 => sys.push(vec![HostWrite {
+            0 => sys.push(&[HostWrite {
                 dpu: i % 4,
                 offset: 0,
-                data: vec![1u8; 8],
+                data: &[1u8; 8],
             }]),
             1 => sys
                 .execute_labeled_masked("probe", |ctx| {
@@ -148,10 +148,10 @@ fn dead_dpu_semantics<B: PimBackend>() {
     // DPU 1 dies at op 0: the very first transfer observes the death.
     let mut sys: B = faulty(2, "kill=1@0");
     let err = sys
-        .push(vec![HostWrite {
+        .push(&[HostWrite {
             dpu: 0,
             offset: 0,
-            data: vec![2u8; 8],
+            data: &[2u8; 8],
         }])
         .unwrap_err();
     assert_eq!(err, SimError::DpuDead { dpu: 1 });
@@ -160,17 +160,17 @@ fn dead_dpu_semantics<B: PimBackend>() {
     assert_eq!(sys.fault_counters().dpu_deaths, 1);
 
     // Subsequent pushes to survivors succeed; pushes to the corpse fail.
-    sys.push(vec![HostWrite {
+    sys.push(&[HostWrite {
         dpu: 0,
         offset: 0,
-        data: vec![2u8; 8],
+        data: &[2u8; 8],
     }])
     .unwrap();
     let err = sys
-        .push(vec![HostWrite {
+        .push(&[HostWrite {
             dpu: 1,
             offset: 0,
-            data: vec![2u8; 8],
+            data: &[2u8; 8],
         }])
         .unwrap_err();
     assert_eq!(err, SimError::DpuDead { dpu: 1 });
@@ -214,10 +214,10 @@ fn dead_dpu_semantics_on_functional_backend() {
 fn corruption_flips_exactly_one_byte<B: PimBackend>() {
     // corrupt=1000000 fires on every transfer op that has a payload.
     let mut sys: B = faulty(2, "seed=5,corrupt=1000000");
-    sys.push(vec![HostWrite {
+    sys.push(&[HostWrite {
         dpu: 0,
         offset: 0,
-        data: vec![0xFFu8; 16],
+        data: &[0xFFu8; 16],
     }])
     .unwrap();
     let bank = sys.dpu(0).unwrap().host_read(0, 16).unwrap();
@@ -240,10 +240,10 @@ fn corruption_flips_exactly_one_byte_on_functional_backend() {
 #[test]
 fn fault_counters_surface_in_system_report_and_serde() {
     let mut sys: TimedBackend = faulty(2, "seed=3,corrupt=1000000,kill=1@1");
-    sys.push(vec![HostWrite {
+    sys.push(&[HostWrite {
         dpu: 0,
         offset: 0,
-        data: vec![9u8; 8],
+        data: &[9u8; 8],
     }])
     .unwrap();
     let err = sys.gather(0, 8).unwrap_err();
@@ -260,10 +260,10 @@ fn fault_counters_surface_in_system_report_and_serde() {
 fn fault_events_show_up_in_the_trace() {
     let mut sys: TimedBackend = faulty(2, "seed=3,corrupt=1000000");
     let sink = metered(&mut sys);
-    sys.push(vec![HostWrite {
+    sys.push(&[HostWrite {
         dpu: 0,
         offset: 0,
-        data: vec![9u8; 8],
+        data: &[9u8; 8],
     }])
     .unwrap();
     let events = sink.events();
@@ -281,10 +281,10 @@ fn transient_faults_charge_wasted_time_on_timed_backend() {
     let mut sys: TimedBackend = faulty(2, "seed=1,transfer=1000000");
     let before = sys.phase_times().total();
     let err = sys
-        .push(vec![HostWrite {
+        .push(&[HostWrite {
             dpu: 0,
             offset: 0,
-            data: vec![0u8; 1024],
+            data: &[0u8; 1024],
         }])
         .unwrap_err();
     assert!(err.is_transient());
@@ -302,10 +302,10 @@ fn fault_free_config_is_unchanged_by_the_fault_plane() {
     // times, metric streams, and data to a plan-free system.
     let drive = |mut sys: TimedBackend| {
         let sink = metered(&mut sys);
-        sys.push(vec![HostWrite {
+        sys.push(&[HostWrite {
             dpu: 0,
             offset: 0,
-            data: vec![3u8; 64],
+            data: &[3u8; 64],
         }])
         .unwrap();
         sys.execute(|ctx| {

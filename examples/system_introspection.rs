@@ -27,17 +27,17 @@ fn main() {
     // Host → PIM: ship each core a different amount of work (deliberately
     // imbalanced, to show up in the report).
     sys.set_phase(Phase::SampleCreation);
-    let writes = (0..4)
-        .map(|dpu| {
-            let values: Vec<u64> = (0..(dpu as u64 + 1) * 1000).collect();
-            HostWrite {
-                dpu,
-                offset: 0,
-                data: encode_slice(&values),
-            }
+    let payloads: Vec<Vec<u8>> = (1..=4u64)
+        .map(|n| encode_slice(&(0..n * 1000).collect::<Vec<u64>>()))
+        .collect();
+    let writes: Vec<HostWrite> = (payloads.iter().enumerate())
+        .map(|(dpu, data)| HostWrite {
+            dpu,
+            offset: 0,
+            data,
         })
         .collect();
-    sys.push(writes).expect("transfer");
+    sys.push(&writes).expect("transfer");
 
     // Kernel: each core sums its values through bounded WRAM buffers.
     sys.set_phase(Phase::TriangleCount);

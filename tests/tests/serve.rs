@@ -130,6 +130,26 @@ fn malformed_and_unknown_frames_get_structured_errors() {
     assert!(is_ok(&c.call(r#"{"op":"ping"}"#)));
 }
 
+/// Regression: a line that was not UTF-8 got no answer at all, so the
+/// client waited forever for its response.
+#[test]
+fn non_utf8_frames_get_a_bad_request_answer() {
+    let server = test_server();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut call = |frame: &[u8]| -> Value {
+        writer.write_all(frame).unwrap();
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+        serde_json::from_str(&line).unwrap()
+    };
+    let v = call(b"{\"op\":\"pi\xffng\"}\n");
+    assert_eq!(err_code(&v).as_deref(), Some("bad-request"), "{v:?}");
+    // The connection keeps serving.
+    assert!(is_ok(&call(b"{\"op\":\"ping\"}\n")));
+}
+
 #[test]
 fn oversized_frames_are_refused_without_wedging_the_server() {
     let server = test_server();
