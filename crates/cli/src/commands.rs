@@ -136,12 +136,13 @@ usage:
       never share a core. Ops apply in per-session order under a
       fair-share worker pool (--workers), with --queue-depth bounding
       each session's queue (a full queue backpressures the client) and
-      --max-frame bounding one request line. The same listener answers
-      GET /metrics (Prometheus), /healthz (per-session phase, sequence
-      watermark, queue depth, anomalies), and /trace. SIGTERM (or a
-      `shutdown` frame) drains gracefully: in-flight queues run dry,
-      then every live session is checkpointed into --drain-dir (PIMTCKPT
-      snapshots, restorable with `pimtc dynamic --resume` tooling).
+      --max-frame bounding one request line (and an HTTP header block).
+      The same listener answers GET /metrics (Prometheus), /healthz
+      (per-session phase, sequence watermark, queue depth, anomalies),
+      and /trace. SIGTERM (or a `shutdown` frame) drains gracefully:
+      in-flight queues run dry, then every live session is checkpointed
+      into --drain-dir (PIMTCKPT snapshots, restorable with `pimtc
+      dynamic --resume` tooling).
       --watchdog-fail exits non-zero if any session raised a watchdog
       anomaly over its lifetime.
 

@@ -29,18 +29,13 @@ use pim_graph::Edge;
 use pim_metrics::{ChunkObs, MetricsHub};
 use pim_sim::system::{decode_slice, encode_slice};
 use pim_sim::{
-    ClusterSpec, HostWrite, Phase, PimBackend, RankCluster, SimError, SimResult, SystemReport,
-    TimedBackend,
+    retry_backoff, ClusterSpec, HostWrite, Phase, PimBackend, RankCluster, SimError, SimResult,
+    SystemReport, TimedBackend,
 };
 use pim_stream::{ColoringHash, MisraGries, PartitionJournal};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Modeled host seconds charged for the first retry of a failed
-/// operation; each further consecutive failure doubles it (capped at
-/// `2^6` ×), modeling capped exponential backoff.
-const RETRY_BACKOFF_BASE: f64 = 1e-4;
 
 /// A live PIM-TC computation: allocated cores, resident edge samples, and
 /// the accumulated sampling state.
@@ -1085,9 +1080,8 @@ impl<B: PimBackend> TcSession<B> {
 
     /// Charges one modeled-backoff retry span to the current phase.
     fn charge_retry(&mut self, label: &str, attempt: u32) {
-        let backoff = RETRY_BACKOFF_BASE * f64::from(1u32 << attempt.min(6));
         self.sys
-            .charge_host_seconds_labeled(&format!("retry:{label}"), backoff);
+            .charge_host_seconds_labeled(&format!("retry:{label}"), retry_backoff(attempt));
     }
 
     /// Fails the session once `failures` consecutive attempts at one

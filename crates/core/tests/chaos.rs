@@ -281,6 +281,47 @@ fn every_transient_fault_charges_exactly_one_retry_span() {
     }
 }
 
+/// Regression: a cluster rank's local retry billed its first backoff at
+/// twice the session's (2e-4 s against 1e-4 s), so one transient cost
+/// more at R > 1 than at R = 1. `seed=36,transfer=20000` injects exactly
+/// one transient into this run at R = 1 (retried by the session) and at
+/// R = 2 (retried by the failing rank), on a push both times; each must
+/// bill one retry span of the same length.
+#[test]
+fn a_rank_local_retry_bills_what_the_session_retry_bills() {
+    fn retry_spans(ranks: u32) -> Vec<(String, f64)> {
+        let cfg = TcConfig::builder()
+            .colors(3)
+            .ranks(ranks)
+            .pim(PimConfig {
+                total_dpus: 512,
+                mram_capacity: 1 << 20,
+                fault: Some(FaultPlan::parse("seed=36,transfer=20000").unwrap()),
+                ..PimConfig::tiny()
+            })
+            .stage_edges(64)
+            .build()
+            .unwrap();
+        let hub = std::sync::Arc::new(MetricsHub::new());
+        let sink = MemorySink::new();
+        hub.add_sink(Box::new(sink.clone()));
+        let mut s =
+            TcSession::<RankCluster<TimedBackend>>::start_cluster_metered(&cfg, Some(hub)).unwrap();
+        s.append(gen::erdos_renyi(60, 0.15, 3).edges()).unwrap();
+        s.count().unwrap();
+        assert_eq!(s.fault_counters().transfer_faults, 1, "R = {ranks}");
+        sink.events()
+            .iter()
+            .filter(|e| e.kind == "host" && e.str_field("label").starts_with("retry:"))
+            .map(|e| (e.str_field("label").to_string(), e.f64_field("seconds")))
+            .collect()
+    }
+    let one_rank = retry_spans(1);
+    let two_ranks = retry_spans(2);
+    assert_eq!(one_rank, [("retry:stage_push".to_string(), 1e-4)]);
+    assert_eq!(two_ranks, [("retry:push".to_string(), one_rank[0].1)]);
+}
+
 #[test]
 fn fault_counters_surface_in_the_system_report() {
     let g = gen::erdos_renyi(80, 0.15, 4);

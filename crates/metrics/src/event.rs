@@ -10,88 +10,10 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-/// A typed field value carried by an [`Event`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum FieldValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer (negative values only appear here).
-    I64(i64),
-    /// Floating point. Non-finite values render as JSON `null`.
-    F64(f64),
-    /// String.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl FieldValue {
-    /// The value as `u64`, if it is an unsigned integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            FieldValue::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as `f64` (integers widen losslessly where possible).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            FieldValue::U64(v) => Some(*v as f64),
-            FieldValue::I64(v) => Some(*v as f64),
-            FieldValue::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            FieldValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            FieldValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn render_json(&self, out: &mut String) {
-        match self {
-            FieldValue::U64(v) => out.push_str(&v.to_string()),
-            FieldValue::I64(v) => out.push_str(&v.to_string()),
-            FieldValue::F64(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v:?}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            FieldValue::Str(s) => escape_json_string(s, out),
-            FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
-    }
-}
-
-fn escape_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// A field value carried by an [`Event`]: the JSON value model. Emitters
+/// use its scalar variants (`U64`, `I64`, `F64`, `Str`, `Bool`); a
+/// non-finite `F64` renders as JSON `null`.
+pub use serde_json::Value as FieldValue;
 
 /// One structured metric event.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,9 +34,18 @@ impl Event {
         self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
+    /// A field that is an unsigned integer; `None` for any other value,
+    /// an integral float included.
+    pub fn get_u64(&self, name: &str) -> Option<u64> {
+        match self.get(name) {
+            Some(&FieldValue::U64(v)) => Some(v),
+            _ => None,
+        }
+    }
+
     /// `u64` field accessor (0 when missing or mistyped).
     pub fn u64_field(&self, name: &str) -> u64 {
-        self.get(name).and_then(FieldValue::as_u64).unwrap_or(0)
+        self.get_u64(name).unwrap_or(0)
     }
 
     /// `f64` field accessor (0.0 when missing or mistyped).
@@ -130,26 +61,20 @@ impl Event {
     /// Renders the event as one JSON object on a single line:
     /// `{"seq":N,"kind":"...","field":value,...}`.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(64 + self.fields.len() * 16);
-        out.push_str("{\"seq\":");
-        out.push_str(&self.seq.to_string());
-        out.push_str(",\"kind\":");
-        escape_json_string(&self.kind, &mut out);
-        for (k, v) in &self.fields {
-            out.push(',');
-            escape_json_string(k, &mut out);
-            out.push(':');
-            v.render_json(&mut out);
-        }
-        out.push('}');
-        out
+        let mut object = Vec::with_capacity(self.fields.len() + 2);
+        object.push(("seq".to_string(), FieldValue::U64(self.seq)));
+        object.push(("kind".to_string(), FieldValue::Str(self.kind.clone())));
+        object.extend(self.fields.iter().cloned());
+        serde_json::to_string(&FieldValue::Object(object)).expect("a value tree always renders")
     }
 
     /// Parses one JSONL line produced by [`Event::to_json_line`].
     ///
     /// The parser accepts any flat JSON object whose values are numbers,
     /// strings, booleans, or `null` (ignored) — the full shape this crate
-    /// emits — and requires `seq` and `kind` fields.
+    /// emits — and requires `seq` and `kind` fields. It holds about one
+    /// line of heap; a `serde_json` value tree of the same line can hold
+    /// tens of times that.
     pub fn parse(line: &str) -> Result<Event, String> {
         let fields = parse_flat_object(line)?;
         let mut seq = None;
@@ -157,7 +82,13 @@ impl Event {
         let mut rest = Vec::new();
         for (k, v) in fields {
             match k.as_str() {
-                "seq" => seq = v.as_u64(),
+                // Strictly an unsigned integer: `1.0` is no sequence number.
+                "seq" => {
+                    seq = match v {
+                        FieldValue::U64(n) => Some(n),
+                        _ => None,
+                    }
+                }
                 "kind" => kind = v.as_str().map(str::to_string),
                 _ => rest.push((k, v)),
             }

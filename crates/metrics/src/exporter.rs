@@ -1,7 +1,9 @@
-//! Live telemetry exporter: a dependency-free HTTP server over the hub.
+//! Live telemetry exporter: an HTTP server over the hub.
 //!
-//! [`MetricsServer`] binds a std [`TcpListener`] and serves three
-//! endpoints from one background thread while a run is in flight:
+//! [`serve_http`] is the one endpoint table; [`MetricsServer`] binds a std
+//! [`TcpListener`] and answers it from one background thread while a run
+//! is in flight, and `pimtc serve` answers it on the daemon's own
+//! listener with its own `/healthz` body:
 //!
 //! * `GET /metrics` — the live registry rendered in Prometheus text
 //!   exposition format (the same bytes `--metrics-format prom` writes at
@@ -20,7 +22,8 @@
 
 use crate::event::{Event, MetricsSink};
 use crate::hub::MetricsHub;
-use std::io::{Read, Write};
+use serde_json::json;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -109,44 +112,17 @@ impl HealthState {
         } else {
             "degraded"
         };
-        let mut out = String::with_capacity(160);
-        out.push_str("{\"status\":");
-        json_string(status, &mut out);
-        out.push_str(",\"phase\":");
-        json_string(&self.phase(), &mut out);
-        out.push_str(&format!(
-            ",\"last_seq\":{},\"edges_ingested\":{},\"chunks\":{}",
-            self.last_seq(),
-            self.edges.load(Ordering::Relaxed),
-            self.chunks.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(",\"anomaly_count\":{}", anomalies.len()));
-        out.push_str(",\"anomalies\":[");
-        for (i, a) in anomalies.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(a, &mut out);
-        }
-        out.push_str("]}");
-        out
+        let body = json!({
+            "status": status,
+            "phase": self.phase(),
+            "last_seq": self.last_seq(),
+            "edges_ingested": self.edges.load(Ordering::Relaxed),
+            "chunks": self.chunks.load(Ordering::Relaxed),
+            "anomaly_count": anomalies.len(),
+            "anomalies": anomalies,
+        });
+        serde_json::to_string(&body).expect("a value tree always renders")
     }
-}
-
-fn json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A [`MetricsSink`] that feeds a shared [`HealthState`]. It only updates
@@ -252,84 +228,120 @@ impl Drop for MetricsServer {
 }
 
 fn handle_conn(
-    mut stream: TcpStream,
+    stream: TcpStream,
     hub: &MetricsHub,
     health: &HealthState,
     trace_json: &Mutex<Option<String>>,
 ) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    // Only the request line matters; read until the first newline (or a
-    // small cap — well-formed GETs fit comfortably).
-    let mut buf = [0u8; 1024];
-    let mut len = 0;
-    while len < buf.len() {
-        match stream.read(&mut buf[len..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                len += n;
-                if buf[..len].contains(&b'\n') {
-                    break;
-                }
-            }
-            Err(_) => break,
+    let mut reader = BufReader::new(&stream);
+    let mut line = Vec::new();
+    if read_head_line(&mut reader, MAX_REQUEST_HEAD, &mut line).is_err() {
+        return;
+    }
+    // An over-long head is dropped unanswered, like an over-long line.
+    let _ = serve_http(
+        &mut reader,
+        &mut &stream,
+        &String::from_utf8_lossy(&line),
+        MAX_REQUEST_HEAD - line.len(),
+        hub,
+        || health.render_json(),
+        || trace_json.lock().expect("trace poisoned").clone(),
+    );
+}
+
+/// Cap on an exporter request's head (request line plus headers), bytes.
+const MAX_REQUEST_HEAD: usize = 8192;
+
+/// The request head outgrew its byte cap.
+#[derive(Debug)]
+pub struct HeadTooLarge;
+
+/// Reads one `\n`-terminated head line into `line` (cleared first),
+/// reading at most `max + 1` bytes. A read error or end of stream ends the
+/// line early; the caller answers what arrived.
+fn read_head_line<R: BufRead>(
+    reader: &mut R,
+    max: usize,
+    line: &mut Vec<u8>,
+) -> Result<(), HeadTooLarge> {
+    line.clear();
+    let _ = reader.take(max as u64 + 1).read_until(b'\n', line);
+    if line.len() > max {
+        return Err(HeadTooLarge);
+    }
+    Ok(())
+}
+
+/// Answers one HTTP request whose request line has already been read: the
+/// one endpoint table of [`MetricsServer`] and of daemons that mount its
+/// endpoints on their own listener (`pimtc serve`).
+///
+/// The header block is read and discarded, at most `max_headers` bytes in
+/// all; past that nothing is answered and [`HeadTooLarge`] comes back so
+/// the caller can close the connection. Otherwise `GET /metrics` renders
+/// `hub`'s registry, `GET /healthz` answers `healthz()`, `GET /trace`
+/// answers `trace()` (an empty trace until one is published), any other
+/// path is a 404 and any other method a 405.
+pub fn serve_http<R: BufRead, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
+    request_line: &str,
+    max_headers: usize,
+    hub: &MetricsHub,
+    healthz: impl FnOnce() -> String,
+    trace: impl FnOnce() -> Option<String>,
+) -> Result<(), HeadTooLarge> {
+    let mut budget = max_headers;
+    let mut header = Vec::new();
+    loop {
+        read_head_line(reader, budget, &mut header)?;
+        budget -= header.len();
+        if header.trim_ascii().is_empty() {
+            break;
         }
     }
-    let request_line = match std::str::from_utf8(&buf[..len]) {
-        Ok(text) => text.lines().next().unwrap_or("").to_string(),
-        Err(_) => String::new(),
-    };
-    let (method, path) = parse_request_line(&request_line);
+    let (method, path) = parse_request_line(request_line);
     if method != "GET" {
         respond_http(
-            &mut stream,
+            writer,
             405,
             "Method Not Allowed",
             "text/plain",
             "only GET is supported\n",
         );
-        return;
+        return Ok(());
     }
     match path.as_str() {
-        "/metrics" => {
-            let body = hub.render_prometheus();
-            respond_http(
-                &mut stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
-        }
-        "/healthz" => {
-            let body = health.render_json();
-            respond_http(&mut stream, 200, "OK", "application/json", &body);
-        }
+        "/metrics" => respond_http(
+            writer,
+            200,
+            "OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            &hub.render_prometheus(),
+        ),
+        "/healthz" => respond_http(writer, 200, "OK", "application/json", &healthz()),
         "/trace" => {
-            let body = trace_json
-                .lock()
-                .expect("trace poisoned")
-                .clone()
+            let body = trace()
                 .unwrap_or_else(|| "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}".to_string());
-            respond_http(&mut stream, 200, "OK", "application/json", &body);
+            respond_http(writer, 200, "OK", "application/json", &body);
         }
-        _ => {
-            respond_http(
-                &mut stream,
-                404,
-                "Not Found",
-                "text/plain",
-                "endpoints: /metrics /healthz /trace\n",
-            );
-        }
+        _ => respond_http(
+            writer,
+            404,
+            "Not Found",
+            "text/plain",
+            "endpoints: /metrics /healthz /trace\n",
+        ),
     }
+    Ok(())
 }
 
 /// Splits an HTTP request line into `(method, path)`, stripping any query
-/// string from the path. Both come back empty on a malformed line. Shared
-/// with daemons (e.g. `pimtc serve`) that mount the exporter's endpoints
-/// on their own listener.
-pub fn parse_request_line(line: &str) -> (String, String) {
+/// string from the path. Both come back empty on a malformed line.
+fn parse_request_line(line: &str) -> (String, String) {
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("");
@@ -338,10 +350,8 @@ pub fn parse_request_line(line: &str) -> (String, String) {
 }
 
 /// Writes one complete `Connection: close` HTTP/1.1 response. Errors are
-/// swallowed: the peer hanging up mid-response is its own problem. Public
-/// so daemons multiplexing HTTP and other protocols on one listener can
-/// reuse the exporter's response framing.
-pub fn respond_http<W: Write>(
+/// swallowed: the peer hanging up mid-response is its own problem.
+fn respond_http<W: Write>(
     stream: &mut W,
     status: u16,
     reason: &str,

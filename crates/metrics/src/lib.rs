@@ -20,18 +20,19 @@
 //! * [`summary`] — aggregation of a recorded stream back into totals,
 //!   used by `pimtc metrics-summary` and by the equivalence tests that
 //!   pin the stream's aggregates against `SystemReport`.
-//! * [`exporter`] — the live telemetry plane: an in-process HTTP server
-//!   ([`MetricsServer`]) serving `/metrics`, `/healthz`, and `/trace`
-//!   from one background thread, plus the in-tree Prometheus text lint
-//!   ([`lint_prometheus`]).
+//! * [`exporter`] — the live telemetry plane: the one HTTP endpoint table
+//!   ([`serve_http`]: `/metrics`, `/healthz`, `/trace`), an in-process
+//!   server ([`MetricsServer`]) answering it from one background thread,
+//!   and the in-tree Prometheus text lint ([`lint_prometheus`]).
 //! * [`watchdog`] — a [`Watchdog`] polled between ops that raises
 //!   structured `anomaly` events (straggler DPU, stalled progress,
 //!   retry-rate spike, core/rank death) from the live registry.
 //!
-//! The crate is dependency-free (std only): events are rendered to JSON
-//! lines by hand and re-parsed by a small flat-object parser, and the
-//! exporter speaks just enough HTTP/1.1 over a std `TcpListener`, so it
-//! can be embedded anywhere in the stack without a dependency edge.
+//! Everything the crate writes as JSON (event lines, `/healthz`) is a
+//! `serde_json::Value` rendered by the vendored `serde_json`; event lines
+//! are read back by a small flat-object parser that holds about one line
+//! of heap. The exporter speaks just enough HTTP/1.1 over a std
+//! `TcpListener`.
 //!
 //! See `docs/OBSERVABILITY.md` for the event schema, metric name / label
 //! conventions, and the live telemetry endpoints.
@@ -45,7 +46,7 @@ pub mod watchdog;
 
 pub use event::{Event, FieldValue, JsonlSink, MemorySink, MetricsSink};
 pub use exporter::{
-    lint_prometheus, parse_request_line, respond_http, HealthSink, HealthState, MetricsServer,
+    lint_prometheus, serve_http, HeadTooLarge, HealthSink, HealthState, MetricsServer,
 };
 pub use hub::{ChunkObs, LaunchDist, LaunchObs, MetricsHub};
 pub use registry::{

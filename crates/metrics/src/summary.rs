@@ -289,7 +289,7 @@ pub fn summarize(events: &[Event]) -> StreamSummary {
         }
         // Rank-scoped hubs stamp every event with a `rank` field; fold those
         // into the per-rank breakdown alongside the cluster-wide totals.
-        if let Some(rank) = e.get("rank").and_then(|v| v.as_u64()) {
+        if let Some(rank) = e.get_u64("rank") {
             let agg = s.by_rank.entry(rank).or_default();
             agg.events += 1;
             match e.kind.as_str() {

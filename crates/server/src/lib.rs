@@ -1,7 +1,7 @@
 //! Multi-tenant serving layer for the PIM triangle-counting engine.
 //!
-//! This crate implements the `pimtc serve` daemon: a dependency-free
-//! TCP server (std `TcpListener` + worker threads, in the mold of
+//! This crate implements the `pimtc serve` daemon: a TCP server (std
+//! `TcpListener` + worker threads, in the mold of
 //! `pim_metrics::MetricsServer`) that owns one simulated PIM cluster and
 //! multiplexes concurrent tenant sessions over it.
 //!
@@ -18,7 +18,8 @@
 //!   that does not fit the machine, naming the binding limit;
 //! * [`serve`] — the [`serve::Server`] itself: accept loop, per-session
 //!   serialized op queues under a global fair-share worker pool,
-//!   HTTP `/metrics` + per-session `/healthz` on the same listener, and
+//!   the `pim_metrics::serve_http` endpoint table (`/metrics`,
+//!   per-session `/healthz`, `/trace`) on the same listener, and
 //!   graceful drain that checkpoints every live session (`PIMTCKPT`).
 //!
 //! See `docs/SERVING.md` for the protocol grammar and operational notes.

@@ -15,7 +15,7 @@
 //! of the oversized line cannot be resynchronized safely.
 
 use pim_graph::Edge;
-use serde_json::Value;
+use serde_json::{json, Value};
 
 /// Default cap on one request line, bytes (1 MiB ≈ 65k edges per append).
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
@@ -266,47 +266,29 @@ fn parse_edges(value: &Value) -> Result<Vec<Edge>, (ErrorCode, String)> {
     Ok(edges)
 }
 
-/// Escapes `s` into a JSON string literal (appended to `out` with
-/// surrounding quotes).
-pub fn push_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Renders one `{"ok":false,...}` error frame (no trailing newline).
 pub fn error_response(code: ErrorCode, message: &str) -> String {
-    let mut out = String::with_capacity(64 + message.len());
-    out.push_str("{\"ok\":false,\"error\":{\"code\":");
-    push_json_string(code.as_str(), &mut out);
-    out.push_str(",\"message\":");
-    push_json_string(message, &mut out);
-    out.push_str("}}");
-    out
+    render(json!({
+        "ok": false,
+        "error": json!({ "code": code.as_str(), "message": message }),
+    }))
 }
 
-/// Renders one `{"ok":true,"op":...}` frame with pre-rendered extra
-/// fields (each `fields` entry is a `"key":value` fragment).
-pub fn ok_response(op: &str, fields: &[String]) -> String {
-    let mut out = String::with_capacity(32);
-    out.push_str("{\"ok\":true,\"op\":");
-    push_json_string(op, &mut out);
-    for f in fields {
-        out.push(',');
-        out.push_str(f);
+/// Renders one `{"ok":true,"op":...}` frame followed by the members of
+/// the `fields` object, in order (no trailing newline).
+pub fn ok_response(op: &str, fields: Value) -> String {
+    let mut frame = vec![
+        ("ok".to_string(), Value::Bool(true)),
+        ("op".to_string(), Value::Str(op.to_string())),
+    ];
+    if let Value::Object(fields) = fields {
+        frame.extend(fields);
     }
-    out.push('}');
-    out
+    render(Value::Object(frame))
+}
+
+fn render(frame: Value) -> String {
+    serde_json::to_string(&frame).expect("a value tree always renders")
 }
 
 #[cfg(test)]
@@ -412,7 +394,7 @@ mod tests {
 
     #[test]
     fn responses_render_valid_json() {
-        let ok = ok_response("ping", &["\"session\":3".into()]);
+        let ok = ok_response("ping", json!({ "session": 3u64 }));
         let parsed: Value = serde_json::from_str(&ok).unwrap();
         assert_eq!(parsed.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(parsed.get("session").and_then(Value::as_u64), Some(3));

@@ -23,9 +23,11 @@
 //!   starve a neighbor's `query-count`.
 //!
 //! The same listener answers plain HTTP `GET`s (`/metrics`, `/healthz`,
-//! `/trace`) with the `pim-metrics` exporter handlers, and `/healthz` is
-//! extended to a per-session document: phase, sequence watermark, queue
-//! depth, and anomalies for every live tenant.
+//! `/trace`) with the `pim-metrics` endpoint table
+//! ([`pim_metrics::serve_http`]): `/metrics` renders the server hub's
+//! `pim_serve_*` series, `/healthz` is a per-session document (phase,
+//! sequence watermark, queue depth, and anomalies for every live
+//! tenant), and the header block shares the frame cap.
 //!
 //! Drain ([`Server::begin_drain`] + [`Server::finish`], the SIGTERM path)
 //! stops admitting, lets every queue run dry, checkpoints each live
@@ -34,16 +36,14 @@
 
 use crate::admission::AdmissionController;
 use crate::protocol::{
-    error_response, ok_response, parse_request, push_json_string, ErrorCode, Request, SessionSpec,
-    DEFAULT_MAX_FRAME,
+    error_response, ok_response, parse_request, ErrorCode, Request, SessionSpec, DEFAULT_MAX_FRAME,
 };
 use crate::scheduler::Lease;
 use pim_graph::Edge;
-use pim_metrics::{
-    parse_request_line, respond_http, HealthSink, HealthState, MetricsHub, Watchdog, WatchdogConfig,
-};
+use pim_metrics::{serve_http, HealthSink, HealthState, MetricsHub, Watchdog, WatchdogConfig};
 use pim_sim::{FaultPlan, FunctionalBackend, PimConfig, RankCluster, TimedBackend};
 use pim_tc::{ExecBackend, TcConfig, TcError, TcResult, TcSession};
+use serde_json::{json, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,7 +66,8 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Worker threads executing session ops.
     pub workers: usize,
-    /// Cap on one request line, bytes.
+    /// Cap on one request line, and on the header block of an HTTP
+    /// request, bytes.
     pub max_frame: usize,
     /// Where drain (and dir-less `checkpoint` ops) persist session
     /// snapshots; `None` disables both.
@@ -174,9 +175,6 @@ struct Tenant {
     /// Dedup set mirroring host preprocessing: normalized, loop-free,
     /// first occurrence wins.
     seen: Mutex<HashSet<(u32, u32)>>,
-    /// The fully resolved config, as JSON (echoed at create, reused by
-    /// clients to reproduce the session exactly).
-    config_json: String,
     leases: Vec<Lease>,
     health: Arc<HealthState>,
     watchdog: Mutex<Watchdog>,
@@ -490,12 +488,12 @@ fn execute_op(state: &ServerState, tenant: &Arc<Tenant>, op: Op) -> String {
                     + edges.len() as u64;
                 ok_response(
                     "append-edges",
-                    &[
-                        format!("\"session\":{}", tenant.id),
-                        format!("\"appended\":{}", edges.len()),
-                        format!("\"edges_total\":{total}"),
-                        format!("\"seq\":{seq}"),
-                    ],
+                    json!({
+                        "session": tenant.id,
+                        "appended": edges.len(),
+                        "edges_total": total,
+                        "seq": seq,
+                    }),
                 )
             }
             Err(e) => engine_error(&e),
@@ -505,16 +503,16 @@ fn execute_op(state: &ServerState, tenant: &Arc<Tenant>, op: Op) -> String {
                 let seq = tenant.seq.fetch_add(1, Ordering::SeqCst) + 1;
                 ok_response(
                     "query-count",
-                    &[
-                        format!("\"session\":{}", tenant.id),
-                        format!("\"triangles\":{}", result.rounded()),
-                        format!("\"estimate\":{:?}", result.estimate),
-                        format!("\"estimate_bits\":{}", result.estimate.to_bits()),
-                        format!("\"exact\":{}", result.exact),
-                        format!("\"nr_dpus\":{}", result.nr_dpus),
-                        format!("\"max_dpu_load\":{}", result.max_dpu_load),
-                        format!("\"seq\":{seq}"),
-                    ],
+                    json!({
+                        "session": tenant.id,
+                        "triangles": result.rounded(),
+                        "estimate": result.estimate,
+                        "estimate_bits": result.estimate.to_bits(),
+                        "exact": result.exact,
+                        "nr_dpus": result.nr_dpus,
+                        "max_dpu_load": result.max_dpu_load,
+                        "seq": seq,
+                    }),
                 )
             }
             Err(e) => engine_error(&e),
@@ -539,18 +537,14 @@ fn execute_op(state: &ServerState, tenant: &Arc<Tenant>, op: Op) -> String {
                 .and_then(|()| live.checkpoint(watermark))
                 .and_then(|snap| snap.save(&dest));
             match saved {
-                Ok(path) => {
-                    let mut path_json = String::new();
-                    push_json_string(&path.display().to_string(), &mut path_json);
-                    ok_response(
-                        "checkpoint",
-                        &[
-                            format!("\"session\":{}", tenant.id),
-                            format!("\"path\":{path_json}"),
-                            format!("\"watermark\":{watermark}"),
-                        ],
-                    )
-                }
+                Ok(path) => ok_response(
+                    "checkpoint",
+                    json!({
+                        "session": tenant.id,
+                        "path": path.display().to_string(),
+                        "watermark": watermark,
+                    }),
+                ),
                 Err(e) => error_response(ErrorCode::Checkpoint, &e.to_string()),
             }
         }
@@ -561,7 +555,7 @@ fn execute_op(state: &ServerState, tenant: &Arc<Tenant>, op: Op) -> String {
             let mut sessions = state.sessions.lock().expect("sessions poisoned");
             sessions.remove(&tenant.id);
             state.sessions_gauge().set(sessions.len() as f64);
-            return ok_response("close", &[format!("\"session\":{}", tenant.id)]);
+            return ok_response("close", json!({ "session": tenant.id }));
         }
     };
     // A watchdog pass between ops, like the CLI's dynamic loop: anomalies
@@ -691,7 +685,20 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
                     continue;
                 }
                 if is_http_request_line(&line) {
-                    serve_http(state, &line, &mut reader, &mut writer);
+                    // The header block shares the protocol's frame cap; an
+                    // over-long one is refused like an over-long frame.
+                    let answered = serve_http(
+                        &mut reader,
+                        &mut writer,
+                        &line,
+                        state.cfg.max_frame,
+                        &state.hub,
+                        || render_healthz(state),
+                        || None,
+                    );
+                    if answered.is_err() {
+                        state.metric("pim_serve_frames_rejected_total").inc();
+                    }
                     return;
                 }
                 let response = handle_frame(state, &line);
@@ -716,68 +723,9 @@ fn is_http_request_line(line: &str) -> bool {
         )
 }
 
-/// Serves one HTTP exchange on the shared listener: `/metrics` is the
-/// live Prometheus scrape of the server hub, `/healthz` the per-session
-/// health document, `/trace` an (empty) chrome trace for tool parity.
-fn serve_http(
-    state: &ServerState,
-    request_line: &str,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
-) {
-    // Drain the header block so the peer's send buffer clears.
-    let mut header = String::new();
-    while let Ok(n) = reader.read_line(&mut header) {
-        if n == 0 || header.trim_end().is_empty() {
-            break;
-        }
-        header.clear();
-    }
-    let (method, path) = parse_request_line(request_line);
-    if method != "GET" {
-        respond_http(
-            writer,
-            405,
-            "Method Not Allowed",
-            "text/plain",
-            "only GET is supported\n",
-        );
-        return;
-    }
-    match path.as_str() {
-        "/metrics" => {
-            let body = state.hub.render_prometheus();
-            respond_http(
-                writer,
-                200,
-                "OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
-        }
-        "/healthz" => {
-            let body = render_healthz(state);
-            respond_http(writer, 200, "OK", "application/json", &body);
-        }
-        "/trace" => {
-            respond_http(
-                writer,
-                200,
-                "OK",
-                "application/json",
-                "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}",
-            );
-        }
-        _ => {
-            respond_http(
-                writer,
-                404,
-                "Not Found",
-                "text/plain",
-                "endpoints: /metrics /healthz /trace\n",
-            );
-        }
-    }
+/// A lease as a session's own documents show it: no session id.
+fn lease_json(l: &Lease) -> Value {
+    json!({ "rank": l.rank, "start": l.start, "len": l.len })
 }
 
 /// The per-session `/healthz` document.
@@ -797,49 +745,33 @@ fn render_healthz(state: &ServerState) -> String {
     } else {
         "ok"
     };
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"status\":");
-    push_json_string(status, &mut out);
-    out.push_str(&format!(
-        ",\"draining\":{draining},\"sessions_active\":{},\"admitted\":{},\"rejected\":{}",
-        sessions.len(),
-        state.admission.admitted(),
-        state.admission.rejected()
-    ));
-    out.push_str(&format!(
-        ",\"leased_dpus\":{},\"total_dpus\":{},\"anomaly_count\":{anomalies}",
-        state.admission.leased_dpus(),
-        state.admission.total_dpus()
-    ));
-    out.push_str(",\"sessions\":[");
-    for (i, t) in sessions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"id\":{},\"phase\":", t.id));
-        push_json_string(&t.health.phase(), &mut out);
-        out.push_str(&format!(
-            ",\"seq\":{},\"last_seq\":{},\"queue_depth\":{},\"edges\":{},\"anomaly_count\":{}",
-            t.seq.load(Ordering::SeqCst),
-            t.health.last_seq(),
-            t.queue.lock().expect("queue poisoned").len(),
-            t.edges.load(Ordering::SeqCst),
-            t.health.anomaly_count()
-        ));
-        out.push_str(",\"leases\":[");
-        for (j, l) in t.leases.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rank\":{},\"start\":{},\"len\":{}}}",
-                l.rank, l.start, l.len
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    let session_docs: Vec<Value> = sessions
+        .iter()
+        .map(|t| {
+            json!({
+                "id": t.id,
+                "phase": t.health.phase(),
+                "seq": t.seq.load(Ordering::SeqCst),
+                "last_seq": t.health.last_seq(),
+                "queue_depth": t.queue.lock().expect("queue poisoned").len(),
+                "edges": t.edges.load(Ordering::SeqCst),
+                "anomaly_count": t.health.anomaly_count(),
+                "leases": t.leases.iter().map(lease_json).collect::<Vec<_>>(),
+            })
+        })
+        .collect();
+    let doc = json!({
+        "status": status,
+        "draining": draining,
+        "sessions_active": sessions.len(),
+        "admitted": state.admission.admitted(),
+        "rejected": state.admission.rejected(),
+        "leased_dpus": state.admission.leased_dpus(),
+        "total_dpus": state.admission.total_dpus(),
+        "anomaly_count": anomalies,
+        "sessions": session_docs,
+    });
+    serde_json::to_string(&doc).expect("a value tree always renders")
 }
 
 /// Dispatches one protocol frame to a response frame.
@@ -852,12 +784,12 @@ fn handle_frame(state: &Arc<ServerState>, line: &str) -> String {
         }
     };
     match request {
-        Request::Ping => ok_response("ping", &[]),
+        Request::Ping => ok_response("ping", json!({})),
         Request::Stats => render_stats(state),
         Request::Shutdown => {
             state.draining.store(true, Ordering::SeqCst);
             state.drain_cv.notify_all();
-            ok_response("shutdown", &[String::from("\"draining\":true")])
+            ok_response("shutdown", json!({ "draining": true }))
         }
         Request::CreateSession(spec) => create_session(state, &spec),
         Request::AppendEdges { session, edges } => {
@@ -1012,18 +944,6 @@ fn create_session(state: &Arc<ServerState>, spec: &SessionSpec) -> String {
             return engine_error(&e);
         }
     };
-    let config_json = serde_json::to_string(&config).unwrap_or_else(|_| String::from("null"));
-    let mut leases_json = String::from("[");
-    for (i, l) in leases.iter().enumerate() {
-        if i > 0 {
-            leases_json.push(',');
-        }
-        leases_json.push_str(&format!(
-            "{{\"rank\":{},\"start\":{},\"len\":{}}}",
-            l.rank, l.start, l.len
-        ));
-    }
-    leases_json.push(']');
     let tenant = Arc::new(Tenant {
         id,
         engine: Mutex::new(Some(engine)),
@@ -1034,7 +954,6 @@ fn create_session(state: &Arc<ServerState>, spec: &SessionSpec) -> String {
         seq: AtomicU64::new(0),
         edges: AtomicU64::new(0),
         seen: Mutex::new(HashSet::new()),
-        config_json,
         leases,
         health,
         watchdog: Mutex::new(watchdog),
@@ -1045,46 +964,39 @@ fn create_session(state: &Arc<ServerState>, spec: &SessionSpec) -> String {
         state.sessions_gauge().set(sessions.len() as f64);
     }
     state.metric("pim_serve_admitted_total").inc();
+    // The fully resolved config is echoed so clients can reproduce the
+    // session exactly.
     ok_response(
         "create-session",
-        &[
-            format!("\"session\":{id}"),
-            format!("\"config\":{}", tenant.config_json),
-            format!("\"leases\":{leases_json}"),
-            format!(
-                "\"footprint\":{{\"partitions\":{},\"ranks\":{},\"per_rank_dpus\":{},\"total_dpus\":{}}}",
-                footprint.partitions, footprint.ranks, footprint.per_rank_dpus, footprint.total_dpus
-            ),
-        ],
+        json!({
+            "session": id,
+            "config": config,
+            "leases": tenant.leases.iter().map(lease_json).collect::<Vec<_>>(),
+            "footprint": json!({
+                "partitions": footprint.partitions,
+                "ranks": footprint.ranks,
+                "per_rank_dpus": footprint.per_rank_dpus,
+                "total_dpus": footprint.total_dpus,
+            }),
+        }),
     )
 }
 
 /// The `stats` verb: server-wide counters and the lease picture.
 fn render_stats(state: &ServerState) -> String {
     let sessions = state.sessions.lock().expect("sessions poisoned").len();
-    let mut leases_json = String::from("[");
-    for (i, l) in state.admission.leases().iter().enumerate() {
-        if i > 0 {
-            leases_json.push(',');
-        }
-        leases_json.push_str(&format!(
-            "{{\"session\":{},\"rank\":{},\"start\":{},\"len\":{}}}",
-            l.session, l.rank, l.start, l.len
-        ));
-    }
-    leases_json.push(']');
     ok_response(
         "stats",
-        &[
-            format!("\"sessions_active\":{sessions}"),
-            format!("\"admitted\":{}", state.admission.admitted()),
-            format!("\"rejected\":{}", state.admission.rejected()),
-            format!("\"leased_dpus\":{}", state.admission.leased_dpus()),
-            format!("\"total_dpus\":{}", state.admission.total_dpus()),
-            format!("\"ranks\":{}", state.cfg.ranks),
-            format!("\"rank_dpus\":{}", state.cfg.pim.total_dpus),
-            format!("\"draining\":{}", state.draining.load(Ordering::SeqCst)),
-            format!("\"leases\":{leases_json}"),
-        ],
+        json!({
+            "sessions_active": sessions,
+            "admitted": state.admission.admitted(),
+            "rejected": state.admission.rejected(),
+            "leased_dpus": state.admission.leased_dpus(),
+            "total_dpus": state.admission.total_dpus(),
+            "ranks": state.cfg.ranks,
+            "rank_dpus": state.cfg.pim.total_dpus,
+            "draining": state.draining.load(Ordering::SeqCst),
+            "leases": state.admission.leases(),
+        }),
     )
 }

@@ -9,7 +9,7 @@
 //! renders the same trace after the fact.
 
 use crate::phase::Phase;
-use pim_metrics::{Event, FieldValue};
+use pim_metrics::Event;
 use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,7 +46,7 @@ fn track(e: &Event) -> u64 {
 
 /// The rank an event was emitted under, if any.
 fn rank_of(e: &Event) -> Option<u64> {
-    e.get("rank").and_then(FieldValue::as_u64)
+    e.get_u64("rank")
 }
 
 /// A rank's process: `rank + 1`, or 1 for a stream without ranks.
@@ -156,7 +156,7 @@ pub fn chrome_trace(events: &[Event]) -> Value {
             }
             "fault" => {
                 let mut args = vec![u64_arg("op", "op")];
-                if let Some(dpu) = e.get("dpu").and_then(FieldValue::as_u64) {
+                if let Some(dpu) = e.get_u64("dpu") {
                     args.push(("dpu", Value::U64(dpu)));
                 }
                 let mut fault = instant(format!("fault:{}", e.str_field("fault_kind")), track(e));

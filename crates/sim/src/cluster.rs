@@ -44,7 +44,8 @@ use crate::dpu::Dpu;
 use crate::energy::EnergyReport;
 use crate::error::{SimError, SimResult};
 use crate::fault::{
-    splitmix64, DpuKill, FaultPlan, RankKill, MAX_KILLS, MAX_RANK_KILLS, RANK_AT_COUNT,
+    retry_backoff, splitmix64, DpuKill, FaultPlan, RankKill, MAX_KILLS, MAX_RANK_KILLS,
+    RANK_AT_COUNT,
 };
 use crate::kernel::DpuContext;
 use crate::phase::Phase;
@@ -191,11 +192,6 @@ impl ClusterSpec {
 /// attempt redraws from the rank's own fault stream, so with any sane
 /// fault probability the cap is unreachable; it exists as a backstop.
 const RANK_RETRY_CAP: u32 = 64;
-
-/// Modeled host seconds charged to the *failing rank only* for each
-/// rank-local retry (capped exponential backoff, mirroring the session's
-/// policy). The other ranks are not blocked: their op already completed.
-const RANK_RETRY_BACKOFF_BASE: f64 = 1e-4;
 
 /// Remaps a rank-local [`SimError`] to the cluster's global id space.
 fn remap_err(inverse: &[Vec<u32>], rank: usize, mut e: SimError) -> SimError {
@@ -421,10 +417,12 @@ impl<B: PimBackend> RankCluster<B> {
             let locals = loop {
                 match op(b, share) {
                     Ok(locals) => break locals,
+                    // The backoff is billed to the failing rank only: the
+                    // other ranks' ops already completed.
                     Err(e) if e.is_transient() && failures < RANK_RETRY_CAP => {
-                        failures += 1;
-                        let backoff = RANK_RETRY_BACKOFF_BASE * f64::from(1u32 << failures.min(6));
+                        let backoff = retry_backoff(failures);
                         b.charge_host_seconds_labeled(&format!("retry:{}", policy.label), backoff);
+                        failures += 1;
                     }
                     // A kill decided at launch aborts it before any core
                     // runs. Re-issuing masks the victim, where an error

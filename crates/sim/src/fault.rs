@@ -27,6 +27,15 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+/// Modeled host seconds the retry after `attempt` consecutive failures
+/// (0 for the first retry) of one operation waits: 1e-4 s, doubling per
+/// further failure up to 2^6 ×. The session's retry loop and a cluster
+/// rank's local retry both bill it, so a transient costs the same at
+/// every rank count.
+pub fn retry_backoff(attempt: u32) -> f64 {
+    1e-4 * f64::from(1u32 << attempt.min(6))
+}
+
 /// Maximum number of scheduled DPU deaths in one plan.
 pub const MAX_KILLS: usize = 8;
 

@@ -50,7 +50,9 @@ pub use cost::CostModel;
 pub use dpu::Dpu;
 pub use energy::{EnergyModel, EnergyReport};
 pub use error::{SimError, SimResult};
-pub use fault::{DpuKill, FaultCounters, FaultPlan, RankFlaky, RankKill, RANK_AT_COUNT};
+pub use fault::{
+    retry_backoff, DpuKill, FaultCounters, FaultPlan, RankFlaky, RankKill, RANK_AT_COUNT,
+};
 pub use kernel::{DpuContext, Tasklet};
 pub use phase::{Phase, PhaseTimes};
 pub use stats::{DpuActivity, KernelAgg, Ledger, SystemReport};

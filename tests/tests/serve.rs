@@ -274,6 +274,42 @@ fn http_mount_serves_metrics_and_per_session_healthz() {
     assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
 }
 
+/// Regression: the daemon read HTTP headers with an uncapped
+/// `read_line`, so one endless header line grew a buffer for as long as
+/// the client kept sending, and was then answered. The header block now
+/// shares the frame cap: past it the connection closes unanswered and
+/// the refusal is counted.
+#[test]
+fn http_header_block_past_the_frame_cap_closes_the_connection() {
+    let server = test_server_with(|cfg| cfg.max_frame = 256);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .set_write_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    // The daemon may close mid-write; a refused write is the point.
+    let _ = stream.write_all(b"GET /metrics HTTP/1.1\r\nX-Filler: ");
+    let _ = stream.write_all(&[b'a'; 16 * 1024]);
+    let mut answer = Vec::new();
+    let _ = stream.read_to_end(&mut answer);
+    assert!(
+        answer.is_empty(),
+        "an over-long header block must not be answered: {:?}",
+        String::from_utf8_lossy(&answer[..answer.len().min(80)])
+    );
+    let rejected = server
+        .hub()
+        .registry()
+        .counter("pim_serve_frames_rejected_total")
+        .get();
+    assert_eq!(rejected, 1);
+    // The daemon keeps serving fresh connections.
+    let mut c = ServeClient::connect(server.addr());
+    assert!(is_ok(&c.call(r#"{"op":"ping"}"#)));
+}
+
 fn http_get(server: &Server, path: &str) -> String {
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
