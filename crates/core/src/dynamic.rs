@@ -835,7 +835,8 @@ impl<B: PimBackend> TcSession<B> {
     /// stream cursors, remap assignments, and RNG journals. `watermark`
     /// is the caller's stream position (for `pimtc dynamic`: update
     /// batches fully applied); restore hands it back so the caller knows
-    /// where to resume. Persist with [`SessionCheckpoint::save`].
+    /// where to resume. Persist with [`SessionCheckpoint::save`]. Emits
+    /// one `checkpoint` metric event, so a watchdog sees progress.
     pub fn checkpoint(&self, watermark: u64) -> Result<SessionCheckpoint, TcError> {
         let mut banks = Vec::with_capacity(self.assignment.nr_dpus());
         for &home in &self.partition_home {
@@ -864,6 +865,10 @@ impl<B: PimBackend> TcSession<B> {
                 sample,
                 remap,
             });
+        }
+        if let Some(hub) = &self.metrics {
+            let sample_keys = banks.iter().map(|b| b.sample.len() as u64).sum();
+            hub.checkpoint(banks.len() as u64, sample_keys, watermark);
         }
         Ok(SessionCheckpoint {
             version: CHECKPOINT_VERSION,

@@ -7,6 +7,7 @@
 //! makes a live run tailable with standard tools, and re-parsed by
 //! [`Event::parse`] for offline aggregation.
 
+use serde_json::Token;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -70,209 +71,46 @@ impl Event {
 
     /// Parses one JSONL line produced by [`Event::to_json_line`].
     ///
-    /// The parser accepts any flat JSON object whose values are numbers,
-    /// strings, booleans, or `null` (ignored) — the full shape this crate
-    /// emits — and requires `seq` and `kind` fields. It holds about one
-    /// line of heap; a `serde_json` value tree of the same line can hold
-    /// tens of times that.
+    /// Accepts any flat JSON object whose values are numbers, strings,
+    /// booleans, or `null` (ignored) — the full shape this crate emits —
+    /// and requires an unsigned integer `seq` and a string `kind`. The
+    /// line is read straight off `serde_json`'s token reader, so the parse
+    /// holds about one line of heap; a value tree of the same line can
+    /// hold tens of times that.
     pub fn parse(line: &str) -> Result<Event, String> {
-        let fields = parse_flat_object(line)?;
+        let json = |e: serde_json::Error| format!("{e}: {line}");
+        let mut reader = serde_json::Reader::new(line);
+        if reader.next_token().map_err(json)? != Token::BeginObject {
+            return Err(format!("event line is not a JSON object: {line}"));
+        }
         let mut seq = None;
         let mut kind = None;
         let mut rest = Vec::new();
-        for (k, v) in fields {
-            match k.as_str() {
+        // After `{` the reader yields keys until `}`.
+        while let Token::Key(key) = reader.next_token().map_err(json)? {
+            let value = match reader.next_token().map_err(json)?.into_scalar() {
+                Some(FieldValue::Null) => continue,
+                Some(value) => value,
+                None => return Err(format!("event field `{key}` is not a scalar: {line}")),
+            };
+            match &*key {
                 // Strictly an unsigned integer: `1.0` is no sequence number.
                 "seq" => {
-                    seq = match v {
+                    seq = match value {
                         FieldValue::U64(n) => Some(n),
                         _ => None,
                     }
                 }
-                "kind" => kind = v.as_str().map(str::to_string),
-                _ => rest.push((k, v)),
+                "kind" => kind = value.as_str().map(str::to_string),
+                _ => rest.push((key.into_owned(), value)),
             }
         }
+        reader.finish().map_err(json)?;
         Ok(Event {
             seq: seq.ok_or_else(|| format!("event line missing `seq`: {line}"))?,
             kind: kind.ok_or_else(|| format!("event line missing `kind`: {line}"))?,
             fields: rest,
         })
-    }
-}
-
-/// Minimal parser for a flat JSON object (no nesting, no arrays): exactly
-/// the shape [`Event::to_json_line`] emits. `null` values are dropped.
-fn parse_flat_object(input: &str) -> Result<Vec<(String, FieldValue)>, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            if let Some(value) = p.parse_value()? {
-                fields.push((key, value));
-            }
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after object: {input}"));
-    }
-    Ok(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!("expected `{}`, got {other:?}", want as char)),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char)
-                                    .to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit `{}`", d as char))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode a multi-byte UTF-8 sequence from the source.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Option<FieldValue>, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Some(FieldValue::Str(self.parse_string()?))),
-            Some(b't') => {
-                self.literal("true")?;
-                Ok(Some(FieldValue::Bool(true)))
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                Ok(Some(FieldValue::Bool(false)))
-            }
-            Some(b'n') => {
-                self.literal("null")?;
-                Ok(None)
-            }
-            Some(b'-' | b'0'..=b'9') => self.parse_number().map(Some),
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected literal `{lit}`"))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<FieldValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(FieldValue::U64(v));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(FieldValue::I64(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(FieldValue::F64)
-            .map_err(|_| format!("bad number `{text}`"))
     }
 }
 
@@ -421,6 +259,15 @@ mod tests {
         };
         let back = Event::parse(&e.to_json_line()).unwrap();
         assert_eq!(back, e);
+        // Escapes other JSON writers emit: a surrogate pair, `\b`, `\f`.
+        for (line, label) in [
+            (r#"{"seq":1,"kind":"host","label":"\ud83d\ude00"}"#, "😀"),
+            (r#"{"seq":1,"kind":"host","label":"\b\f\/"}"#, "\u{8}\u{c}/"),
+        ] {
+            assert_eq!(Event::parse(line).unwrap().str_field("label"), label);
+        }
+        // A lone surrogate is a structured error.
+        assert!(Event::parse(r#"{"seq":1,"kind":"host","label":"\ud83d"}"#).is_err());
     }
 
     #[test]
@@ -448,6 +295,9 @@ mod tests {
         assert!(Event::parse("{\"kind\":\"x\"}").is_err()); // missing seq
         assert!(Event::parse("{\"seq\":1,\"kind\":\"x\"} tail").is_err());
         assert!(Event::parse("[1,2]").is_err());
+        assert!(Event::parse("{\"seq\":1.0,\"kind\":\"x\"}").is_err()); // float seq
+        assert!(Event::parse("{\"seq\":1,\"kind\":\"x\",\"a\":[1]}").is_err()); // nested
+        assert!(Event::parse("{\"seq\":1,\"kind\":\"x\",\"a\":{}}").is_err());
     }
 
     #[test]

@@ -561,6 +561,19 @@ impl MetricsHub {
             ],
         );
     }
+
+    /// A session snapshot was captured at stream position `watermark`:
+    /// `partitions` banks holding `sample_keys` resident edge keys.
+    pub fn checkpoint(&self, partitions: u64, sample_keys: u64, watermark: u64) {
+        self.emit(
+            "checkpoint",
+            vec![
+                ("partitions".into(), FieldValue::U64(partitions)),
+                ("sample_keys".into(), FieldValue::U64(sample_keys)),
+                ("watermark".into(), FieldValue::U64(watermark)),
+            ],
+        );
+    }
 }
 
 #[cfg(test)]

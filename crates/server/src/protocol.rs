@@ -15,7 +15,7 @@
 //! of the oversized line cannot be resynchronized safely.
 
 use pim_graph::Edge;
-use serde_json::{json, Value};
+use serde_json::{json, Reader, Token, Value};
 
 /// Default cap on one request line, bytes (1 MiB ≈ 65k edges per append).
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
@@ -132,35 +132,31 @@ pub enum Request {
 /// Parses one request line. Errors come back as `(code, message)` pairs
 /// ready to serialize with [`error_response`].
 pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String)> {
-    let value: Value = serde_json::from_str(line.trim())
-        .map_err(|e| (ErrorCode::BadRequest, format!("not valid JSON: {e}")))?;
-    if value.as_object().is_none() {
-        return Err((
-            ErrorCode::BadRequest,
-            format!("expected a JSON object, got {}", value.kind()),
-        ));
-    }
-    let op = value
-        .get("op")
-        .and_then(Value::as_str)
-        .ok_or_else(|| (ErrorCode::BadRequest, "missing string field \"op\"".into()))?;
-    match op {
+    let fields = Fields::read(line.trim())
+        .map_err(|e| bad(format!("not valid JSON: {e}")))?
+        .map_err(|kind| bad(format!("expected a JSON object, got {kind}")))?;
+    let op = fields.get("op").and_then(Value::as_str);
+    match op.ok_or_else(|| bad("missing string field \"op\""))? {
         "ping" => Ok(Request::Ping),
-        "create-session" => Ok(Request::CreateSession(parse_session_spec(&value)?)),
-        "append-edges" => {
-            let session = session_id(&value)?;
-            let edges = parse_edges(&value)?;
-            Ok(Request::AppendEdges { session, edges })
-        }
+        "create-session" => Ok(Request::CreateSession(parse_session_spec(&fields)?)),
+        "append-edges" => Ok(Request::AppendEdges {
+            session: session_id(&fields)?,
+            edges: (fields.edges)
+                .unwrap_or_else(|| Err(NO_EDGES.into()))
+                .map_err(bad)?,
+        }),
         "query-count" => Ok(Request::QueryCount {
-            session: session_id(&value)?,
+            session: session_id(&fields)?,
         }),
         "checkpoint" => Ok(Request::Checkpoint {
-            session: session_id(&value)?,
-            dir: value.get("dir").and_then(Value::as_str).map(str::to_string),
+            session: session_id(&fields)?,
+            dir: fields
+                .get("dir")
+                .and_then(Value::as_str)
+                .map(str::to_string),
         }),
         "close" => Ok(Request::Close {
-            session: session_id(&value)?,
+            session: session_id(&fields)?,
         }),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
@@ -168,50 +164,166 @@ pub fn parse_request(line: &str) -> Result<Request, (ErrorCode, String)> {
     }
 }
 
-fn session_id(value: &Value) -> Result<u64, (ErrorCode, String)> {
-    value.get("session").and_then(Value::as_u64).ok_or_else(|| {
-        (
-            ErrorCode::BadRequest,
-            "missing or non-integer field \"session\"".into(),
-        )
-    })
+fn bad(message: impl Into<String>) -> (ErrorCode, String) {
+    (ErrorCode::BadRequest, message.into())
 }
 
-fn parse_session_spec(value: &Value) -> Result<SessionSpec, (ErrorCode, String)> {
-    let bad = |msg: &str| (ErrorCode::BadRequest, msg.to_string());
-    let colors = value
+const NO_EDGES: &str = "append-edges requires an \"edges\" array";
+
+/// Scalar members some verb reads.
+#[rustfmt::skip]
+const SCALARS: &[&str] = &[
+    "op", "session", "dir", "colors", "seed", "uniform_p", "capacity", "ranks", "spares",
+    "journal", "backend", "faults",
+];
+
+/// A result whose error is malformed JSON.
+type Json<T> = Result<T, serde_json::Error>;
+
+/// A request frame's members, read straight off the token reader: no
+/// value tree is built, `edges` go into their vector, and members no verb
+/// reads are skipped. The first occurrence of a key wins. A member of the
+/// wrong shape is kept as such and reported only by a verb that reads
+/// it, so `{"op":"ping","edges":5}` is still a ping.
+#[derive(Default)]
+struct Fields {
+    /// [`SCALARS`] members; an array or object reads as `Null`, which no
+    /// accessor takes.
+    scalars: Vec<(&'static str, Value)>,
+    /// `misra_gries`: `None` inside unless a two-element array.
+    misra_gries: Option<Option<[Option<u64>; 2]>>,
+    /// `edges`, or the message naming its first misshapen part.
+    edges: Option<Result<Vec<Edge>, String>>,
+}
+
+impl Fields {
+    /// Reads a frame. The inner `Err` names the JSON kind of a frame that
+    /// is no object.
+    fn read(text: &str) -> Json<Result<Fields, &'static str>> {
+        let mut reader = Reader::new(text);
+        let first = reader.next_token()?;
+        if first != Token::BeginObject {
+            reader.skip_value(&first)?;
+            reader.finish()?;
+            return Ok(Err(first.into_scalar().map_or("array", |v| v.kind())));
+        }
+        let mut fields = Fields::default();
+        // After `{` the reader yields keys until `}`.
+        while let Token::Key(key) = reader.next_token()? {
+            let first = reader.next_token()?;
+            let scalar = SCALARS.iter().find(|&&name| name == key);
+            match (&*key, scalar) {
+                ("edges", _) if fields.edges.is_none() => {
+                    fields.edges = Some(read_edges(&mut reader, first)?);
+                }
+                ("misra_gries", _) if fields.misra_gries.is_none() => {
+                    fields.misra_gries = Some(read_pair(&mut reader, first)?);
+                }
+                (_, Some(&name)) if fields.get(name).is_none() => {
+                    reader.skip_value(&first)?;
+                    let value = first.into_scalar().unwrap_or(Value::Null);
+                    fields.scalars.push((name, value));
+                }
+                _ => reader.skip_value(&first)?,
+            }
+        }
+        reader.finish()?;
+        Ok(Ok(fields))
+    }
+
+    fn get(&self, name: &str) -> Option<&Value> {
+        self.scalars
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v)
+    }
+}
+
+/// Reads the rest of an `edges` member whose first token is `first`.
+/// The inner `Err` names the member's first misshapen part.
+fn read_edges(reader: &mut Reader, first: Token) -> Json<Result<Vec<Edge>, String>> {
+    if first != Token::BeginArray {
+        reader.skip_value(&first)?;
+        return Ok(Err(NO_EDGES.into()));
+    }
+    let as_u32 = |n: Option<u64>| n.filter(|&n| n <= u32::MAX as u64);
+    let mut edges = Vec::new();
+    let mut misshapen = None;
+    for i in 0.. {
+        let item = reader.next_token()?;
+        if item == Token::EndArray {
+            break;
+        }
+        let pair = read_pair(reader, item)?;
+        if misshapen.is_some() {
+            continue;
+        }
+        misshapen = match pair.map(|[u, v]| (as_u32(u), as_u32(v))) {
+            None => Some(format!("edge {i} is not a [u, v] pair")),
+            Some((None, _)) => Some(format!("edge {i}: u is not a u32")),
+            Some((_, None)) => Some(format!("edge {i}: v is not a u32")),
+            Some((Some(u), Some(v))) => {
+                edges.push(Edge::new(u as u32, v as u32));
+                None
+            }
+        };
+    }
+    Ok(misshapen.map_or(Ok(edges), Err))
+}
+
+/// Reads the rest of a value whose first token is `first` as a `[a, b]`
+/// pair: `None` unless it is an array of exactly two elements; an element
+/// that [`Value::as_u64`] refuses reads as `None`.
+fn read_pair(reader: &mut Reader, first: Token) -> Json<Option<[Option<u64>; 2]>> {
+    if first != Token::BeginArray {
+        reader.skip_value(&first)?;
+        return Ok(None);
+    }
+    let (mut pair, mut len) = ([None; 2], 0);
+    loop {
+        let item = reader.next_token()?;
+        match item {
+            Token::EndArray => return Ok((len == 2).then_some(pair)),
+            Token::U64(n) if len < 2 => pair[len] = Some(n),
+            Token::F64(f) if len < 2 => pair[len] = Value::F64(f).as_u64(),
+            _ => reader.skip_value(&item)?,
+        }
+        len += 1;
+    }
+}
+
+fn session_id(fields: &Fields) -> Result<u64, (ErrorCode, String)> {
+    let session = fields.get("session").and_then(Value::as_u64);
+    session.ok_or_else(|| bad("missing or non-integer field \"session\""))
+}
+
+fn parse_session_spec(fields: &Fields) -> Result<SessionSpec, (ErrorCode, String)> {
+    let colors = fields
         .get("colors")
         .and_then(Value::as_u64)
         .ok_or_else(|| bad("create-session requires an integer \"colors\""))?;
     if colors == 0 || colors > u32::MAX as u64 {
         return Err(bad("\"colors\" must be in [1, 2^32)"));
     }
-    let misra_gries = match value.get("misra_gries") {
+    let misra_gries = match fields.misra_gries {
         None => None,
-        Some(mg) => {
-            let arr = mg
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| bad("\"misra_gries\" must be a [k, t] pair"))?;
-            let k = arr[0]
-                .as_u64()
-                .ok_or_else(|| bad("\"misra_gries\" k must be an integer"))?;
-            let t = arr[1]
-                .as_u64()
-                .ok_or_else(|| bad("\"misra_gries\" t must be an integer"))?;
+        Some(pair) => {
+            let [k, t] = pair.ok_or_else(|| bad("\"misra_gries\" must be a [k, t] pair"))?;
+            let k = k.ok_or_else(|| bad("\"misra_gries\" k must be an integer"))?;
+            let t = t.ok_or_else(|| bad("\"misra_gries\" t must be an integer"))?;
             Some((k as usize, t as usize))
         }
     };
     let typed_u64 = |name: &str| -> Result<Option<u64>, (ErrorCode, String)> {
-        match value.get(name) {
+        match fields.get(name) {
             None => Ok(None),
             Some(v) => v
                 .as_u64()
                 .map(Some)
-                .ok_or_else(|| bad(&format!("\"{name}\" must be a non-negative integer"))),
+                .ok_or_else(|| bad(format!("\"{name}\" must be a non-negative integer"))),
         }
     };
-    let uniform_p = match value.get("uniform_p") {
+    let uniform_p = match fields.get("uniform_p") {
         None => None,
         Some(v) => Some(
             v.as_f64()
@@ -219,12 +331,12 @@ fn parse_session_spec(value: &Value) -> Result<SessionSpec, (ErrorCode, String)>
         ),
     };
     let typed_str = |name: &str| -> Result<Option<String>, (ErrorCode, String)> {
-        match value.get(name) {
+        match fields.get(name) {
             None => Ok(None),
             Some(v) => v
                 .as_str()
                 .map(|s| Some(s.to_string()))
-                .ok_or_else(|| bad(&format!("\"{name}\" must be a string"))),
+                .ok_or_else(|| bad(format!("\"{name}\" must be a string"))),
         }
     };
     Ok(SessionSpec {
@@ -235,35 +347,10 @@ fn parse_session_spec(value: &Value) -> Result<SessionSpec, (ErrorCode, String)>
         misra_gries,
         ranks: typed_u64("ranks")?.map(|r| r as u32),
         spares: typed_u64("spares")?.map(|s| s as u32),
-        journal: value.get("journal").map(|v| v.as_bool().unwrap_or(false)),
+        journal: fields.get("journal").map(|v| v.as_bool().unwrap_or(false)),
         backend: typed_str("backend")?,
         faults: typed_str("faults")?,
     })
-}
-
-fn parse_edges(value: &Value) -> Result<Vec<Edge>, (ErrorCode, String)> {
-    let bad = |msg: String| (ErrorCode::BadRequest, msg);
-    let arr = value
-        .get("edges")
-        .and_then(Value::as_array)
-        .ok_or_else(|| bad("append-edges requires an \"edges\" array".into()))?;
-    let mut edges = Vec::with_capacity(arr.len());
-    for (i, e) in arr.iter().enumerate() {
-        let pair = e
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| bad(format!("edge {i} is not a [u, v] pair")))?;
-        let u = pair[0]
-            .as_u64()
-            .filter(|&n| n <= u32::MAX as u64)
-            .ok_or_else(|| bad(format!("edge {i}: u is not a u32")))?;
-        let v = pair[1]
-            .as_u64()
-            .filter(|&n| n <= u32::MAX as u64)
-            .ok_or_else(|| bad(format!("edge {i}: v is not a u32")))?;
-        edges.push(Edge::new(u as u32, v as u32));
-    }
-    Ok(edges)
 }
 
 /// Renders one `{"ok":false,...}` error frame (no trailing newline).

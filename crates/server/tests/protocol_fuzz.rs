@@ -56,10 +56,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Heap a parse may hold per frame byte. The JSON tree costs a constant
-/// factor per byte (a one-byte array element is a 32-byte value in a
-/// doubling vector), so the bound is linear in the frame.
-const HEAP_PER_FRAME_BYTE: usize = 64;
+/// Heap a parse may hold per frame byte. No value tree is built: the
+/// largest thing a frame holds is its edge list, 8 bytes of `Vec<Edge>`
+/// per at least 6 frame bytes (`[0,0],`), which doubling growth keeps
+/// under 3 bytes per frame byte; strings cost at most 2.
+const HEAP_PER_FRAME_BYTE: usize = 8;
 /// Fixed heap allowance (error messages, small vectors' first growth).
 const HEAP_SLACK: usize = 4096;
 
@@ -195,6 +196,53 @@ fn every_seed_parses() {
     for seed in SEEDS {
         assert!(parse_request(seed).is_ok(), "{seed}");
         check(seed);
+    }
+}
+
+/// Frames filling the frame cap: the edge list is read straight into its
+/// vector, and a member no verb reads is skipped without being built.
+#[test]
+fn frame_cap_sized_frames_stay_within_the_bound() {
+    let pairs = (pim_server::DEFAULT_MAX_FRAME - 64) / 6;
+    let edges = vec!["[0,0]"; pairs].join(",");
+    let frame = format!("{{\"op\":\"append-edges\",\"session\":1,\"edges\":[{edges}]}}");
+    assert!(frame.len() < pim_server::DEFAULT_MAX_FRAME);
+    check(&frame);
+    match parse_request(&frame).unwrap() {
+        Request::AppendEdges { edges, .. } => assert_eq!(edges.len(), pairs),
+        other => panic!("parsed {other:?}"),
+    }
+
+    let singles = vec!["[0]"; (pim_server::DEFAULT_MAX_FRAME - 64) / 4].join(",");
+    let frame = format!("{{\"op\":\"ping\",\"pad\":[{singles}]}}");
+    assert!(frame.len() < pim_server::DEFAULT_MAX_FRAME);
+    check(&frame);
+    assert_eq!(parse_request(&frame).unwrap(), Request::Ping);
+}
+
+/// Members read as a value tree's `get` would see them: a member of the
+/// wrong shape is reported only by a verb that reads it, and the first
+/// occurrence of a key wins.
+#[test]
+fn members_read_as_a_value_tree_would_see_them() {
+    for (frame, want) in [
+        (r#"{"op":"ping","edges":5}"#, Ok(Request::Ping)),
+        (r#"{"op":"ping","op":"warp"}"#, Ok(Request::Ping)),
+        (
+            r#"{"op":"close","session":[1],"session":2}"#,
+            Err(ErrorCode::BadRequest),
+        ),
+        (
+            r#"{"op":"append-edges","session":1,"edges":5,"edges":[[1,2]]}"#,
+            Err(ErrorCode::BadRequest),
+        ),
+    ] {
+        check(frame);
+        assert_eq!(
+            parse_request(frame).map_err(|(code, _)| code),
+            want,
+            "{frame}"
+        );
     }
 }
 

@@ -102,12 +102,12 @@ fn every_frame_kind_keeps_its_wire_bytes() {
     assert_eq!(
         http_get(&server, "/healthz"),
         concat!(
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 288\r\n",
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 282\r\n",
             "Connection: close\r\n\r\n",
-            r#"{"status":"degraded","draining":false,"sessions_active":1,"admitted":1,"rejected":0,"#,
-            r#""leased_dpus":4,"total_dpus":128,"anomaly_count":1,"sessions":[{"id":1,"#,
+            r#"{"status":"ok","draining":false,"sessions_active":1,"admitted":1,"rejected":0,"#,
+            r#""leased_dpus":4,"total_dpus":128,"anomaly_count":0,"sessions":[{"id":1,"#,
             r#""phase":"triangle_count","seq":2,"last_seq":18,"queue_depth":0,"edges":4,"#,
-            r#""anomaly_count":1,"leases":[{"rank":0,"start":0,"len":4}]}]}"#
+            r#""anomaly_count":0,"leases":[{"rank":0,"start":0,"len":4}]}]}"#
         )
     );
 

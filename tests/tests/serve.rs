@@ -77,6 +77,14 @@ fn every_verb_round_trips() {
     assert!(is_ok(&ckpt), "{ckpt:?}");
     assert!(pim_tc::SessionCheckpoint::exists(&dir), "snapshot on disk");
     std::fs::remove_dir_all(&dir).ok();
+    // A checkpoint is progress: the watchdog pass after it raises no stall.
+    let healthz = http_get(&server, "/healthz");
+    let doc: Value = serde_json::from_str(healthz.split("\r\n\r\n").nth(1).unwrap()).unwrap();
+    assert_eq!(
+        doc.get("status").and_then(Value::as_str),
+        Some("ok"),
+        "{healthz}"
+    );
 
     let stats = c.call(r#"{"op":"stats"}"#);
     assert_eq!(field_u64(&stats, "sessions_active"), 1, "{stats:?}");
