@@ -203,31 +203,16 @@ pub fn count_kernel_opts(
                     let g = start + i as u64;
                     let (u, v) = (key_first(key), key_second(key));
                     t.charge(EDGE_INSTR);
-                    let region = match lookup {
-                        RegionLookup::BinarySearch => lookup_region(t, layout, v, index_len, len)?,
-                        RegionLookup::LinearScan => {
-                            lookup_region_linear(t, layout, v, index_len, len)?
-                        }
-                    };
+                    let region = lookup_region(t, layout, lookup, v, index_len, len)?;
                     let Some((v_start, v_end)) = region else {
                         continue;
                     };
                     if matches!(strategy, IntersectStrategy::Merge) {
-                        count += merge_intersect(
-                            t,
-                            layout,
-                            u,
-                            g + 1,
-                            len,
-                            v_start,
-                            v_end,
-                            &mut buf_u,
-                            &mut buf_v,
-                        )?;
+                        count += merge_intersect(t, layout, u, g + 1, len, v_start, v_end, b)?;
                         continue;
                     }
                     let u_from = g + 1;
-                    let v_len = v_end - v_start;
+                    let v_len = v_end.saturating_sub(v_start);
                     if u_from >= len {
                         continue;
                     }
@@ -262,24 +247,15 @@ pub fn count_kernel_opts(
                         };
                         if !long_u {
                             short_u_cache = Some(u);
-                            count += merge_intersect(
-                                t, layout, u, u_from, len, v_start, v_end, &mut buf_u, &mut buf_v,
-                            )?;
+                            count += merge_intersect(t, layout, u, u_from, len, v_start, v_end, b)?;
                             continue;
                         }
                     }
                     let u_end = match u_cache {
                         Some((node, end)) if node == u => end,
                         _ => {
-                            let end = match lookup {
-                                RegionLookup::BinarySearch => {
-                                    lookup_region(t, layout, u, index_len, len)?
-                                }
-                                RegionLookup::LinearScan => {
-                                    lookup_region_linear(t, layout, u, index_len, len)?
-                                }
-                            }
-                            .map_or(u_from, |(_, end)| end);
+                            let end = lookup_region(t, layout, lookup, u, index_len, len)?
+                                .map_or(u_from, |(_, end)| end);
                             u_cache = Some((u, end));
                             end
                         }
@@ -298,18 +274,15 @@ pub fn count_kernel_opts(
                         IntersectStrategy::Merge => unreachable!("handled above"),
                     };
                     count += match pick {
-                        Pick::Merge => merge_intersect(
-                            t, layout, u, u_from, len, v_start, v_end, &mut buf_u, &mut buf_v,
-                        )?,
+                        Pick::Merge => {
+                            merge_intersect(t, layout, u, u_from, len, v_start, v_end, b)?
+                        }
                         Pick::Gallop => {
+                            let (u_side, v_side) = ((u_from, u_end), (v_start, v_end));
                             if u_len <= v_len {
-                                gallop_intersect(
-                                    t, layout, u_from, u_end, v_start, v_end, &mut buf_u,
-                                )?
+                                gallop_intersect(t, layout, u_side, v_side, b)?
                             } else {
-                                gallop_intersect(
-                                    t, layout, v_start, v_end, u_from, u_end, &mut buf_v,
-                                )?
+                                gallop_intersect(t, layout, v_side, u_side, b)?
                             }
                         }
                         Pick::Bitmap => {
@@ -330,10 +303,9 @@ pub fn count_kernel_opts(
                             };
                             match attempted {
                                 Some(c) => c,
-                                None => merge_intersect(
-                                    t, layout, u, u_from, len, v_start, v_end, &mut buf_u,
-                                    &mut buf_v,
-                                )?,
+                                None => {
+                                    merge_intersect(t, layout, u, u_from, len, v_start, v_end, b)?
+                                }
                             }
                         }
                     };
@@ -366,9 +338,9 @@ fn choose_adaptive(
     buf_len: usize,
     bitmap_bits: u64,
 ) -> Pick {
-    let cost = t.cost();
-    let probe = cost.mram_probe_cycles() as f64 + PROBE_INSTR as f64;
-    let stream = cost.stream_word_cycles(buf_len as u64 * 8);
+    let dma = t.dma_table();
+    let probe = dma.probe_cycles() as f64 + PROBE_INSTR as f64;
+    let stream = dma.stream_word_cycles(buf_len as u64 * 8);
     let short = u_len.min(v_len);
     let long = u_len.max(v_len);
     let merge_cost = (u_len + v_len) as f64 * (MERGE_INSTR_PER_CMP as f64 + stream);
@@ -387,82 +359,67 @@ fn choose_adaptive(
     }
 }
 
-/// Binary search of the region index for `node`. Returns the half-open
-/// sample range of edges whose first endpoint is `node`.
+/// Locates `node`'s region in the index table: the half-open sample
+/// range of edges whose first endpoint is `node`. The index range is
+/// checked once; each entry read is charged as one 8-byte probe DMA plus
+/// `PROBE_INSTR`, settled in one step.
 pub(crate) fn lookup_region(
     t: &mut Tasklet<'_>,
     layout: &MramLayout,
+    lookup: RegionLookup,
     node: u32,
     index_len: u64,
     sample_len: u64,
 ) -> SimResult<Option<(u64, u64)>> {
-    let (mut lo, mut hi) = (0u64, index_len);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let entry: u64 = t.mram_read_one(layout.index_slot(mid))?;
-        t.charge(PROBE_INSTR);
-        if key_first(entry) < node {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+    let mut charges = t.charges();
+    let mut probes = 0u64;
+    let region = {
+        let index = t.mram_view(layout.index_slot(0), index_len)?;
+        let mut probe = |i: u64| {
+            probes += 1;
+            index.word(i)
+        };
+        // The first entry whose node is ≥ `node`, with its position.
+        let first_at_least = match lookup {
+            RegionLookup::BinarySearch => {
+                let (mut lo, mut hi) = (0u64, index_len);
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    if key_first(probe(mid)) < node {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                (lo < index_len).then(|| (lo, probe(lo)))
+            }
+            // One probe per entry from the start, as a naive kernel
+            // without binary search would stream the index.
+            RegionLookup::LinearScan => (0..index_len)
+                .map(|i| (i, probe(i)))
+                .find(|&(_, entry)| key_first(entry) >= node),
+        };
+        match first_at_least {
+            Some((i, entry)) if key_first(entry) == node => {
+                let end = if i + 1 < index_len {
+                    key_second(probe(i + 1)) as u64
+                } else {
+                    sample_len
+                };
+                Some((key_second(entry) as u64, end))
+            }
+            _ => None,
         }
-    }
-    if lo == index_len {
-        return Ok(None);
-    }
-    let entry: u64 = t.mram_read_one(layout.index_slot(lo))?;
-    t.charge(PROBE_INSTR);
-    if key_first(entry) != node {
-        return Ok(None);
-    }
-    let start = key_second(entry) as u64;
-    let end = if lo + 1 < index_len {
-        let next: u64 = t.mram_read_one(layout.index_slot(lo + 1))?;
-        t.charge(PROBE_INSTR);
-        key_second(next) as u64
-    } else {
-        sample_len
     };
-    Ok(Some((start, end)))
-}
-
-/// Ablation-baseline lookup: stream the index from the start until the
-/// entry for `node` is found (or passed). One DMA per entry, mirroring
-/// what a naive kernel without binary search would do.
-fn lookup_region_linear(
-    t: &mut Tasklet<'_>,
-    layout: &MramLayout,
-    node: u32,
-    index_len: u64,
-    sample_len: u64,
-) -> SimResult<Option<(u64, u64)>> {
-    let mut i = 0u64;
-    while i < index_len {
-        let entry: u64 = t.mram_read_one(layout.index_slot(i))?;
-        t.charge(PROBE_INSTR);
-        let first = key_first(entry);
-        if first == node {
-            let start = key_second(entry) as u64;
-            let end = if i + 1 < index_len {
-                let next: u64 = t.mram_read_one(layout.index_slot(i + 1))?;
-                t.charge(PROBE_INSTR);
-                key_second(next) as u64
-            } else {
-                sample_len
-            };
-            return Ok(Some((start, end)));
-        }
-        if first > node {
-            return Ok(None);
-        }
-        i += 1;
-    }
-    Ok(None)
+    charges.dma(probes, 8);
+    charges.instr(probes * PROBE_INSTR);
+    t.settle(charges);
+    Ok(region)
 }
 
 /// Streams the `u`-side (edges after the current one while their first
-/// node is still `u`) against the `v` region, counting matching second
-/// nodes. Both sides refill their WRAM buffers from MRAM on demand.
+/// node is still `u`) against the `v` region and counts matching second
+/// nodes. See [`merge_intersect_with`].
 #[allow(clippy::too_many_arguments)]
 fn merge_intersect(
     t: &mut Tasklet<'_>,
@@ -472,28 +429,23 @@ fn merge_intersect(
     sample_len: u64,
     v_start: u64,
     v_end: u64,
-    buf_u: &mut [u64],
-    buf_v: &mut [u64],
+    b: usize,
 ) -> SimResult<u64> {
-    merge_intersect_cb(
-        t,
-        layout,
-        u,
-        u_from,
-        sample_len,
-        v_start,
-        v_end,
-        buf_u,
-        buf_v,
-        &mut |_t, _w| Ok(()),
-    )
+    merge_intersect_with(t, layout, u, u_from, sample_len, v_start, v_end, b, |_| {})
 }
 
-/// [`merge_intersect`] with a per-triangle callback: `on_match` is
-/// invoked with the closing vertex `w` for every triangle found (the
-/// caller knows `u` and `v`). Used by the local-counting extension.
+/// The merge: with `(u, w)` from the `u` side and `(v, z)` from the `v`
+/// region, `w == z` closes a triangle and both sides advance, `w < z`
+/// advances `u`, `w > z` advances `v`. `on_match` gets each closing `w`
+/// in order (the local-counting extension replays them).
+///
+/// On the DPU each side refills a `b`-word WRAM buffer from MRAM when it
+/// runs dry. Here both sides are checked views of the sample: the merge
+/// charges the same sequence of ≤ `b`-word refill DMAs and one
+/// `MERGE_INSTR_PER_CMP` per comparison step, but decodes only the words
+/// it compares, and settles the charges once.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_intersect_cb<F>(
+pub(crate) fn merge_intersect_with(
     t: &mut Tasklet<'_>,
     layout: &MramLayout,
     u: u32,
@@ -501,135 +453,131 @@ pub(crate) fn merge_intersect_cb<F>(
     sample_len: u64,
     v_start: u64,
     v_end: u64,
-    buf_u: &mut [u64],
-    buf_v: &mut [u64],
-    on_match: &mut F,
-) -> SimResult<u64>
-where
-    F: FnMut(&mut Tasklet<'_>, u32) -> SimResult<()>,
-{
-    let mut count = 0u64;
-    let (mut next_u, mut pos_u, mut len_u) = (u_from, 0usize, 0usize);
-    let (mut next_v, mut pos_v, mut len_v) = (v_start, 0usize, 0usize);
-    let mut u_done = false;
-    loop {
-        if !u_done && pos_u == len_u {
-            if next_u >= sample_len {
-                u_done = true;
-            } else {
-                let n = (buf_u.len() as u64).min(sample_len - next_u) as usize;
-                t.mram_read(layout.sample_slot(next_u), &mut buf_u[..n])?;
-                next_u += n as u64;
-                pos_u = 0;
-                len_u = n;
+    b: usize,
+    mut on_match: impl FnMut(u32),
+) -> SimResult<u64> {
+    let b = b as u64;
+    let mut charges = t.charges();
+    let (mut count, mut steps) = (0u64, 0u64);
+    {
+        let us = t.mram_view(
+            layout.sample_slot(u_from),
+            sample_len.saturating_sub(u_from),
+        )?;
+        let vs = t.mram_view(layout.sample_slot(v_start), v_end.saturating_sub(v_start))?;
+        // `i*` is the next word to compare, `*_fetched` the words the
+        // side's buffer refills have brought in so far.
+        let (mut iu, mut u_fetched) = (0u64, 0u64);
+        let (mut iv, mut v_fetched) = (0u64, 0u64);
+        loop {
+            if iu == u_fetched && u_fetched < us.len() {
+                let n = b.min(us.len() - u_fetched);
+                charges.dma(1, n * 8);
+                u_fetched += n;
             }
-        }
-        if pos_v == len_v {
-            if next_v >= v_end {
-                break; // v side exhausted
+            if iv == v_fetched {
+                if v_fetched == vs.len() {
+                    break; // v side exhausted
+                }
+                let n = b.min(vs.len() - v_fetched);
+                charges.dma(1, n * 8);
+                v_fetched += n;
             }
-            let n = (buf_v.len() as u64).min(v_end - next_v) as usize;
-            t.mram_read(layout.sample_slot(next_v), &mut buf_v[..n])?;
-            next_v += n as u64;
-            pos_v = 0;
-            len_v = n;
-        }
-        if u_done || pos_u >= len_u {
-            break;
-        }
-        let ku = buf_u[pos_u];
-        t.charge(MERGE_INSTR_PER_CMP);
-        if key_first(ku) != u {
-            break; // left u's region
-        }
-        let w = key_second(ku);
-        let z = key_second(buf_v[pos_v]);
-        match w.cmp(&z) {
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                on_match(t, w)?;
-                pos_u += 1;
-                pos_v += 1;
+            if iu == u_fetched {
+                break; // sample exhausted
             }
-            std::cmp::Ordering::Less => pos_u += 1,
-            std::cmp::Ordering::Greater => pos_v += 1,
+            steps += 1;
+            let ku = us.word(iu);
+            if key_first(ku) != u {
+                break; // left u's region
+            }
+            let w = key_second(ku);
+            match w.cmp(&key_second(vs.word(iv))) {
+                std::cmp::Ordering::Equal => {
+                    count += 1;
+                    on_match(w);
+                    iu += 1;
+                    iv += 1;
+                }
+                std::cmp::Ordering::Less => iu += 1,
+                std::cmp::Ordering::Greater => iv += 1,
+            }
         }
     }
+    charges.instr(steps * MERGE_INSTR_PER_CMP);
+    t.settle(charges);
     Ok(count)
 }
 
 /// Galloping intersection of two sorted sample ranges, comparing second
 /// endpoints (each range's first endpoint is constant by construction).
-/// The short side streams through `buf_short`; for every short key the
-/// long side is probed in MRAM with an exponential + binary search from
-/// the last match position. A hit consumes exactly one long-side slot
-/// (`long_lo = hit + 1`), which replicates the streaming merge's
-/// min-multiplicity handling of duplicate edges element by element.
+/// The short side streams through a `b`-word WRAM buffer; for every
+/// short key the long side is probed in MRAM with an exponential +
+/// binary search from the last match position. A hit consumes exactly
+/// one long-side slot (`long_lo = hit + 1`), which replicates the
+/// streaming merge's min-multiplicity handling of duplicate edges
+/// element by element. Both ranges are read through views; the refills,
+/// probes and per-key instructions are settled once.
 fn gallop_intersect(
     t: &mut Tasklet<'_>,
     layout: &MramLayout,
-    short_start: u64,
-    short_end: u64,
-    long_start: u64,
-    long_end: u64,
-    buf_short: &mut [u64],
+    (short_start, short_end): (u64, u64),
+    (long_start, long_end): (u64, u64),
+    b: usize,
 ) -> SimResult<u64> {
-    let mut count = 0u64;
-    let mut long_lo = long_start;
-    let mut next = short_start;
-    'outer: while next < short_end {
-        let n = (buf_short.len() as u64).min(short_end - next) as usize;
-        t.mram_read(layout.sample_slot(next), &mut buf_short[..n])?;
-        next += n as u64;
-        for &ks in &buf_short[..n] {
-            if long_lo >= long_end {
-                break 'outer;
+    let mut charges = t.charges();
+    let (mut count, mut keys, mut probes) = (0u64, 0u64, 0u64);
+    {
+        let short = t.mram_view(layout.sample_slot(short_start), short_end - short_start)?;
+        let long = t.mram_view(layout.sample_slot(long_start), long_end - long_start)?;
+        let mut probe = |i: u64| {
+            probes += 1;
+            key_second(long.word(i))
+        };
+        let mut long_lo = 0u64;
+        let mut next = 0u64;
+        'outer: while next < short.len() {
+            let n = (b as u64).min(short.len() - next);
+            charges.dma(1, n * 8);
+            for i in next..next + n {
+                if long_lo >= long.len() {
+                    break 'outer;
+                }
+                let w = key_second(short.word(i));
+                keys += 1;
+                let lo = gallop_lower_bound(&mut probe, w, long_lo, long.len());
+                if lo >= long.len() {
+                    break 'outer;
+                }
+                if probe(lo) == w {
+                    count += 1;
+                    long_lo = lo + 1;
+                } else {
+                    long_lo = lo;
+                }
             }
-            let w = key_second(ks);
-            t.charge(GALLOP_INSTR_PER_KEY);
-            let lo = gallop_lower_bound(t, layout, w, long_lo, long_end)?;
-            if lo >= long_end {
-                break 'outer;
-            }
-            let entry: u64 = t.mram_read_one(layout.sample_slot(lo))?;
-            t.charge(PROBE_INSTR);
-            if key_second(entry) == w {
-                count += 1;
-                long_lo = lo + 1;
-            } else {
-                long_lo = lo;
-            }
+            next += n;
         }
     }
+    charges.dma(probes, 8);
+    charges.instr(keys * GALLOP_INSTR_PER_KEY + probes * PROBE_INSTR);
+    t.settle(charges);
     Ok(count)
 }
 
-/// First slot in `[lo, end)` whose second endpoint is ≥ `w`, by
-/// exponential probing from `lo` (runs of nearby matches cost O(1)
-/// probes each) followed by a binary search of the overshoot window.
-fn gallop_lower_bound(
-    t: &mut Tasklet<'_>,
-    layout: &MramLayout,
-    w: u32,
-    lo: u64,
-    end: u64,
-) -> SimResult<u64> {
-    let first: u64 = t.mram_read_one(layout.sample_slot(lo))?;
-    t.charge(PROBE_INSTR);
-    if key_second(first) >= w {
-        return Ok(lo);
+/// First slot in `[lo, end)` whose second endpoint (read by `probe`) is
+/// ≥ `w`, by exponential probing from `lo` (runs of nearby matches cost
+/// O(1) probes each) followed by a binary search of the overshoot window.
+fn gallop_lower_bound(probe: &mut impl FnMut(u64) -> u32, w: u32, lo: u64, end: u64) -> u64 {
+    if probe(lo) >= w {
+        return lo;
     }
     // Invariant: slot `lo + off` holds a second endpoint < `w`.
     let mut off = 0u64;
     let mut step = 1u64;
     loop {
         let idx = lo + off + step;
-        if idx >= end {
-            break;
-        }
-        let entry: u64 = t.mram_read_one(layout.sample_slot(idx))?;
-        t.charge(PROBE_INSTR);
-        if key_second(entry) >= w {
+        if idx >= end || probe(idx) >= w {
             break;
         }
         off += step;
@@ -639,15 +587,13 @@ fn gallop_lower_bound(
     let mut h = (lo + off + step).min(end);
     while l < h {
         let mid = (l + h) / 2;
-        let entry: u64 = t.mram_read_one(layout.sample_slot(mid))?;
-        t.charge(PROBE_INSTR);
-        if key_second(entry) < w {
+        if probe(mid) < w {
             l = mid + 1;
         } else {
             h = mid;
         }
     }
-    Ok(l)
+    l
 }
 
 /// Bitmap intersection: marks the `v` region's second endpoints in the
@@ -753,6 +699,13 @@ mod tests {
         strategy: IntersectStrategy,
         dedup: bool,
     ) -> u64 {
+        let (mut sys, layout) = indexed_system(g, config, dedup);
+        sys.execute(|ctx| count_kernel_opts(ctx, &layout, RegionLookup::BinarySearch, strategy))
+            .unwrap()[0]
+    }
+
+    /// A one-DPU system holding `g`'s sorted and indexed sample.
+    fn indexed_system(g: &CooGraph, config: PimConfig, dedup: bool) -> (PimSystem, MramLayout) {
         let mut edges: Vec<u64> = g
             .edges()
             .iter()
@@ -801,8 +754,7 @@ mod tests {
         .unwrap();
         sys.execute(|ctx| sort_kernel(ctx, &layout)).unwrap();
         sys.execute(|ctx| index_kernel(ctx, &layout)).unwrap();
-        sys.execute(|ctx| count_kernel_opts(ctx, &layout, RegionLookup::BinarySearch, strategy))
-            .unwrap()[0]
+        (sys, layout)
     }
 
     const ALL_STRATEGIES: [IntersectStrategy; 4] = [
@@ -931,6 +883,40 @@ mod tests {
             ..PimConfig::tiny()
         };
         assert_eq!(count_on_dpu(&g, one), count_on_dpu(&g, many));
+    }
+
+    #[test]
+    fn header_lengths_past_the_bank_are_errors() {
+        use crate::kernel::layout::{HDR_INDEX_LEN, HDR_LEN};
+        let g = pim_graph::gen::rmat(8, 8, 0.57, 0.19, 0.19, 5);
+        let (sys, layout) = indexed_system(&g, PimConfig::tiny(), true);
+        let used = sys.dpu(0).unwrap().mram_used();
+        let corruptions = [
+            (HDR_LEN, (used - layout.sample_off) / 8 + 1),
+            (HDR_LEN, u64::MAX),
+            (HDR_INDEX_LEN, (used - layout.index_off) / 8 + 1),
+            (HDR_INDEX_LEN, u64::MAX),
+        ];
+        let lookups = [RegionLookup::BinarySearch, RegionLookup::LinearScan];
+        for (word, value) in corruptions {
+            for (strategy, lookup) in ALL_STRATEGIES
+                .into_iter()
+                .flat_map(|s| lookups.map(|l| (s, l)))
+            {
+                let mut bank = PimSystem::allocate(1, *sys.config(), CostModel::default()).unwrap();
+                let image = sys.dpu(0).unwrap().host_read(0, used).unwrap().to_vec();
+                let dpu = bank.dpu_mut(0).unwrap();
+                dpu.host_write(0, &image).unwrap();
+                dpu.host_write(word, &value.to_le_bytes()).unwrap();
+                let err = bank
+                    .execute(|ctx| count_kernel_opts(ctx, &layout, lookup, strategy))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, pim_sim::SimError::BadAddress { .. }),
+                    "header word {word} = {value}, {strategy}, {lookup:?}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

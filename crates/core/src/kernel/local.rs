@@ -16,7 +16,7 @@
 //! Not compatible with Misra-Gries remapping: remapped ids fall outside
 //! the local region's index space (the config layer rejects the combo).
 
-use super::count::{lookup_region, merge_intersect_cb};
+use super::count::{lookup_region, merge_intersect_with, RegionLookup};
 use super::layout::{Header, MramLayout};
 use super::{key_first, key_second};
 use pim_sim::{DpuContext, SimResult, Tasklet};
@@ -137,8 +137,12 @@ pub fn local_count_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimR
             let mut cache = LocalCache::new(t, cache_slots)?;
             let b = ((t.wram_free() / 8) / 3).max(4);
             let mut buf_e = t.alloc_wram::<u64>(b)?;
-            let mut buf_u = t.alloc_wram::<u64>(b)?;
-            let mut buf_v = t.alloc_wram::<u64>(b)?;
+            // The merge's two refill buffers: it reads through views, but
+            // the DPU kernel holds them in WRAM.
+            t.alloc_wram::<u64>(2 * b)?;
+            // Closing vertices of the current merge, replayed into the
+            // cache in order once the merge has settled.
+            let mut closers = Vec::new();
             let mut count = 0u64;
             let mut block = t.id() as u64;
             let blocks = len.div_ceil(b as u64);
@@ -150,26 +154,22 @@ pub fn local_count_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimR
                     let g = start + i as u64;
                     let (u, v) = (key_first(key), key_second(key));
                     t.charge(EDGE_INSTR);
-                    let Some((v_start, v_end)) = lookup_region(t, layout, v, index_len, len)?
+                    let lookup = RegionLookup::BinarySearch;
+                    let Some((v_start, v_end)) =
+                        lookup_region(t, layout, lookup, v, index_len, len)?
                     else {
                         continue;
                     };
-                    count += merge_intersect_cb(
-                        t,
-                        layout,
-                        u,
-                        g + 1,
-                        len,
-                        v_start,
-                        v_end,
-                        &mut buf_u,
-                        &mut buf_v,
-                        &mut |t, w| {
-                            cache.bump(t, layout, u)?;
-                            cache.bump(t, layout, v)?;
-                            cache.bump(t, layout, w)
-                        },
-                    )?;
+                    closers.clear();
+                    count +=
+                        merge_intersect_with(t, layout, u, g + 1, len, v_start, v_end, b, |w| {
+                            closers.push(w)
+                        })?;
+                    for &w in &closers {
+                        cache.bump(t, layout, u)?;
+                        cache.bump(t, layout, v)?;
+                        cache.bump(t, layout, w)?;
+                    }
                 }
                 block += nr_t;
             }

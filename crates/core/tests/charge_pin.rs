@@ -1,0 +1,502 @@
+//! Pins the work the DPU kernels charge: per-launch, per-DPU
+//! instructions, DMA bytes and cycles as literal constants, for every
+//! intersection strategy, the linear-scan region lookup and local
+//! counting on a fixed small R-MAT graph. The simulator may read MRAM
+//! however it likes; what it charges is the modeled clock, and the
+//! constants below must not move with a host-side speedup.
+//!
+//! Two captures:
+//!
+//! * **Pipeline** — the sort → index → count kernels driven directly on
+//!   three banks holding different slices of the graph, under two WRAM
+//!   splits. Each bank runs in a one-DPU system, so the launch's
+//!   `max_cycles` is that bank's cycle count.
+//! * **Session** — a `TcSession` appending the graph and counting it,
+//!   with every launch's `launch` and `hist` metric events pinned.
+
+use pim_graph::CooGraph;
+use pim_metrics::{MemorySink, MetricsHub};
+use pim_sim::system::encode_slice;
+use pim_sim::{CostModel, DpuContext, HostWrite, PimBackend, PimConfig, PimSystem, SimResult};
+use pim_tc::kernel::count::{count_kernel_opts, RegionLookup};
+use pim_tc::kernel::layout::{Header, MramLayout};
+use pim_tc::kernel::{edge_key, index, local, sort};
+use pim_tc::{IntersectStrategy, TcConfig, TcSession};
+use std::sync::Arc;
+
+/// `[cycles, instructions, dma_bytes]` of one bank in one launch.
+type Charge = [u64; 3];
+
+/// One launch of the pipeline capture: `(label, per-bank charges)`.
+type PipelineLaunch = (&'static str, [Charge; BANKS]);
+
+/// One launch of the session capture: `(label, [dpus, instructions,
+/// dma_bytes, max_cycles, p50_cycles, p99_cycles])`.
+type SessionLaunch<S> = (S, [u64; 6]);
+
+const BANKS: usize = 3;
+
+const STRATEGIES: [IntersectStrategy; 4] = [
+    IntersectStrategy::Adaptive,
+    IntersectStrategy::Merge,
+    IntersectStrategy::Gallop,
+    IntersectStrategy::Bitmap,
+];
+
+fn graph() -> CooGraph {
+    pim_graph::gen::rmat(10, 8, 0.57, 0.19, 0.19, 11)
+}
+
+/// Bank `d` holds the normalized edges whose hash is divisible by
+/// `d + 1`: the whole graph, about half, about a third. Duplicates stay,
+/// so the bitmap's bail-out to the merge runs too.
+fn bank_keys(g: &CooGraph, d: usize) -> Vec<u64> {
+    let mut keys: Vec<u64> = g
+        .edges()
+        .iter()
+        .filter(|e| !e.is_self_loop())
+        .map(|e| {
+            let n = e.normalized();
+            edge_key(n.u, n.v)
+        })
+        .filter(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % (d as u64 + 1) == 0)
+        .collect();
+    keys.reverse();
+    keys
+}
+
+/// Runs `kernel` as launch `label` and returns the bank's charge.
+fn launch<K>(sys: &mut PimSystem, label: &str, kernel: K) -> Charge
+where
+    K: Fn(&mut DpuContext<'_>) -> SimResult<u64> + Sync,
+{
+    let before = sys.dpu(0).unwrap().clone();
+    sys.execute_labeled(label, kernel).unwrap();
+    let after = sys.dpu(0).unwrap();
+    let agg = sys.ledger().kernels.into_iter().find(|k| k.label == label);
+    [
+        agg.unwrap().max_cycles,
+        after.lifetime_instructions() - before.lifetime_instructions(),
+        after.lifetime_dma_bytes() - before.lifetime_dma_bytes(),
+    ]
+}
+
+/// Every launch of the pipeline on bank `d` under `config`.
+fn bank_launches(config: PimConfig, g: &CooGraph, d: usize) -> Vec<(String, Charge)> {
+    let keys = bank_keys(g, d);
+    let nodes = g.num_nodes() as u64;
+    let layout =
+        MramLayout::compute_with_locals(config.mram_capacity, 8, 0, nodes, Some(keys.len() as u64))
+            .unwrap();
+    let mut sys = PimSystem::allocate(1, config, CostModel::default()).unwrap();
+    let hdr = Header {
+        cap: layout.capacity,
+        len: keys.len() as u64,
+        ..Header::default()
+    };
+    let (hdr, sample) = (hdr.encode(), encode_slice(&keys));
+    sys.push(&[
+        HostWrite {
+            dpu: 0,
+            offset: 0,
+            data: &hdr,
+        },
+        HostWrite {
+            dpu: 0,
+            offset: layout.sample_off,
+            data: &sample,
+        },
+    ])
+    .unwrap();
+    let mut out = Vec::new();
+    let mut run =
+        |label: String, kernel: &(dyn Fn(&mut DpuContext<'_>) -> SimResult<u64> + Sync)| {
+            let charge = launch(&mut sys, &label, kernel);
+            out.push((label, charge));
+        };
+    run("local_clear".into(), &|ctx| {
+        local::local_clear_kernel(ctx, &layout).map(|()| 0)
+    });
+    run("sort".into(), &|ctx| {
+        sort::sort_kernel(ctx, &layout).map(|()| 0)
+    });
+    run("index".into(), &|ctx| index::index_kernel(ctx, &layout));
+    for strategy in STRATEGIES {
+        run(format!("count/{strategy}"), &|ctx| {
+            count_kernel_opts(ctx, &layout, RegionLookup::BinarySearch, strategy)
+        });
+    }
+    let adaptive = IntersectStrategy::Adaptive;
+    run("count/linear".into(), &|ctx| {
+        count_kernel_opts(ctx, &layout, RegionLookup::LinearScan, adaptive)
+    });
+    run("count/local".into(), &|ctx| {
+        local::local_count_kernel(ctx, &layout)
+    });
+    out
+}
+
+/// The pipeline capture under `config`: each launch with its charge on
+/// every bank.
+fn pipeline(config: PimConfig) -> Vec<(String, [Charge; BANKS])> {
+    let g = graph();
+    let banks: [Vec<(String, Charge)>; BANKS] =
+        std::array::from_fn(|d| bank_launches(config, &g, d));
+    (0..banks[0].len())
+        .map(|i| (banks[0][i].0.clone(), banks.each_ref().map(|b| b[i].1)))
+        .collect()
+}
+
+/// The session capture: one R-MAT append and count per mode (each
+/// strategy, then local counting), every launch's metric events.
+fn session(pim: PimConfig) -> Vec<(String, Vec<SessionLaunch<String>>)> {
+    let g = graph();
+    let modes = STRATEGIES.iter().map(|s| (s.to_string(), *s, false));
+    let modes = modes.chain([("local".to_string(), IntersectStrategy::Adaptive, true)]);
+    let mut out = Vec::new();
+    for (name, strategy, local_counting) in modes {
+        let mut builder = TcConfig::builder()
+            .colors(3)
+            .seed(5)
+            .pim(pim)
+            .stage_edges(512)
+            .intersect(strategy);
+        if local_counting {
+            builder = builder.local_counting(g.num_nodes());
+        }
+        let config = builder.build().unwrap();
+        let hub = Arc::new(MetricsHub::new());
+        let sink = MemorySink::new();
+        hub.add_sink(Box::new(sink.clone()));
+        let mut session = TcSession::<PimSystem>::start_metered(&config, Some(hub)).unwrap();
+        session.append(g.edges()).unwrap();
+        session.count().unwrap();
+        let events = sink.events();
+        let launches = events.iter().filter(|e| e.kind == "launch");
+        let hists = events.iter().filter(|e| e.kind == "hist");
+        let pinned: Vec<SessionLaunch<String>> = launches
+            .zip(hists)
+            .map(|(l, h)| {
+                assert_eq!(l.str_field("label"), h.str_field("label"));
+                let field = |name| [l, h].iter().find_map(|e| e.get_u64(name)).unwrap();
+                let fields = [
+                    "dpus",
+                    "instructions",
+                    "dma_bytes",
+                    "max_cycles",
+                    "p50_cycles",
+                    "p99_cycles",
+                ];
+                (l.str_field("label").to_string(), fields.map(field))
+            })
+            .collect();
+        out.push((name, pinned));
+    }
+    out
+}
+
+fn wram_splits() -> [PimConfig; 2] {
+    let base = PimConfig {
+        total_dpus: 64,
+        mram_capacity: 1 << 22,
+        ..PimConfig::default()
+    };
+    // Sixteen tasklets refill buffers of 128–170 words, inside one
+    // 2048-byte burst; one tasklet's 2048–2730-word buffers split every
+    // full refill into several bursts.
+    [
+        base,
+        PimConfig {
+            nr_tasklets: 1,
+            ..base
+        },
+    ]
+}
+
+#[test]
+fn pipeline_charges_are_pinned() {
+    let got: Vec<Vec<(String, [Charge; BANKS])>> = wram_splits().map(pipeline).into();
+    let want: Vec<Vec<(String, [Charge; BANKS])>> = PIPELINE
+        .iter()
+        .map(|launches| launches.iter().map(|(l, c)| (l.to_string(), *c)).collect())
+        .collect();
+    assert_eq!(got, want, "pipeline charges moved:\n{got:?}");
+}
+
+#[test]
+fn session_charges_are_pinned() {
+    let got = session(wram_splits()[0]);
+    let want: Vec<(String, Vec<SessionLaunch<String>>)> = SESSION
+        .iter()
+        .map(|(mode, launches)| {
+            let launches = launches.iter().map(|(l, f)| (l.to_string(), *f));
+            (mode.to_string(), launches.collect())
+        })
+        .collect();
+    assert_eq!(got, want, "session charges moved:\n{got:?}");
+}
+
+const PIPELINE: &[&[PipelineLaunch]] = &[
+    &[
+        (
+            "local_clear",
+            [
+                [10284, 1024, 8192],
+                [10284, 1024, 8192],
+                [10284, 1024, 8192],
+            ],
+        ),
+        (
+            "sort",
+            [
+                [1593930, 487328, 649824],
+                [870190, 225240, 321824],
+                [712977, 146140, 209904],
+            ],
+        ),
+        (
+            "index",
+            [
+                [307533, 24382, 68944],
+                [153197, 12082, 35368],
+                [100524, 7885, 23824],
+            ],
+        ),
+        (
+            "count/adaptive",
+            [
+                [25182194, 5631191, 14707008],
+                [10091413, 1569947, 4714224],
+                [6126527, 756308, 2565976],
+            ],
+        ),
+        (
+            "count/merge",
+            [
+                [27435977, 5651221, 16384752],
+                [11218048, 1549269, 5712272],
+                [6634227, 737305, 3265472],
+            ],
+        ),
+        (
+            "count/gallop",
+            [
+                [99946694, 9130262, 9565696],
+                [26199212, 2293260, 2392328],
+                [13169808, 1096220, 1143640],
+            ],
+        ),
+        (
+            "count/bitmap",
+            [
+                [25789866, 5673622, 14062384],
+                [10287807, 1596725, 4064408],
+                [6251517, 784805, 2044688],
+            ],
+        ),
+        (
+            "count/linear",
+            [
+                [224458523, 23593551, 32669368],
+                [92985199, 9117235, 12261512],
+                [54092683, 5046900, 6856568],
+            ],
+        ),
+        (
+            "count/local",
+            [
+                [41624044, 7075085, 15898584],
+                [11542533, 1692987, 4920440],
+                [6572331, 784203, 2717472],
+            ],
+        ),
+    ],
+    &[
+        (
+            "local_clear",
+            [
+                [15916, 1024, 8192],
+                [15916, 1024, 8192],
+                [15916, 1024, 8192],
+            ],
+        ),
+        (
+            "sort",
+            [
+                [4719821, 422352, 130016],
+                [2160403, 193064, 64416],
+                [1409093, 125912, 42032],
+            ],
+        ),
+        (
+            "index",
+            [
+                [307533, 24382, 68944],
+                [153197, 12082, 35368],
+                [100524, 7885, 23824],
+            ],
+        ),
+        (
+            "count/adaptive",
+            [
+                [126373853, 5614407, 100122400],
+                [43548509, 1568103, 39840760],
+                [22135869, 753730, 20203536],
+            ],
+        ),
+        (
+            "count/merge",
+            [
+                [144804370, 5651221, 132479280],
+                [48574992, 1549269, 49266944],
+                [23148563, 737305, 22447800],
+            ],
+        ),
+        (
+            "count/gallop",
+            [
+                [181920034, 9126353, 9561744],
+                [46021794, 2291687, 2390736],
+                [22031496, 1095222, 1142632],
+            ],
+        ),
+        (
+            "count/bitmap",
+            [
+                [107569407, 5668645, 63907072],
+                [34994915, 1594354, 23142288],
+                [18128169, 783623, 11854480],
+            ],
+        ),
+        (
+            "count/linear",
+            [
+                [507883093, 23567783, 118075776],
+                [203829099, 9110719, 47383376],
+                [113312819, 5044410, 24494216],
+            ],
+        ),
+        (
+            "count/local",
+            [
+                [142719593, 6906991, 104584768],
+                [45625042, 1679425, 41546272],
+                [22973156, 780243, 21274000],
+            ],
+        ),
+    ],
+];
+
+const SESSION: &[(&str, &[SessionLaunch<&str>])] = &[
+    (
+        "adaptive",
+        &[
+            ("receive", [10, 10400, 83200, 10682, 10682, 10682]),
+            ("receive", [10, 9566, 76528, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 6836, 54688, 10682, 10418, 10682]),
+            ("receive", [10, 3380, 27040, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 782, 6256, 9282, 199, 9282]),
+            ("sort", [10, 1352644, 1864960, 1294464, 701931, 1294464]),
+            ("index", [10, 73258, 214520, 207648, 96610, 207648]),
+            (
+                "count",
+                [10, 10133445, 30433840, 15489286, 5463812, 15489286],
+            ),
+        ],
+    ),
+    (
+        "merge",
+        &[
+            ("receive", [10, 10400, 83200, 10682, 10682, 10682]),
+            ("receive", [10, 9566, 76528, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 6836, 54688, 10682, 10418, 10682]),
+            ("receive", [10, 3380, 27040, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 782, 6256, 9282, 199, 9282]),
+            ("sort", [10, 1352644, 1864960, 1294464, 701931, 1294464]),
+            ("index", [10, 73258, 214520, 207648, 96610, 207648]),
+            (
+                "count",
+                [10, 10038929, 36177752, 16870750, 5542796, 16870750],
+            ),
+        ],
+    ),
+    (
+        "gallop",
+        &[
+            ("receive", [10, 10400, 83200, 10682, 10682, 10682]),
+            ("receive", [10, 9566, 76528, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 6836, 54688, 10682, 10418, 10682]),
+            ("receive", [10, 3380, 27040, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 782, 6256, 9282, 199, 9282]),
+            ("sort", [10, 1352644, 1864960, 1294464, 701931, 1294464]),
+            ("index", [10, 73258, 214520, 207648, 96610, 207648]),
+            (
+                "count",
+                [10, 15339847, 16042080, 46902865, 15073577, 46902865],
+            ),
+        ],
+    ),
+    (
+        "bitmap",
+        &[
+            ("receive", [10, 10400, 83200, 10682, 10682, 10682]),
+            ("receive", [10, 9566, 76528, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 6836, 54688, 10682, 10418, 10682]),
+            ("receive", [10, 3380, 27040, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 782, 6256, 9282, 199, 9282]),
+            ("sort", [10, 1352644, 1864960, 1294464, 701931, 1294464]),
+            ("index", [10, 73258, 214520, 207648, 96610, 207648]),
+            (
+                "count",
+                [10, 10352459, 26878104, 15989126, 5693111, 15989126],
+            ),
+        ],
+    ),
+    (
+        "local",
+        &[
+            ("receive", [10, 10400, 83200, 10682, 10682, 10682]),
+            ("receive", [10, 9566, 76528, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 7304, 58432, 10682, 10682, 10682]),
+            ("receive", [10, 6836, 54688, 10682, 10418, 10682]),
+            ("receive", [10, 3380, 27040, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 1112, 8896, 10682, 199, 10682]),
+            ("receive", [10, 782, 6256, 9282, 199, 9282]),
+            ("sort", [10, 1352644, 1864960, 1294464, 701931, 1294464]),
+            ("index", [10, 73258, 214520, 207648, 96610, 207648]),
+            ("local_clear", [10, 10240, 81920, 10284, 10284, 10284]),
+            (
+                "local_count",
+                [10, 11720435, 32251160, 18834341, 7068219, 18834341],
+            ),
+        ],
+    ),
+];

@@ -19,6 +19,7 @@
 //! goal is faithful *ratios* between phases and configurations (what every
 //! figure in the paper measures), not cycle-accurate replay.
 
+use crate::kernel::MAX_DMA_BYTES;
 use serde::{Deserialize, Serialize};
 
 /// Simulated wall-clock seconds.
@@ -82,16 +83,6 @@ impl CostModel {
         cycles as f64 / self.clock_hz
     }
 
-    /// Cycles for one minimum-size (8-byte) MRAM probe — the unit cost
-    /// of pointer-chasing reads such as binary-search probes, dominated
-    /// by DMA setup. Kernels that choose between probing and streaming
-    /// (the adaptive intersection in the count kernel) weigh this
-    /// against [`CostModel::stream_word_cycles`].
-    #[inline]
-    pub fn mram_probe_cycles(&self) -> u64 {
-        self.dma_cycles(8)
-    }
-
     /// Amortized DMA cycles to stream one 8-byte word through a WRAM
     /// buffer of `buf_bytes`: the setup cost is shared across the whole
     /// buffer, so bigger buffers stream cheaper per word.
@@ -145,6 +136,73 @@ impl CostModel {
     }
 }
 
+/// Entries in a [`DmaTable`]: one per 8-byte size from 0 to one full
+/// [`MAX_DMA_BYTES`] burst.
+const DMA_TABLE_LEN: usize = (MAX_DMA_BYTES / 8) as usize + 1;
+
+/// A [`CostModel`] as kernels see it, with [`CostModel::dma_cycles`]
+/// tabulated for every burst a DMA can issue: entry `i` prices `8·i`
+/// bytes, for `i = 0..=256`. A [`crate::PimSystem`] builds one at
+/// allocation and lends it to every launch, so charging a kernel DMA is
+/// a lookup, not an f64 `ceil`. Every entry comes from the same formula,
+/// so a lookup charges exactly what the formula would.
+#[derive(Clone, Debug)]
+pub struct DmaTable {
+    cycles: [u64; DMA_TABLE_LEN],
+    pub(crate) model: CostModel,
+}
+
+impl DmaTable {
+    /// Tabulates `model`'s DMA cost.
+    pub fn new(model: &CostModel) -> DmaTable {
+        DmaTable {
+            cycles: std::array::from_fn(|i| model.dma_cycles(8 * i as u64)),
+            model: *model,
+        }
+    }
+
+    /// Cycles and bytes charged for one MRAM↔WRAM DMA of `bytes`: rounded
+    /// up to the 8-byte transfer granularity and split into
+    /// ≤ [`MAX_DMA_BYTES`] bursts, each paying the setup latency. A
+    /// zero-byte DMA still pays one setup.
+    #[inline]
+    pub fn price(&self, bytes: u64) -> (u64, u64) {
+        let rounded = bytes.div_ceil(8) * 8;
+        if rounded <= MAX_DMA_BYTES {
+            return (self.cycles[(rounded / 8) as usize], rounded);
+        }
+        let (full, tail) = (rounded / MAX_DMA_BYTES, rounded % MAX_DMA_BYTES);
+        let tail_cycles = if tail > 0 {
+            self.cycles[(tail / 8) as usize]
+        } else {
+            0
+        };
+        (full * self.cycles[DMA_TABLE_LEN - 1] + tail_cycles, rounded)
+    }
+
+    /// Cycles for one minimum-size (8-byte) MRAM probe — the unit cost
+    /// of pointer-chasing reads such as binary-search probes, dominated
+    /// by DMA setup. Kernels that choose between probing and streaming
+    /// (the adaptive intersection in the count kernel) weigh this
+    /// against [`DmaTable::stream_word_cycles`].
+    #[inline]
+    pub fn probe_cycles(&self) -> u64 {
+        self.cycles[1]
+    }
+
+    /// [`CostModel::stream_word_cycles`], read from the table when
+    /// `buf_bytes` is one burst of whole words.
+    #[inline]
+    pub fn stream_word_cycles(&self, buf_bytes: u64) -> f64 {
+        if buf_bytes <= MAX_DMA_BYTES && buf_bytes.is_multiple_of(8) {
+            let words = (buf_bytes / 8).max(1);
+            self.cycles[(buf_bytes / 8) as usize] as f64 / words as f64
+        } else {
+            self.model.stream_word_cycles(buf_bytes)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +216,35 @@ mod tests {
         assert!(c2 > c1);
         // Streaming component ≈ 0.53 cycles/byte.
         assert!((c2 - 77) as f64 >= 2048.0 * 0.53);
+    }
+
+    #[test]
+    fn dma_table_matches_the_formula() {
+        let m = CostModel::default();
+        let table = DmaTable::new(&m);
+        // Every burst size, one-burst multiples, and split transfers with
+        // and without a tail burst.
+        for bytes in (0..=3 * MAX_DMA_BYTES + 24).chain([1, 7, 9, 2049, 65_536]) {
+            let rounded = bytes.div_ceil(8) * 8;
+            let (mut cycles, mut left) = (0, rounded);
+            loop {
+                let burst = left.min(MAX_DMA_BYTES);
+                cycles += m.dma_cycles(burst);
+                if left <= MAX_DMA_BYTES {
+                    break;
+                }
+                left -= burst;
+            }
+            assert_eq!(table.price(bytes), (cycles, rounded), "{bytes} bytes");
+        }
+        assert_eq!(table.probe_cycles(), m.dma_cycles(8));
+        for buf_bytes in (0..=4 * MAX_DMA_BYTES).chain([3, 100, 1 << 16]) {
+            let want = m.stream_word_cycles(buf_bytes);
+            assert_eq!(
+                table.stream_word_cycles(buf_bytes).to_bits(),
+                want.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -76,6 +76,7 @@ impl Dpu {
     /// Host-side read of MRAM `[offset, offset + len)` (a PIM→CPU
     /// transfer, timed by the system's transfer path) as a borrowed view.
     /// Zero-length views are always valid (and free).
+    #[inline]
     pub fn host_read(&self, offset: u64, len: u64) -> SimResult<&[u8]> {
         if len == 0 {
             return Ok(&[]);

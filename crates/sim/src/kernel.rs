@@ -12,6 +12,18 @@
 //!   64 KB scratchpad via [`Tasklet::alloc_wram`]; exceeding the budget is
 //!   an error, exactly like overflowing the stack/heap of a real tasklet.
 //!
+//! Kernels that walk an MRAM range by index — binary searches, merges —
+//! read it through a checked [`MramView`] instead of one DMA call per
+//! word. [`Tasklet::mram_view`] checks the range once (alignment, then
+//! the bank's high-water mark) and lends its words without copying. The
+//! view borrows the tasklet, so while it is held the kernel adds up the
+//! work the DPU would do — each DMA it would issue and the instructions
+//! around it — in a [`Charges`] tally, and settles the tally with
+//! [`Tasklet::settle`] once per call, after the view is dropped. The
+//! tally prices each DMA exactly as [`Tasklet::mram_read`] does, so a
+//! kernel that tallies the DMAs it would have issued charges the same
+//! instructions, DMA cycles and DMA bytes as one that issues them.
+//!
 //! Tasklets are *simulated sequentially* within a DPU (tasklet `i+1` runs
 //! after tasklet `i` finishes), with per-tasklet cycle counters combined by
 //! the pipeline model in [`crate::CostModel::dpu_cycles`]. Kernels written
@@ -20,6 +32,7 @@
 //! need, since real tasklets interleave nondeterministically.
 
 use crate::config::PimConfig;
+use crate::cost::DmaTable;
 use crate::dpu::Dpu;
 use crate::error::{SimError, SimResult};
 
@@ -61,7 +74,7 @@ impl_pod_int!(u8, u16, u32, u64, i32, i64);
 pub struct DpuContext<'a> {
     pub(crate) dpu: &'a mut Dpu,
     pub(crate) config: &'a PimConfig,
-    pub(crate) cost: &'a crate::cost::CostModel,
+    pub(crate) dma: &'a DmaTable,
 }
 
 impl<'a> DpuContext<'a> {
@@ -116,7 +129,7 @@ impl<'a> DpuContext<'a> {
             dpu: self.dpu,
             id,
             wram_free: self.config.wram_per_tasklet(),
-            cost: self.cost,
+            dma: self.dma,
         })
     }
 }
@@ -127,7 +140,7 @@ pub struct Tasklet<'a> {
     dpu: &'a mut Dpu,
     id: usize,
     wram_free: usize,
-    cost: &'a crate::cost::CostModel,
+    dma: &'a DmaTable,
 }
 
 impl<'a> Tasklet<'a> {
@@ -149,14 +162,14 @@ impl<'a> Tasklet<'a> {
         self.wram_free
     }
 
-    /// The system's timing model. Kernels consult it to make the same
+    /// The system's DMA prices. Kernels consult them to make the same
     /// cost-based choices hand-tuned DPU code bakes in as constants —
-    /// e.g. the count kernel weighs [`crate::CostModel::mram_probe_cycles`]
-    /// against [`crate::CostModel::stream_word_cycles`] when picking an
-    /// intersection strategy per edge pair.
+    /// e.g. the count kernel weighs [`DmaTable::probe_cycles`] against
+    /// [`DmaTable::stream_word_cycles`] when picking an intersection
+    /// strategy per edge pair.
     #[inline]
-    pub fn cost(&self) -> &crate::cost::CostModel {
-        self.cost
+    pub fn dma_table(&self) -> &'a DmaTable {
+        self.dma
     }
 
     /// Charges `n` single-cycle instructions (ALU ops, compares, branches,
@@ -173,7 +186,7 @@ impl<'a> Tasklet<'a> {
     pub fn charge_muldiv(&mut self, n: u64) {
         // Expanded to the model's per-op cycle count by charging the
         // equivalent number of single-cycle slots.
-        self.charge(n * self.cost.muldiv_cycles);
+        self.charge(n * self.dma.model.muldiv_cycles);
     }
 
     /// Claims a WRAM buffer of `len` elements of `T`, zero-initialized.
@@ -234,10 +247,50 @@ impl<'a> Tasklet<'a> {
     /// Reads a single element (convenience for index structures; charged
     /// as a minimum-size DMA, which is why kernels should batch instead —
     /// the cost model makes pointer-chasing expensive, as on real DPUs).
+    #[inline]
     pub fn mram_read_one<T: Pod>(&mut self, offset: u64) -> SimResult<T> {
-        let mut buf = [T::default()];
-        self.mram_read(offset, &mut buf)?;
-        Ok(buf[0])
+        let len = T::BYTES as u64;
+        self.check_dma(offset, len)?;
+        let value = T::read_le(self.dpu.host_read(offset, len)?);
+        self.charge_dma(len);
+        Ok(value)
+    }
+
+    /// A checked, read-only view of the `words` 8-byte words at MRAM
+    /// `offset`, charged nothing (see the module docs for the contract).
+    /// Fails with [`SimError::BadDma`] if `offset` is unaligned and with
+    /// [`SimError::BadAddress`] if the range passes the bank's
+    /// high-water mark. An empty view at an aligned offset is always valid.
+    pub fn mram_view(&self, offset: u64, words: u64) -> SimResult<MramView<'_>> {
+        let len = words.checked_mul(8).ok_or(SimError::BadAddress {
+            dpu: self.dpu.id(),
+            offset,
+            len: words.saturating_mul(8),
+        })?;
+        self.check_dma(offset, len)?;
+        Ok(MramView {
+            bytes: self.dpu.host_read(offset, len)?,
+        })
+    }
+
+    /// An empty tally of work to settle onto this tasklet.
+    #[inline]
+    pub fn charges(&self) -> Charges<'a> {
+        Charges {
+            dma: self.dma,
+            instructions: 0,
+            dma_cycles: 0,
+            dma_bytes: 0,
+        }
+    }
+
+    /// Charges everything `charges` added up to this tasklet in one step.
+    #[inline]
+    pub fn settle(&mut self, charges: Charges<'_>) {
+        self.charge(charges.instructions);
+        self.dpu.dma_cycles += charges.dma_cycles;
+        self.dpu.kernel_dma_bytes += charges.dma_bytes;
+        self.dpu.total_dma_bytes += charges.dma_bytes;
     }
 
     /// Writes a single element.
@@ -259,19 +312,71 @@ impl<'a> Tasklet<'a> {
 
     #[inline]
     fn charge_dma(&mut self, bytes: u64) {
-        // Round each burst to the 8-byte transfer granularity and charge
-        // per ≤2048-byte burst.
-        let mut remaining = bytes.div_ceil(8) * 8;
-        loop {
-            let burst = remaining.min(MAX_DMA_BYTES);
-            self.dpu.dma_cycles += self.cost.dma_cycles(burst);
-            self.dpu.kernel_dma_bytes += burst;
-            self.dpu.total_dma_bytes += burst;
-            if remaining <= MAX_DMA_BYTES {
-                break;
-            }
-            remaining -= burst;
-        }
+        let (cycles, moved) = self.dma.price(bytes);
+        self.dpu.dma_cycles += cycles;
+        self.dpu.kernel_dma_bytes += moved;
+        self.dpu.total_dma_bytes += moved;
+    }
+}
+
+/// A checked, read-only view of consecutive 8-byte MRAM words, made by
+/// [`Tasklet::mram_view`]. Reading a word decodes it from the bank and
+/// charges nothing: the kernel tallies the DMAs the words would arrive
+/// by in a [`Charges`].
+#[derive(Clone, Copy, Debug)]
+pub struct MramView<'m> {
+    bytes: &'m [u8],
+}
+
+impl MramView<'_> {
+    /// Words in the view.
+    #[inline]
+    pub fn len(&self) -> u64 {
+        (self.bytes.len() / 8) as u64
+    }
+
+    /// Whether the view holds no words.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Word `i` of the view. The read is bounds-checked against the
+    /// view, never the bank: `i >= len()` panics instead of reading a
+    /// neighboring region.
+    #[inline]
+    pub fn word(&self, i: u64) -> u64 {
+        let at = i as usize * 8;
+        let word = self.bytes[at..at + 8].try_into().expect("an 8-byte range");
+        u64::from_le_bytes(word)
+    }
+}
+
+/// Work a kernel adds up while it holds an [`MramView`], settled onto
+/// its tasklet in one step by [`Tasklet::settle`]. DMAs are priced by
+/// the same [`DmaTable`] as [`Tasklet::mram_read`].
+#[must_use = "charges count only once settled"]
+#[derive(Clone, Copy, Debug)]
+pub struct Charges<'a> {
+    dma: &'a DmaTable,
+    instructions: u64,
+    dma_cycles: u64,
+    dma_bytes: u64,
+}
+
+impl Charges<'_> {
+    /// Adds `n` single-cycle instructions (see [`Tasklet::charge`]).
+    #[inline]
+    pub fn instr(&mut self, n: u64) {
+        self.instructions += n;
+    }
+
+    /// Adds `count` MRAM↔WRAM DMAs of `bytes` each.
+    #[inline]
+    pub fn dma(&mut self, count: u64, bytes: u64) {
+        let (cycles, moved) = self.dma.price(bytes);
+        self.dma_cycles += count * cycles;
+        self.dma_bytes += count * moved;
     }
 }
 
@@ -305,7 +410,7 @@ mod tests {
         let mut ctx = DpuContext {
             dpu: &mut dpu,
             config: &config,
-            cost: &COST,
+            dma: &DmaTable::new(&COST),
         };
         let mut t = ctx.tasklet(0).unwrap();
         t.mram_write(0, &[1u32, 2, 3, 4]).unwrap();
@@ -321,7 +426,7 @@ mod tests {
         let mut ctx = DpuContext {
             dpu: &mut dpu,
             config: &config,
-            cost: &COST,
+            dma: &DmaTable::new(&COST),
         };
         let mut t = ctx.tasklet(0).unwrap();
         let err = t.mram_write(4, &[1u32]).unwrap_err();
@@ -335,7 +440,7 @@ mod tests {
         let mut ctx = DpuContext {
             dpu: &mut dpu,
             config: &config,
-            cost: &COST,
+            dma: &DmaTable::new(&COST),
         };
         let mut t = ctx.tasklet(0).unwrap();
         let buf: Vec<u32> = t.alloc_wram(64).unwrap(); // 256 B
@@ -352,7 +457,7 @@ mod tests {
         let mut ctx = DpuContext {
             dpu: &mut dpu,
             config: &config,
-            cost: &COST,
+            dma: &DmaTable::new(&COST),
         };
         ctx.for_each_tasklet(|t| {
             t.charge(10);
@@ -370,7 +475,7 @@ mod tests {
         let mut ctx = DpuContext {
             dpu: &mut dpu,
             config: &config,
-            cost: &COST,
+            dma: &DmaTable::new(&COST),
         };
         let mut t = ctx.tasklet(0).unwrap();
         // 4096 bytes = two bursts → two setup charges.
@@ -381,13 +486,100 @@ mod tests {
     }
 
     #[test]
+    fn views_check_alignment_and_the_high_water_mark() {
+        let config = PimConfig::tiny();
+        let mut dpu = ctx_fixture(&config);
+        let mut ctx = DpuContext {
+            dpu: &mut dpu,
+            config: &config,
+            dma: &DmaTable::new(&COST),
+        };
+        let mut t = ctx.tasklet(0).unwrap();
+        t.mram_write(0, &[5u64, 6, 7, 8]).unwrap();
+        let view = t.mram_view(8, 3).unwrap();
+        assert_eq!((view.len(), view.word(0), view.word(2)), (3, 6, 8));
+        assert!(t.mram_view(64, 0).unwrap().is_empty());
+        assert!(matches!(
+            t.mram_view(4, 1).unwrap_err(),
+            SimError::BadDma { .. }
+        ));
+        for (offset, words) in [(8, 4), (32, 1), (0, u64::MAX / 4), (u64::MAX - 7, 1)] {
+            assert!(
+                matches!(
+                    t.mram_view(offset, words).unwrap_err(),
+                    SimError::BadAddress { .. }
+                ),
+                "{offset} + {words} words"
+            );
+        }
+    }
+
+    #[test]
+    fn settled_charges_equal_issued_reads() {
+        let config = PimConfig::default();
+        let table = DmaTable::new(&COST);
+        let mut issued = ctx_fixture(&config);
+        let mut tallied = ctx_fixture(&config);
+        let data: Vec<u64> = (0..600).collect();
+        for dpu in [&mut issued, &mut tallied] {
+            dpu.host_write(0, &crate::system::encode_slice(&data))
+                .unwrap();
+        }
+        let reads = [(0u64, 1usize), (8, 3), (16, 256), (24, 300), (0, 0)];
+        {
+            let mut ctx = DpuContext {
+                dpu: &mut issued,
+                config: &config,
+                dma: &table,
+            };
+            let mut t = ctx.tasklet(1).unwrap();
+            for &(word, n) in &reads {
+                let mut buf = vec![0u64; n];
+                t.mram_read(word * 8, &mut buf).unwrap();
+                t.charge(4);
+            }
+            assert_eq!(t.mram_read_one::<u64>(40).unwrap(), 5);
+        }
+        {
+            let mut ctx = DpuContext {
+                dpu: &mut tallied,
+                config: &config,
+                dma: &table,
+            };
+            let mut t = ctx.tasklet(1).unwrap();
+            let mut charges = t.charges();
+            let view = t.mram_view(0, 600).unwrap();
+            for &(word, n) in &reads {
+                charges.dma(1, n as u64 * 8);
+                charges.instr(4);
+                if n > 0 {
+                    assert_eq!(view.word(word + n as u64 - 1), word + n as u64 - 1);
+                }
+            }
+            charges.dma(1, 8);
+            assert_eq!(view.word(5), 5);
+            t.settle(charges);
+        }
+        let counters = |d: &Dpu| {
+            (
+                d.tasklet_instr.clone(),
+                d.dma_cycles,
+                d.kernel_dma_bytes,
+                d.total_instr,
+                d.total_dma_bytes,
+            )
+        };
+        assert_eq!(counters(&tallied), counters(&issued));
+    }
+
+    #[test]
     fn out_of_range_tasklet_id_fails() {
         let config = PimConfig::tiny();
         let mut dpu = ctx_fixture(&config);
         let mut ctx = DpuContext {
             dpu: &mut dpu,
             config: &config,
-            cost: &COST,
+            dma: &DmaTable::new(&COST),
         };
         assert!(ctx.tasklet(99).is_err());
     }

@@ -46,14 +46,14 @@ pub use backend::{FunctionalBackend, PimBackend, TimedBackend};
 pub use chrome::chrome_trace;
 pub use cluster::{ClusterSpec, RankCluster};
 pub use config::PimConfig;
-pub use cost::CostModel;
+pub use cost::{CostModel, DmaTable};
 pub use dpu::Dpu;
 pub use energy::{EnergyModel, EnergyReport};
 pub use error::{SimError, SimResult};
 pub use fault::{
     retry_backoff, DpuKill, FaultCounters, FaultPlan, RankFlaky, RankKill, RANK_AT_COUNT,
 };
-pub use kernel::{DpuContext, Tasklet};
+pub use kernel::{Charges, DpuContext, MramView, Tasklet};
 pub use phase::{Phase, PhaseTimes};
 pub use stats::{DpuActivity, KernelAgg, Ledger, SystemReport};
 pub use system::{Clock, Functional, HostWrite, PimSystem, Timed};

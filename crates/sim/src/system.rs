@@ -11,7 +11,7 @@
 
 use crate::backend::PimBackend;
 use crate::config::PimConfig;
-use crate::cost::{CostModel, SimSeconds};
+use crate::cost::{CostModel, DmaTable, SimSeconds};
 use crate::dpu::Dpu;
 use crate::energy::{EnergyModel, EnergyReport};
 use crate::error::{SimError, SimResult};
@@ -84,6 +84,8 @@ pub struct HostWrite<'a> {
 pub struct PimSystem<C: Clock = Timed> {
     config: PimConfig,
     cost: CostModel,
+    /// `cost`'s DMA prices, tabulated once for every launch.
+    dma: DmaTable,
     dpus: Vec<Dpu>,
     phase: Phase,
     ledger: Ledger,
@@ -322,6 +324,7 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         let mut sys = PimSystem {
             config,
             cost,
+            dma: DmaTable::new(&cost),
             dpus: (0..nr_dpus)
                 .map(|id| Dpu::new(id, config.mram_capacity, config.nr_tasklets))
                 .collect(),
@@ -520,7 +523,7 @@ impl<C: Clock> PimBackend for PimSystem<C> {
     /// rayon — DPUs are independent hardware.
     ///
     /// Grain: the DPUs split into contiguous chunks of at least
-    /// [`LAUNCH_MIN_DPUS_PER_CHUNK`], claimed by up to one thread per host
+    /// `LAUNCH_MIN_DPUS_PER_CHUNK`, claimed by up to one thread per host
     /// CPU; a launch on fewer than twice that many DPUs runs inline on the
     /// caller. Results, counters and the settled record do not depend on
     /// the split. After a kernel error on DPU `i` the launch returns that
@@ -540,6 +543,7 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         })?;
         let config = self.config;
         let cost = self.cost;
+        let dma = &self.dma;
         let dead: Vec<bool> = self.fault.dead_flags().to_vec();
         let is_dead = |id: usize| dead.get(id).copied().unwrap_or(false);
         let results = self
@@ -554,7 +558,7 @@ impl<C: Clock> PimBackend for PimSystem<C> {
                 let mut ctx = DpuContext {
                     dpu,
                     config: &config,
-                    cost: &cost,
+                    dma,
                 };
                 let r = kernel(&mut ctx)?;
                 let cycles = cost.dpu_cycles(&ctx.dpu.tasklet_instr, ctx.dpu.dma_cycles);
@@ -898,7 +902,7 @@ mod tests {
             let mut ctx = DpuContext {
                 dpu,
                 config: &config,
-                cost: &cost,
+                dma: &DmaTable::new(&cost),
             };
             want.0.push(Some(kernel(&mut ctx).unwrap()));
             want.1
