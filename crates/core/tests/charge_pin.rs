@@ -13,9 +13,13 @@
 //!   `max_cycles` is that bank's cycle count.
 //! * **Session** — a `TcSession` appending the graph and counting it,
 //!   with every launch's `launch` and `hist` metric events pinned.
+//! * **Overflow** — a `TcSession` whose `sample_capacity` is far below
+//!   each partition's routed load, so most keys take the receive
+//!   kernel's per-key reservoir loop; plain and sealed, under both WRAM
+//!   splits, with a fold of the resident samples pinning what was kept.
 
 use pim_graph::CooGraph;
-use pim_metrics::{MemorySink, MetricsHub};
+use pim_metrics::{Event, MemorySink, MetricsHub};
 use pim_sim::system::encode_slice;
 use pim_sim::{CostModel, DpuContext, HostWrite, PimBackend, PimConfig, PimSystem, SimResult};
 use pim_tc::kernel::count::{count_kernel_opts, RegionLookup};
@@ -171,28 +175,64 @@ fn session(pim: PimConfig) -> Vec<(String, Vec<SessionLaunch<String>>)> {
         let mut session = TcSession::<PimSystem>::start_metered(&config, Some(hub)).unwrap();
         session.append(g.edges()).unwrap();
         session.count().unwrap();
-        let events = sink.events();
-        let launches = events.iter().filter(|e| e.kind == "launch");
-        let hists = events.iter().filter(|e| e.kind == "hist");
-        let pinned: Vec<SessionLaunch<String>> = launches
-            .zip(hists)
-            .map(|(l, h)| {
-                assert_eq!(l.str_field("label"), h.str_field("label"));
-                let field = |name| [l, h].iter().find_map(|e| e.get_u64(name)).unwrap();
-                let fields = [
-                    "dpus",
-                    "instructions",
-                    "dma_bytes",
-                    "max_cycles",
-                    "p50_cycles",
-                    "p99_cycles",
-                ];
-                (l.str_field("label").to_string(), fields.map(field))
-            })
-            .collect();
-        out.push((name, pinned));
+        out.push((name, pinned_launches(&sink.events())));
     }
     out
+}
+
+/// Every launch's `launch` and `hist` metric events, paired by label.
+fn pinned_launches(events: &[Event]) -> Vec<SessionLaunch<String>> {
+    let launches = events.iter().filter(|e| e.kind == "launch");
+    let hists = events.iter().filter(|e| e.kind == "hist");
+    launches
+        .zip(hists)
+        .map(|(l, h)| {
+            assert_eq!(l.str_field("label"), h.str_field("label"));
+            let field = |name| [l, h].iter().find_map(|e| e.get_u64(name)).unwrap();
+            let fields = [
+                "dpus",
+                "instructions",
+                "dma_bytes",
+                "max_cycles",
+                "p50_cycles",
+                "p99_cycles",
+            ];
+            (l.str_field("label").to_string(), fields.map(field))
+        })
+        .collect()
+}
+
+/// The overflow capture: the graph appended into 200-key reservoirs,
+/// every `receive` launch of the append, and one fold of every
+/// partition's stream position and resident sample (slot order).
+fn overflow(pim: PimConfig, sealed: bool) -> (Vec<SessionLaunch<String>>, u64) {
+    let config = TcConfig::builder()
+        .colors(3)
+        .seed(5)
+        .pim(pim)
+        .stage_edges(512)
+        .sample_capacity(200)
+        .hardened(sealed)
+        .build()
+        .unwrap();
+    let hub = Arc::new(MetricsHub::new());
+    let sink = MemorySink::new();
+    hub.add_sink(Box::new(sink.clone()));
+    let mut session = TcSession::<PimSystem>::start_metered(&config, Some(hub)).unwrap();
+    session.append(graph().edges()).unwrap();
+    let receives = pinned_launches(&sink.events())
+        .into_iter()
+        .filter(|(label, _)| label == "receive")
+        .collect();
+    let fold = session
+        .resident_samples()
+        .unwrap()
+        .iter()
+        .flat_map(|(sample, seen)| std::iter::once(seen).chain(sample))
+        .fold(0xCBF2_9CE4_8422_2325u64, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+    (receives, fold)
 }
 
 fn wram_splits() -> [PimConfig; 2] {
@@ -234,6 +274,22 @@ fn session_charges_are_pinned() {
         })
         .collect();
     assert_eq!(got, want, "session charges moved:\n{got:?}");
+}
+
+#[test]
+fn overflow_charges_are_pinned() {
+    let got: Vec<(Vec<SessionLaunch<String>>, u64)> = wram_splits()
+        .into_iter()
+        .flat_map(|pim| [false, true].map(|sealed| overflow(pim, sealed)))
+        .collect();
+    let want: Vec<(Vec<SessionLaunch<String>>, u64)> = OVERFLOW
+        .iter()
+        .map(|(launches, fold)| {
+            let launches = launches.iter().map(|(l, f)| (l.to_string(), *f));
+            (launches.collect(), *fold)
+        })
+        .collect();
+    assert_eq!(got, want, "overflow charges moved:\n{got:?}");
 }
 
 const PIPELINE: &[&[PipelineLaunch]] = &[
@@ -498,5 +554,76 @@ const SESSION: &[(&str, &[SessionLaunch<&str>])] = &[
                 [10, 11720435, 32251160, 18834341, 7068219, 18834341],
             ),
         ],
+    ),
+];
+
+const OVERFLOW: &[(&[SessionLaunch<&str>], u64)] = &[
+    // 16 tasklets, plain
+    (
+        &[
+            ("receive", [10, 404628, 73464, 474068, 464888, 474068]),
+            ("receive", [10, 481870, 49016, 604084, 585724, 604084]),
+            ("receive", [10, 337952, 34384, 553594, 533398, 553594]),
+            ("receive", [10, 324804, 33000, 524218, 515038, 524218]),
+            ("receive", [10, 296496, 30168, 508612, 481436, 508612]),
+            ("receive", [10, 142292, 14896, 501268, 199, 501268]),
+            ("receive", [10, 43972, 5000, 487498, 199, 487498]),
+            ("receive", [10, 44352, 5040, 492088, 199, 492088]),
+            ("receive", [10, 43516, 4952, 481990, 199, 481990]),
+            ("receive", [10, 43668, 4968, 483826, 199, 483826]),
+            ("receive", [10, 29758, 3608, 329706, 199, 329706]),
+        ],
+        3342752682429510389,
+    ),
+    // 16 tasklets, sealed
+    (
+        &[
+            ("receive", [10, 536412, 98296, 548077, 537979, 548077]),
+            ("receive", [10, 604220, 86688, 679936, 660658, 679936]),
+            ("receive", [10, 430444, 62992, 627610, 608332, 627610]),
+            ("receive", [10, 417448, 61624, 600070, 589972, 600070]),
+            ("receive", [10, 384136, 57080, 582628, 561708, 582628]),
+            ("receive", [10, 186824, 28280, 575284, 199, 575284]),
+            ("receive", [10, 57272, 9096, 563350, 199, 563350]),
+            ("receive", [10, 57348, 9104, 564268, 199, 564268]),
+            ("receive", [10, 56968, 9064, 559678, 199, 559678]),
+            ("receive", [10, 56892, 9056, 558760, 199, 558760]),
+            ("receive", [10, 39880, 6552, 413956, 199, 413956]),
+        ],
+        3342752682429510389,
+    ),
+    // 1 tasklet, plain
+    (
+        &[
+            ("receive", [10, 404628, 73464, 474068, 464888, 474068]),
+            ("receive", [10, 481870, 49016, 604084, 585724, 604084]),
+            ("receive", [10, 337952, 34384, 553594, 533398, 553594]),
+            ("receive", [10, 324804, 33000, 524218, 515038, 524218]),
+            ("receive", [10, 296496, 30168, 508612, 481436, 508612]),
+            ("receive", [10, 142292, 14896, 501268, 199, 501268]),
+            ("receive", [10, 43972, 5000, 487498, 199, 487498]),
+            ("receive", [10, 44352, 5040, 492088, 199, 492088]),
+            ("receive", [10, 43516, 4952, 481990, 199, 481990]),
+            ("receive", [10, 43668, 4968, 483826, 199, 483826]),
+            ("receive", [10, 29758, 3608, 329706, 199, 329706]),
+        ],
+        3342752682429510389,
+    ),
+    // 1 tasklet, sealed
+    (
+        &[
+            ("receive", [10, 536262, 98296, 620842, 610744, 620842]),
+            ("receive", [10, 604070, 86688, 752701, 733423, 752701]),
+            ("receive", [10, 430339, 62992, 700375, 681097, 700375]),
+            ("receive", [10, 417343, 61624, 672835, 662737, 672835]),
+            ("receive", [10, 384031, 57080, 655393, 627037, 655393]),
+            ("receive", [10, 186749, 28280, 648049, 199, 648049]),
+            ("receive", [10, 57257, 9096, 636115, 199, 636115]),
+            ("receive", [10, 57333, 9104, 637033, 199, 637033]),
+            ("receive", [10, 56953, 9064, 632443, 199, 632443]),
+            ("receive", [10, 56877, 9056, 631525, 199, 631525]),
+            ("receive", [10, 39865, 6552, 442677, 199, 442677]),
+        ],
+        3342752682429510389,
     ),
 ];
