@@ -1,10 +1,12 @@
-//! Criterion micro-benchmarks of the streaming primitives that sit on the
-//! host's hot path: the coloring hash, Misra-Gries updates, reservoir
-//! offers, and the full edge-routing step.
+//! Criterion micro-benchmarks of the streaming primitives: the coloring
+//! hash, Misra-Gries updates, the reservoir rule the receive kernel and
+//! journal replay share (host arithmetic only, no modeled charges), and
+//! the full edge-routing step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pim_stream::{ColoringHash, MisraGries, Reservoir};
+use pim_stream::{ColoringHash, MisraGries};
 use pim_tc::host::{route_edges, RouteParams};
+use pim_tc::kernel::rng;
 use pim_tc::triplets::TripletAssignment;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -50,12 +52,13 @@ fn bench_reservoir(c: &mut Criterion) {
     g.throughput(Throughput::Elements(8192));
     g.bench_function("offer_8k_into_1k", |b| {
         b.iter(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(2);
-            let mut r = Reservoir::new(1024);
-            for i in 0..8192u32 {
-                r.offer(i, &mut rng);
+            let mut state = rng::seed_for_dpu(2, 0);
+            let mut sample = Vec::with_capacity(1024);
+            for key in 0..8192u64 {
+                rng::reservoir_slot(&mut state, key + 1, sample.len() as u64, 1024)
+                    .apply(&mut sample, key);
             }
-            r.seen()
+            state
         })
     });
     g.finish();

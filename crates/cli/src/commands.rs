@@ -1082,12 +1082,6 @@ fn cmd_metrics_summary(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Exposed for tests: loads-or-fails quickly without touching the PIM path.
-#[allow(dead_code)]
-pub fn graph_exists(path: &str) -> bool {
-    Path::new(path).exists()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

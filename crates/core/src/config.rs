@@ -120,13 +120,13 @@ pub struct TcConfig {
     /// continues. Without [`TcConfig::journal`], requires `colors >= 2`
     /// and no Misra-Gries remapping.
     pub spare_dpus: u32,
-    /// Keeps replayable per-partition RNG journals and implies the
-    /// hardened pipeline (see [`TcConfig::effective_hardened`]): every
-    /// routed key and remap pass is recorded against the
-    /// partition's `(seed, granule, counter)` RNG coordinates, so a lost
-    /// partition's sample — including overflowed reservoirs and
-    /// Misra-Gries remapped samples — is re-derived exactly by replaying
-    /// the journal, with no surviving replicas needed. Lifts the
+    /// Keeps replayable per-partition journals and implies the hardened
+    /// pipeline (see [`TcConfig::effective_hardened`]): every routed key
+    /// and remap pass is recorded per partition, so a lost partition's
+    /// sample — including overflowed reservoirs and Misra-Gries remapped
+    /// samples — is re-derived exactly by replaying the journal through
+    /// the receive kernel's reservoir rule from the partition's seeded
+    /// RNG, with no surviving replicas needed. Lifts the
     /// `colors >= 2` / no-Misra-Gries restrictions on spare-core
     /// recovery.
     pub journal: bool,

@@ -21,7 +21,7 @@ use crate::error::TcError;
 use crate::host::{
     route_edges_into, RouteParams, RouteScratch, RoutedBatches, ROUTE_GRANULE_EDGES,
 };
-use crate::kernel::layout::{Header, MramLayout, HDR_REMAP_LEN, HDR_STAGE_LEN};
+use crate::kernel::layout::{Header, MramLayout, HDR_REMAP_LEN, HDR_STAGE_LEN, HEADER_BYTES};
 use crate::kernel::{checksum, count, edge_unkey, index, local, receive, remap, rng, sort};
 use crate::result::{DpuReport, TcResult};
 use crate::triplets::TripletAssignment;
@@ -32,7 +32,7 @@ use pim_sim::{
     retry_backoff, ClusterSpec, HostWrite, Phase, PimBackend, RankCluster, SimError, SimResult,
     SystemReport, TimedBackend,
 };
-use pim_stream::{ColoringHash, MisraGries, PartitionJournal};
+use pim_stream::{ColoringHash, JournalStep, MisraGries, PartitionJournal};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -100,12 +100,11 @@ pub struct TcSession<B: PimBackend = TimedBackend> {
     metrics: Option<Arc<MetricsHub>>,
     /// Streamed chunks ingested so far (the `chunk` event index).
     chunks_done: u64,
-    /// Replayable per-partition RNG journals ([`TcConfig::journal`]):
-    /// every routed key in arrival order plus remap/sort marks, keyed by
-    /// the partition's `(seed, granule, counter)` RNG coordinates. A lost
+    /// Replayable per-partition journals ([`TcConfig::journal`]): every
+    /// routed key in arrival order plus remap/sort marks. A lost
     /// partition's bank — sample, stream position, and advanced RNG
     /// state — is re-derived exactly by replaying its journal through the
-    /// receive kernel's decision arithmetic; no survivors needed.
+    /// receive kernel's reservoir rule; no survivors needed.
     journals: Option<Vec<PartitionJournal>>,
     /// Effective scrub cadence in streamed chunks (0 = off), resolved
     /// from [`TcConfig::scrub_interval`] with the fault plan's `scrub=`
@@ -812,14 +811,20 @@ impl<B: PimBackend> TcSession<B> {
     pub fn resident_samples(&self) -> Result<Vec<(Vec<u64>, u64)>, TcError> {
         let mut out = Vec::with_capacity(self.assignment.nr_dpus());
         for &home in &self.partition_home {
-            let hdr = Header::decode(self.sys.dpu(home)?.host_read(0, 64)?);
-            let bytes = self
-                .sys
-                .dpu(home)?
-                .host_read(self.layout.sample_off, hdr.len * 8)?;
-            out.push((decode_slice::<u64>(bytes), hdr.seen));
+            let (hdr, sample) = self.read_bank(home)?;
+            out.push((sample, hdr.seen));
         }
         Ok(out)
+    }
+
+    /// The bank of physical core `dpu`, read through the free host
+    /// inspection channel: its header, then the resident sample the
+    /// header sizes.
+    fn read_bank(&self, dpu: usize) -> Result<(Header, Vec<u64>), TcError> {
+        let bank = self.sys.dpu(dpu)?;
+        let hdr = Header::decode(bank.host_read(0, HEADER_BYTES)?);
+        let sample = decode_slice(bank.host_read(self.layout.sample_off, hdr.len * 8)?);
+        Ok((hdr, sample))
     }
 
     /// Physical core currently hosting partition `t` (changes after a
@@ -840,30 +845,15 @@ impl<B: PimBackend> TcSession<B> {
     pub fn checkpoint(&self, watermark: u64) -> Result<SessionCheckpoint, TcError> {
         let mut banks = Vec::with_capacity(self.assignment.nr_dpus());
         for &home in &self.partition_home {
-            let header: Vec<u64> = decode_slice(self.sys.dpu(home)?.host_read(0, 64)?);
-            let (len, remap_len) = (header[1], header[4]);
-            let sample = if len > 0 {
-                decode_slice(
-                    self.sys
-                        .dpu(home)?
-                        .host_read(self.layout.sample_off, len * 8)?,
-                )
-            } else {
-                Vec::new()
-            };
-            let remap = if remap_len > 0 {
-                let bytes = self
-                    .sys
-                    .dpu(home)?
-                    .host_read(self.layout.remap_off, remap_len * 8)?;
-                decode_slice(bytes)
-            } else {
-                Vec::new()
-            };
+            let (hdr, sample) = self.read_bank(home)?;
+            let remap = self
+                .sys
+                .dpu(home)?
+                .host_read(self.layout.remap_off, hdr.remap_len * 8)?;
             banks.push(BankSnapshot {
-                header,
+                header: hdr.words().to_vec(),
                 sample,
-                remap,
+                remap: decode_slice(remap),
             });
         }
         if let Some(hub) = &self.metrics {
@@ -1345,21 +1335,14 @@ impl<B: PimBackend> TcSession<B> {
             if self.sys.is_dpu_lost(home) {
                 continue;
             }
-            // Banks can be unwritten if a death hits during init; an
-            // unreadable survivor contributes nothing and the
-            // completeness check below stays in force.
-            let Ok(hdr_bytes) = self.sys.dpu(home)?.host_read(0, 64) else {
-                continue;
-            };
-            let hdr = Header::decode(hdr_bytes);
-            if hdr.len == 0 {
+            // Banks can be unwritten if a death hits during init; a
+            // survivor whose header is unreadable contributes nothing and
+            // the completeness check below stays in force.
+            if self.sys.dpu(home)?.host_read(0, HEADER_BYTES).is_err() {
                 continue;
             }
-            let bytes = self
-                .sys
-                .dpu(home)?
-                .host_read(self.layout.sample_off, hdr.len * 8)?;
-            for key in decode_slice::<u64>(bytes) {
+            let (_, sample) = self.read_bank(home)?;
+            for key in sample {
                 if seen_keys.contains(&key) {
                     continue;
                 }
@@ -1474,7 +1457,7 @@ impl<B: PimBackend> TcSession<B> {
 
     /// Re-derives partition `t`'s exact bank state by replaying its
     /// journal prefix (the keys staged so far) through the receive
-    /// kernel's decision arithmetic — the same xorshift64* stream, seeded
+    /// kernel's reservoir rule — the same xorshift64* stream, seeded
     /// identically — and the journaled remap/sort marks. Keys journaled
     /// past `routed_per_partition[t]` are in flight and re-staged by the
     /// caller, so the replay stops before them.
@@ -1483,51 +1466,31 @@ impl<B: PimBackend> TcSession<B> {
             .journals
             .as_ref()
             .expect("journal replay needs journals")[t];
-        let keys = journal.keys();
-        let marks = journal.marks();
-        let upto = (self.routed_per_partition[t] as usize).min(keys.len());
-        let cap = self.layout.capacity;
-        let mut sample: Vec<u64> = Vec::with_capacity(upto.min(cap as usize));
-        let mut seen = 0u64;
-        let mut state = rng::seed_for_dpu(self.config.seed, t);
-        let mut remap_packed = Vec::new();
-        let mut marks_applied = 0u64;
-        let mut mi = 0usize;
-        let apply_mark = |sample: &mut Vec<u64>, packed: &mut Vec<u64>, table_len: u64| {
-            *packed = remap::encode_table(&self.remap_table[..table_len as usize]);
-            for key in sample.iter_mut() {
-                *key = remap::map_key(packed, *key);
-            }
-            sample.sort_unstable();
+        let (upto, cap) = (self.routed_per_partition[t], self.layout.capacity);
+        let mut bank = RebuiltBank {
+            sample: Vec::with_capacity(upto.min(cap) as usize),
+            seen: 0,
+            rng: rng::seed_for_dpu(self.config.seed, t),
+            remap: Vec::new(),
+            marks_applied: 0,
         };
-        for (i, &key) in keys[..upto].iter().enumerate() {
-            while mi < marks.len() && marks[mi].offset == i as u64 {
-                apply_mark(&mut sample, &mut remap_packed, marks[mi].table_len);
-                marks_applied += 1;
-                mi += 1;
+        journal.replay(upto, |step| match step {
+            JournalStep::Key(key) => {
+                bank.seen += 1;
+                let len = bank.sample.len() as u64;
+                rng::reservoir_slot(&mut bank.rng, bank.seen, len, cap)
+                    .apply(&mut bank.sample, key);
             }
-            // The receive kernel's decisions, verbatim: bulk-fill while
-            // the sample has room, reservoir-replace past capacity.
-            seen += 1;
-            if (sample.len() as u64) < cap {
-                sample.push(key);
-            } else if rng::below_pure(&mut state, seen) < cap {
-                let victim = rng::below_pure(&mut state, sample.len() as u64);
-                sample[victim as usize] = key;
+            JournalStep::Mark(table_len) => {
+                bank.remap = remap::encode_table(&self.remap_table[..table_len as usize]);
+                for key in bank.sample.iter_mut() {
+                    *key = remap::map_key(&bank.remap, *key);
+                }
+                bank.sample.sort_unstable();
+                bank.marks_applied += 1;
             }
-        }
-        while mi < marks.len() && marks[mi].offset <= upto as u64 {
-            apply_mark(&mut sample, &mut remap_packed, marks[mi].table_len);
-            marks_applied += 1;
-            mi += 1;
-        }
-        RebuiltBank {
-            sample,
-            seen,
-            rng: state,
-            remap: remap_packed,
-            marks_applied,
-        }
+        });
+        bank
     }
 
     /// One proactive scrub sweep (see [`TcConfig::scrub_interval`]):

@@ -67,26 +67,9 @@ pub struct Header {
 }
 
 impl Header {
-    /// Reads the header from MRAM (one 64-byte DMA).
-    pub fn read(t: &mut Tasklet<'_>) -> SimResult<Header> {
-        let mut words = [0u64; 8];
-        t.mram_read(0, &mut words)?;
-        t.charge(8);
-        Ok(Header {
-            cap: words[0],
-            len: words[1],
-            seen: words[2],
-            rng: words[3],
-            remap_len: words[4],
-            result: words[5],
-            stage_len: words[6],
-            index_len: words[7],
-        })
-    }
-
-    /// Writes the header back to MRAM (one 64-byte DMA).
-    pub fn write(&self, t: &mut Tasklet<'_>) -> SimResult<()> {
-        let words = [
+    /// The eight header words in MRAM order.
+    pub fn words(&self) -> [u64; 8] {
+        [
             self.cap,
             self.len,
             self.seen,
@@ -95,29 +78,10 @@ impl Header {
             self.result,
             self.stage_len,
             self.index_len,
-        ];
-        t.charge(8);
-        t.mram_write(0, &words)
+        ]
     }
 
-    /// Host-side encoding of an initial header.
-    pub fn encode(&self) -> [u8; HEADER_BYTES as usize] {
-        let words = [
-            self.cap,
-            self.len,
-            self.seen,
-            self.rng,
-            self.remap_len,
-            self.result,
-            self.stage_len,
-            self.index_len,
-        ];
-        std::array::from_fn(|i| words[i / 8].to_le_bytes()[i % 8])
-    }
-
-    /// Host-side decoding of a gathered header.
-    pub fn decode(bytes: &[u8]) -> Header {
-        let w: Vec<u64> = pim_sim::system::decode_slice(bytes);
+    fn from_words(w: &[u64]) -> Header {
         Header {
             cap: w[0],
             len: w[1],
@@ -128,6 +92,31 @@ impl Header {
             stage_len: w[6],
             index_len: w[7],
         }
+    }
+
+    /// Reads the header from MRAM (one 64-byte DMA).
+    pub fn read(t: &mut Tasklet<'_>) -> SimResult<Header> {
+        let mut words = [0u64; 8];
+        t.mram_read(0, &mut words)?;
+        t.charge(8);
+        Ok(Header::from_words(&words))
+    }
+
+    /// Writes the header back to MRAM (one 64-byte DMA).
+    pub fn write(&self, t: &mut Tasklet<'_>) -> SimResult<()> {
+        t.charge(8);
+        t.mram_write(0, &self.words())
+    }
+
+    /// Host-side encoding of an initial header.
+    pub fn encode(&self) -> [u8; HEADER_BYTES as usize] {
+        let words = self.words();
+        std::array::from_fn(|i| words[i / 8].to_le_bytes()[i % 8])
+    }
+
+    /// Host-side decoding of a gathered header.
+    pub fn decode(bytes: &[u8]) -> Header {
+        Header::from_words(&pim_sim::system::decode_slice::<u64>(bytes))
     }
 }
 

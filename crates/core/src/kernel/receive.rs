@@ -103,22 +103,22 @@ pub fn receive_kernel(
         let chunk = (t0.wram_free() / 8 / 2).max(8) as u64;
         let mut buf = t0.alloc_wram::<u64>(chunk as usize)?;
         let mut pos = bulk;
-        let mut state = hdr.rng;
+        let mut draws = 0;
         while pos < staged {
             let n = chunk.min(staged - pos) as usize;
             t0.mram_read(layout.staging_slot(pos), &mut buf[..n])?;
             for &key in &buf[..n] {
                 hdr.seen += 1;
-                t0.charge(RESERVOIR_INSTR_PER_EDGE);
-                // Heads with probability M/t: keep the edge.
-                if rng::below(&mut t0, &mut state, hdr.seen) < hdr.cap {
-                    let victim = rng::below(&mut t0, &mut state, hdr.len);
+                let slot = rng::reservoir_slot(&mut hdr.rng, hdr.seen, hdr.len, hdr.cap);
+                draws += slot.draws();
+                if let rng::Slot::Replace(victim) = slot {
                     t0.mram_write_one(layout.sample_slot(victim), key)?;
                 }
             }
             pos += n as u64;
         }
-        hdr.rng = state;
+        t0.charge((staged - bulk) * RESERVOIR_INSTR_PER_EDGE);
+        rng::charge_draws(&mut t0, draws);
     }
 
     hdr.stage_len = 0;

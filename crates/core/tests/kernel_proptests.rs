@@ -5,8 +5,8 @@
 
 use pim_sim::system::{decode_slice, encode_slice};
 use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
-use pim_tc::kernel::layout::{Header, MramLayout};
-use pim_tc::kernel::{count, edge_key, index, sort};
+use pim_tc::kernel::layout::{Header, MramLayout, HDR_STAGE_LEN};
+use pim_tc::kernel::{checksum, count, edge_key, index, receive, rng, sort};
 use proptest::prelude::*;
 
 /// A random small hardware shape. WRAM per tasklet stays ≥ 256 B so the
@@ -184,5 +184,56 @@ proptest! {
             run(count::RegionLookup::BinarySearch),
             run(count::RegionLookup::LinearScan)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The receive kernel, batch after batch, leaves the sample, stream
+    /// position and RNG state a host loop over the reservoir rule
+    /// computes from the same keys, whether the sample never fills,
+    /// fills mid-batch or overflows from the start.
+    #[test]
+    fn receive_kernel_matches_a_host_replay_of_the_reservoir_rule(
+        config in hw_shape(),
+        cap in 3u64..40,
+        batches in prop::collection::vec(1u64..48, 1..8),
+        seed in any::<u64>(),
+        sealed in any::<bool>(),
+    ) {
+        let mut sys = PimSystem::allocate(1, config, CostModel::default()).unwrap();
+        let layout = MramLayout::compute(config.mram_capacity, 48, 0, Some(cap)).unwrap();
+        let hdr = Header { cap, rng: rng::seed_for_dpu(seed, 0), ..Header::default() };
+        sys.push(&[HostWrite { dpu: 0, offset: 0, data: &hdr.encode() }]).unwrap();
+        let (mut sample, mut seen, mut state) = (Vec::new(), 0u64, hdr.rng);
+        for n in batches {
+            let keys: Vec<u64> = (seen..seen + n).map(|i| edge_key(i as u32, 7)).collect();
+            let mut staged = keys.clone();
+            if sealed {
+                staged.push(checksum::digest_at(0, &keys));
+            }
+            sys.push(&[
+                HostWrite { dpu: 0, offset: layout.staging_off, data: &encode_slice(&staged) },
+                HostWrite { dpu: 0, offset: HDR_STAGE_LEN, data: &encode_slice(&[n]) },
+            ])
+            .unwrap();
+            let processed = sys
+                .execute(|ctx| receive::receive_kernel(ctx, &layout, sealed))
+                .unwrap()[0];
+            prop_assert_eq!(processed, n);
+            for key in keys {
+                seen += 1;
+                rng::reservoir_slot(&mut state, seen, sample.len() as u64, cap)
+                    .apply(&mut sample, key);
+            }
+        }
+        let bank = sys.dpu(0).unwrap();
+        let hdr = Header::decode(bank.host_read(0, 64).unwrap());
+        let resident: Vec<u64> =
+            decode_slice(bank.host_read(layout.sample_off, hdr.len * 8).unwrap());
+        prop_assert_eq!(resident, sample);
+        prop_assert_eq!(hdr.seen, seen);
+        prop_assert_eq!(hdr.rng, state);
     }
 }

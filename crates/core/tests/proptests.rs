@@ -3,6 +3,7 @@
 
 use pim_graph::{prep, triangle, CooGraph, Node};
 use pim_sim::PimConfig;
+use pim_tc::kernel::rng;
 use pim_tc::TcConfig;
 use proptest::prelude::*;
 
@@ -115,5 +116,30 @@ proptest! {
         prop_assert!(r.reservoir_overflowed);
         prop_assert!(!r.exact);
         prop_assert!(r.estimate > 0.0);
+    }
+}
+
+proptest! {
+    /// The reservoir rule keeps `min(n, cap)` distinct keys of the
+    /// stream.
+    #[test]
+    fn reservoir_sample_is_a_subset_of_stream(
+        n in 1u64..400,
+        cap in 1u64..50,
+        seed in any::<u64>(),
+    ) {
+        let mut state = rng::seed_for_dpu(seed, 0);
+        let mut sample = Vec::new();
+        for key in 0..n {
+            rng::reservoir_slot(&mut state, key + 1, sample.len() as u64, cap)
+                .apply(&mut sample, key);
+        }
+        prop_assert_eq!(sample.len() as u64, n.min(cap));
+        // Sample holds distinct stream elements.
+        let mut items = sample.clone();
+        items.sort_unstable();
+        items.dedup();
+        prop_assert_eq!(items.len(), sample.len());
+        prop_assert!(items.iter().all(|&x| x < n));
     }
 }

@@ -23,7 +23,9 @@ pub struct Event {
     /// [`crate::MetricsHub`] (starts at 1).
     pub seq: u64,
     /// Event kind tag: `"alloc"`, `"phase"`, `"transfer"`, `"launch"`,
-    /// `"host"`, `"fault"`, `"chunk"`, `"reservoir"`, or `"failover"`.
+    /// `"hist"`, `"host"`, `"fault"`, `"chunk"`, `"reservoir"`,
+    /// `"failover"`, `"anomaly"`, `"journal_replay"`, `"scrub"`, or
+    /// `"checkpoint"`.
     pub kind: String,
     /// Typed payload fields, in emission order.
     pub fields: Vec<(String, FieldValue)>,

@@ -5,98 +5,9 @@
 //! probability `M/t`. The resulting sample is a uniform `M`-subset of the
 //! stream, and any specific triple of edges survives with probability
 //! `M(M−1)(M−2) / (t(t−1)(t−2))` — the correction factor applied to each
-//! core's triangle count.
-
-use rand::Rng;
-
-/// A fixed-capacity uniform reservoir over a stream of `T`.
-#[derive(Clone, Debug)]
-pub struct Reservoir<T> {
-    capacity: usize,
-    items: Vec<T>,
-    seen: u64,
-}
-
-impl<T> Reservoir<T> {
-    /// Creates an empty reservoir holding at most `capacity ≥ 1` items.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "capacity must be positive");
-        Reservoir {
-            capacity,
-            items: Vec::with_capacity(capacity),
-            seen: 0,
-        }
-    }
-
-    /// Maximum number of resident items (`M`).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total stream items offered so far (`t`).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Resident sample.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Consumes the reservoir, returning the sample.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-
-    /// True if the stream overflowed the capacity (some items were
-    /// dropped and the count needs statistical correction).
-    pub fn overflowed(&self) -> bool {
-        self.seen > self.capacity as u64
-    }
-
-    /// Reinstates a reservoir from replayed state: the resident sample
-    /// plus the stream position `t`. Recovery paths use this to restore
-    /// a lost partition's reservoir — including its overflow flag and
-    /// correction divisor, which depend on `seen`, not just the items.
-    pub fn restore(capacity: usize, items: Vec<T>, seen: u64) -> Self {
-        assert!(capacity >= 1, "capacity must be positive");
-        assert!(items.len() <= capacity, "sample exceeds capacity");
-        assert!(
-            seen >= items.len() as u64,
-            "stream position precedes the sample"
-        );
-        Reservoir {
-            capacity,
-            items,
-            seen,
-        }
-    }
-
-    /// Offers the next stream item. Returns `true` if the item was
-    /// admitted into the sample.
-    pub fn offer<R: Rng>(&mut self, item: T, rng: &mut R) -> bool {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-            return true;
-        }
-        // Biased coin with heads probability M/t.
-        if rng.gen_range(0..self.seen) < self.capacity as u64 {
-            let victim = rng.gen_range(0..self.items.len());
-            self.items[victim] = item;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Probability that any specific *triple* of distinct stream items is
-    /// fully resident: `M(M−1)(M−2) / (t(t−1)(t−2))`, or 1.0 while the
-    /// stream fits (§3.3's correction divisor `p`).
-    pub fn triple_probability(&self) -> f64 {
-        triple_probability(self.capacity as u64, self.seen)
-    }
-}
+//! core's triangle count. The sampling itself runs on the cores (the
+//! receive kernel's reservoir rule in `pim-tc`); this module holds the
+//! correction it implies.
 
 /// The §3.3 correction factor for sample size `m` and stream length `t`.
 /// Returns 1.0 when the stream fits entirely (`t ≤ m`) and 0.0 when a
@@ -116,54 +27,6 @@ pub fn triple_probability(m: u64, t: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn fills_before_replacing() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut r = Reservoir::new(3);
-        for i in 0..3 {
-            assert!(r.offer(i, &mut rng));
-        }
-        assert_eq!(r.items(), &[0, 1, 2]);
-        assert!(!r.overflowed());
-        assert_eq!(r.triple_probability(), 1.0);
-    }
-
-    #[test]
-    fn overflow_keeps_size_fixed() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut r = Reservoir::new(10);
-        for i in 0..10_000u32 {
-            r.offer(i, &mut rng);
-            assert!(r.items().len() <= 10);
-        }
-        assert!(r.overflowed());
-        assert_eq!(r.seen(), 10_000);
-    }
-
-    #[test]
-    fn inclusion_is_uniform() {
-        // Every stream item should be resident with probability M/t; check
-        // by repetition that early and late items are retained equally.
-        let m = 20usize;
-        let t = 200u32;
-        let trials = 2000;
-        let mut first_half = 0u64;
-        for trial in 0..trials {
-            let mut rng = ChaCha8Rng::seed_from_u64(trial);
-            let mut r = Reservoir::new(m);
-            for i in 0..t {
-                r.offer(i, &mut rng);
-            }
-            first_half += r.items().iter().filter(|&&x| x < t / 2).count() as u64;
-        }
-        // Expected resident items from the first half: M/2 per trial.
-        let expected = trials as f64 * m as f64 / 2.0;
-        let dev = (first_half as f64 - expected).abs() / expected;
-        assert!(dev < 0.05, "first-half retention off by {dev}");
-    }
 
     #[test]
     fn triple_probability_formula() {
@@ -173,44 +36,5 @@ mod tests {
         let expect = (10.0 * 9.0 * 8.0) / (20.0 * 19.0 * 18.0);
         assert!((p - expect).abs() < 1e-12);
         assert_eq!(triple_probability(2, 100), 0.0);
-    }
-
-    #[test]
-    fn deterministic_for_seeded_rng() {
-        let run = || {
-            let mut rng = ChaCha8Rng::seed_from_u64(5);
-            let mut r = Reservoir::new(8);
-            for i in 0..500u32 {
-                r.offer(i, &mut rng);
-            }
-            r.into_items()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_rejected() {
-        Reservoir::<u32>::new(0);
-    }
-
-    #[test]
-    fn restore_preserves_overflow_state_and_divisor() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut r = Reservoir::new(8);
-        for i in 0..100u32 {
-            r.offer(i, &mut rng);
-        }
-        let restored = Reservoir::restore(r.capacity(), r.items().to_vec(), r.seen());
-        assert_eq!(restored.items(), r.items());
-        assert_eq!(restored.seen(), r.seen());
-        assert_eq!(restored.overflowed(), r.overflowed());
-        assert!((restored.triple_probability() - r.triple_probability()).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "precedes")]
-    fn restore_rejects_an_impossible_stream_position() {
-        Reservoir::restore(4, vec![1u32, 2, 3], 2);
     }
 }

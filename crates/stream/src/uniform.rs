@@ -6,18 +6,15 @@
 //! (probability `p³`), so the counted total is divided by `p³` to form an
 //! unbiased estimate.
 
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// A Bernoulli edge filter with keep-probability `p`.
-///
-/// Generic over the random source so the same filter can be driven by
-/// the default seeded ChaCha8 stream or by a replayable, coordinate-
-/// addressed stream such as [`crate::journal::GranuleRng`].
+/// A Bernoulli edge filter with keep-probability `p`, drawing from a
+/// seeded ChaCha8 stream.
 #[derive(Clone, Debug)]
-pub struct UniformSampler<R: RngCore = ChaCha8Rng> {
+pub struct UniformSampler {
     p: f64,
-    rng: R,
+    rng: ChaCha8Rng,
     offered: u64,
     kept: u64,
 }
@@ -25,25 +22,13 @@ pub struct UniformSampler<R: RngCore = ChaCha8Rng> {
 impl UniformSampler {
     /// Creates a sampler keeping each edge with probability `p ∈ [0, 1]`.
     pub fn new(p: f64, seed: u64) -> Self {
-        UniformSampler::with_rng(p, ChaCha8Rng::seed_from_u64(seed))
-    }
-}
-
-impl<R: RngCore> UniformSampler<R> {
-    /// Creates a sampler over a caller-supplied random source.
-    pub fn with_rng(p: f64, rng: R) -> Self {
         assert!((0.0..=1.0).contains(&p), "p must be a probability");
         UniformSampler {
             p,
-            rng,
+            rng: ChaCha8Rng::seed_from_u64(seed),
             offered: 0,
             kept: 0,
         }
-    }
-
-    /// The underlying random source (e.g. to journal its coordinates).
-    pub fn rng(&self) -> &R {
-        &self.rng
     }
 
     /// The keep-probability `p`.
@@ -137,16 +122,14 @@ mod tests {
     }
 
     #[test]
-    fn granule_rng_stream_is_replayable_mid_flight() {
-        use crate::journal::GranuleRng;
-        // A sampler on a coordinate-addressed stream can be resumed from
-        // any journaled (seed, granule, counter) triple.
-        let mut live = UniformSampler::with_rng(0.5, GranuleRng::new(11, 3));
+    fn stream_is_replayable_mid_flight() {
+        // A copy taken mid-stream carries the sampler's whole state.
+        let mut live = UniformSampler::new(0.5, 11);
         let _head: Vec<bool> = (0..64).map(|_| live.keep()).collect();
-        let (seed, granule, counter) = live.rng().coords();
-        let mut resumed = UniformSampler::with_rng(0.5, GranuleRng::at(seed, granule, counter));
+        let mut resumed = live.clone();
         let tail_a: Vec<bool> = (0..64).map(|_| resumed.keep()).collect();
         let tail_b: Vec<bool> = (0..64).map(|_| live.keep()).collect();
         assert_eq!(tail_a, tail_b);
+        assert_eq!(resumed.offered(), live.offered());
     }
 }

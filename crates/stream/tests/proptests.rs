@@ -1,9 +1,7 @@
 //! Property-based tests for the streaming primitives.
 
-use pim_stream::{coloring::ColoringHash, misra_gries::MisraGries, reservoir::Reservoir};
+use pim_stream::{coloring::ColoringHash, misra_gries::MisraGries};
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 proptest! {
     #[test]
@@ -59,28 +57,6 @@ proptest! {
                 prop_assert!(a.estimate(item) > 0, "heavy item {item} lost in merge");
             }
         }
-    }
-
-    #[test]
-    fn reservoir_sample_is_a_subset_of_stream(
-        n in 1u32..400,
-        cap in 1usize..50,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut r = Reservoir::new(cap);
-        for i in 0..n {
-            r.offer(i, &mut rng);
-        }
-        prop_assert_eq!(r.seen(), n as u64);
-        prop_assert_eq!(r.items().len(), (n as usize).min(cap));
-        // Sample holds distinct stream elements.
-        let mut items = r.items().to_vec();
-        items.sort_unstable();
-        let len = items.len();
-        items.dedup();
-        prop_assert_eq!(items.len(), len);
-        prop_assert!(items.iter().all(|&x| x < n));
     }
 
     #[test]
