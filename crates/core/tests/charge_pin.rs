@@ -5,18 +5,26 @@
 //! however it likes; what it charges is the modeled clock, and the
 //! constants below must not move with a host-side speedup.
 //!
-//! Two captures:
+//! Five captures:
 //!
 //! * **Pipeline** — the sort → index → count kernels driven directly on
 //!   three banks holding different slices of the graph, under two WRAM
 //!   splits. Each bank runs in a one-DPU system, so the launch's
-//!   `max_cycles` is that bank's cycle count.
+//!   `max_cycles` is that bank's cycle count. Each bank's final
+//!   high-water mark (`mram_used`) is pinned too.
+//! * **Remap pipeline** — the same three banks with a 1-, 24- and
+//!   200-entry heavy-hitter table: remap twice (the second pass finds
+//!   only remapped ids), then sort → index → count, and the final
+//!   `mram_used`.
 //! * **Session** — a `TcSession` appending the graph and counting it,
 //!   with every launch's `launch` and `hist` metric events pinned.
 //! * **Overflow** — a `TcSession` whose `sample_capacity` is far below
 //!   each partition's routed load, so most keys take the receive
 //!   kernel's per-key reservoir loop; plain and sealed, under both WRAM
 //!   splits, with a fold of the resident samples pinning what was kept.
+//! * **Misra-Gries** — a `TcSession` tracking heavy hitters, appending
+//!   the graph in three batches and counting after each, under both WRAM
+//!   splits: every `remap`, `sort`, `index` and `count` launch.
 
 use pim_graph::CooGraph;
 use pim_metrics::{Event, MemorySink, MetricsHub};
@@ -24,7 +32,7 @@ use pim_sim::system::encode_slice;
 use pim_sim::{CostModel, DpuContext, HostWrite, PimBackend, PimConfig, PimSystem, SimResult};
 use pim_tc::kernel::count::{count_kernel_opts, RegionLookup};
 use pim_tc::kernel::layout::{Header, MramLayout};
-use pim_tc::kernel::{edge_key, index, local, sort};
+use pim_tc::kernel::{edge_key, index, local, remap, sort};
 use pim_tc::{IntersectStrategy, TcConfig, TcSession};
 use std::sync::Arc;
 
@@ -33,6 +41,12 @@ type Charge = [u64; 3];
 
 /// One launch of the pipeline capture: `(label, per-bank charges)`.
 type PipelineLaunch = (&'static str, [Charge; BANKS]);
+
+/// One pipeline capture: its launches and each bank's final `mram_used`.
+type Pipeline = (Vec<(String, [Charge; BANKS])>, [u64; BANKS]);
+
+/// One bank of a pipeline capture: its launches and final `mram_used`.
+type BankLaunches = (Vec<(String, Charge)>, u64);
 
 /// One launch of the session capture: `(label, [dpus, instructions,
 /// dma_bytes, max_cycles, p50_cycles, p99_cycles])`.
@@ -85,8 +99,9 @@ where
     ]
 }
 
-/// Every launch of the pipeline on bank `d` under `config`.
-fn bank_launches(config: PimConfig, g: &CooGraph, d: usize) -> Vec<(String, Charge)> {
+/// Every launch of the pipeline on bank `d` under `config`, and the
+/// bank's final `mram_used`.
+fn bank_launches(config: PimConfig, g: &CooGraph, d: usize) -> BankLaunches {
     let keys = bank_keys(g, d);
     let nodes = g.num_nodes() as u64;
     let layout =
@@ -137,17 +152,97 @@ fn bank_launches(config: PimConfig, g: &CooGraph, d: usize) -> Vec<(String, Char
     run("count/local".into(), &|ctx| {
         local::local_count_kernel(ctx, &layout)
     });
-    out
+    (out, sys.dpu(0).unwrap().mram_used())
 }
 
-/// The pipeline capture under `config`: each launch with its charge on
-/// every bank.
-fn pipeline(config: PimConfig) -> Vec<(String, [Charge; BANKS])> {
+/// Remap pipeline on bank `d`: the graph's `[1, 24, 200][d]` highest-degree
+/// nodes get ids descending from `u32::MAX`; remap runs twice, then
+/// sort → index → count. Returns every launch and the final `mram_used`.
+fn remap_bank_launches(config: PimConfig, g: &CooGraph, d: usize) -> BankLaunches {
+    let keys = bank_keys(g, d);
+    let degrees = g.degrees();
+    let mut nodes: Vec<u32> = (0..degrees.len() as u32).collect();
+    nodes.sort_by_key(|&n| (std::cmp::Reverse(degrees[n as usize]), n));
+    let pairs: Vec<(u32, u32)> = (nodes.iter().take([1, 24, 200][d]).enumerate())
+        .map(|(i, &n)| (n, u32::MAX - i as u32))
+        .collect();
+    let table = remap::encode_table(&pairs);
+    let layout = MramLayout::compute(
+        config.mram_capacity,
+        8,
+        table.len() as u64,
+        Some(keys.len() as u64),
+    )
+    .unwrap();
+    let mut sys = PimSystem::allocate(1, config, CostModel::default()).unwrap();
+    let hdr = Header {
+        cap: layout.capacity,
+        len: keys.len() as u64,
+        remap_len: table.len() as u64,
+        ..Header::default()
+    };
+    let (hdr, sample, table) = (hdr.encode(), encode_slice(&keys), encode_slice(&table));
+    let writes = [
+        (0, &hdr[..]),
+        (layout.sample_off, &sample),
+        (layout.remap_off, &table),
+    ];
+    let writes = writes.map(|(offset, data)| HostWrite {
+        dpu: 0,
+        offset,
+        data,
+    });
+    sys.push(&writes).unwrap();
+    let mut out = Vec::new();
+    let mut run = |label: &str, kernel: &(dyn Fn(&mut DpuContext<'_>) -> SimResult<u64> + Sync)| {
+        let charge = launch(&mut sys, label, kernel);
+        out.push((label.to_string(), charge));
+    };
+    for label in ["remap", "remap/again"] {
+        run(label, &|ctx| remap::remap_kernel(ctx, &layout).map(|()| 0));
+    }
+    run("sort", &|ctx| sort::sort_kernel(ctx, &layout).map(|()| 0));
+    run("index", &|ctx| index::index_kernel(ctx, &layout));
+    run("count", &|ctx| {
+        count_kernel_opts(
+            ctx,
+            &layout,
+            RegionLookup::BinarySearch,
+            IntersectStrategy::Adaptive,
+        )
+    });
+    (out, sys.dpu(0).unwrap().mram_used())
+}
+
+/// A pipeline capture under `config`: each launch with its charge on
+/// every bank, and each bank's final `mram_used`.
+fn pipeline_with(
+    config: PimConfig,
+    bank: fn(PimConfig, &CooGraph, usize) -> BankLaunches,
+) -> Pipeline {
     let g = graph();
-    let banks: [Vec<(String, Charge)>; BANKS] =
-        std::array::from_fn(|d| bank_launches(config, &g, d));
-    (0..banks[0].len())
-        .map(|i| (banks[0][i].0.clone(), banks.each_ref().map(|b| b[i].1)))
+    let banks: [BankLaunches; BANKS] = std::array::from_fn(|d| bank(config, &g, d));
+    let launches = (0..banks[0].0.len())
+        .map(|i| (banks[0].0[i].0.clone(), banks.each_ref().map(|b| b.0[i].1)))
+        .collect();
+    (launches, banks.each_ref().map(|b| b.1))
+}
+
+fn pipeline(config: PimConfig) -> Pipeline {
+    pipeline_with(config, bank_launches)
+}
+
+fn remap_pipeline(config: PimConfig) -> Pipeline {
+    pipeline_with(config, remap_bank_launches)
+}
+
+/// Each pinned pipeline capture, as the test compares it.
+fn pinned_pipelines(pins: &[(&[PipelineLaunch], [u64; BANKS])]) -> Vec<Pipeline> {
+    pins.iter()
+        .map(|(launches, used)| {
+            let launches = launches.iter().map(|(l, c)| (l.to_string(), *c));
+            (launches.collect(), *used)
+        })
         .collect()
 }
 
@@ -199,6 +294,32 @@ fn pinned_launches(events: &[Event]) -> Vec<SessionLaunch<String>> {
             ];
             (l.str_field("label").to_string(), fields.map(field))
         })
+        .collect()
+}
+
+/// The Misra-Gries capture: the graph appended in three batches into a
+/// session tracking 16 heavy hitters, counted after each batch; every
+/// launch but `receive`.
+fn misra_gries(pim: PimConfig) -> Vec<SessionLaunch<String>> {
+    let config = TcConfig::builder()
+        .colors(3)
+        .seed(5)
+        .pim(pim)
+        .stage_edges(512)
+        .misra_gries(64, 16)
+        .build()
+        .unwrap();
+    let hub = Arc::new(MetricsHub::new());
+    let sink = MemorySink::new();
+    hub.add_sink(Box::new(sink.clone()));
+    let mut session = TcSession::<PimSystem>::start_metered(&config, Some(hub)).unwrap();
+    for batch in graph().split_batches(3) {
+        session.append(&batch).unwrap();
+        session.count().unwrap();
+    }
+    pinned_launches(&sink.events())
+        .into_iter()
+        .filter(|(label, _)| label != "receive")
         .collect()
 }
 
@@ -255,12 +376,30 @@ fn wram_splits() -> [PimConfig; 2] {
 
 #[test]
 fn pipeline_charges_are_pinned() {
-    let got: Vec<Vec<(String, [Charge; BANKS])>> = wram_splits().map(pipeline).into();
-    let want: Vec<Vec<(String, [Charge; BANKS])>> = PIPELINE
-        .iter()
-        .map(|launches| launches.iter().map(|(l, c)| (l.to_string(), *c)).collect())
-        .collect();
+    let got: Vec<Pipeline> = wram_splits().map(pipeline).into();
+    let pins: Vec<_> = PIPELINE.iter().copied().zip(PIPELINE_MRAM_USED).collect();
+    let want = pinned_pipelines(&pins);
     assert_eq!(got, want, "pipeline charges moved:\n{got:?}");
+}
+
+#[test]
+fn remap_pipeline_charges_are_pinned() {
+    let got: Vec<Pipeline> = wram_splits().map(remap_pipeline).into();
+    assert_eq!(
+        got,
+        pinned_pipelines(REMAP_PIPELINE),
+        "remap charges moved:\n{got:?}"
+    );
+}
+
+#[test]
+fn misra_gries_session_charges_are_pinned() {
+    let got: Vec<Vec<SessionLaunch<String>>> = wram_splits().map(misra_gries).into();
+    let want: Vec<Vec<SessionLaunch<String>>> = MISRA_GRIES
+        .iter()
+        .map(|launches| launches.iter().map(|(l, f)| (l.to_string(), *f)).collect())
+        .collect();
+    assert_eq!(got, want, "Misra-Gries session charges moved:\n{got:?}");
 }
 
 #[test]
@@ -439,6 +578,138 @@ const PIPELINE: &[&[PipelineLaunch]] = &[
                 [45625042, 1679425, 41546272],
                 [22973156, 780243, 21274000],
             ],
+        ),
+    ],
+];
+
+const PIPELINE_MRAM_USED: [[u64; BANKS]; 2] = [[142112, 75736, 53000], [142112, 75736, 53000]];
+
+const REMAP_PIPELINE: &[(&[PipelineLaunch], [u64; BANKS])] = &[
+    (
+        &[
+            (
+                "remap",
+                [
+                    [180871, 105594, 130144],
+                    [211365, 171650, 67488],
+                    [249792, 176639, 67632],
+                ],
+            ),
+            (
+                "remap/again",
+                [
+                    [180871, 105594, 130144],
+                    [201957, 162242, 67488],
+                    [233072, 162863, 67632],
+                ],
+            ),
+            (
+                "sort",
+                [
+                    [1593930, 487328, 649824],
+                    [870190, 225240, 321824],
+                    [712977, 146140, 209904],
+                ],
+            ),
+            (
+                "index",
+                [
+                    [307933, 24382, 69552],
+                    [154067, 12082, 36864],
+                    [101768, 7885, 26024],
+                ],
+            ),
+            (
+                "count",
+                [
+                    [18166368, 3589105, 10482736],
+                    [6641159, 689303, 3582664],
+                    [4248604, 364585, 2171384],
+                ],
+            ),
+        ],
+        [134536, 69232, 48608],
+    ),
+    (
+        &[
+            (
+                "remap",
+                [
+                    [1235565, 105594, 130024],
+                    [1925028, 171650, 64608],
+                    [1968015, 176639, 43632],
+                ],
+            ),
+            (
+                "remap/again",
+                [
+                    [1235565, 105594, 130024],
+                    [1821540, 162242, 64608],
+                    [1816479, 162863, 43632],
+                ],
+            ),
+            (
+                "sort",
+                [
+                    [4719821, 422352, 130016],
+                    [2160403, 193064, 64416],
+                    [1409093, 125912, 42032],
+                ],
+            ),
+            (
+                "index",
+                [
+                    [307933, 24382, 69552],
+                    [154067, 12082, 36864],
+                    [101768, 7885, 26024],
+                ],
+            ),
+            (
+                "count",
+                [
+                    [101641704, 3577398, 96365392],
+                    [32163197, 688006, 36544488],
+                    [16186543, 364393, 16879040],
+                ],
+            ),
+        ],
+        [134536, 69232, 48608],
+    ),
+];
+
+const MISRA_GRIES: &[&[SessionLaunch<&str>]] = &[
+    &[
+        ("remap", [10, 305702, 151008, 122329, 111579, 122329]),
+        ("sort", [10, 356580, 361952, 441980, 289642, 441980]),
+        ("index", [10, 24514, 83440, 70667, 31543, 70667]),
+        ("count", [10, 916191, 5475968, 2649420, 1120769, 2649420]),
+        ("remap", [10, 606782, 281184, 171832, 119193, 171832]),
+        ("sort", [10, 794444, 882176, 828308, 427619, 828308]),
+        ("index", [10, 48922, 154328, 139958, 64446, 139958]),
+        ("count", [10, 2491561, 13748496, 6195813, 2500086, 6195813]),
+        ("remap", [10, 907034, 410976, 256339, 126919, 256339]),
+        ("sort", [10, 1352644, 1864960, 1294464, 701931, 1294464]),
+        ("index", [10, 73258, 222944, 208582, 97001, 208582]),
+        ("count", [10, 4551310, 23093488, 9864038, 4149093, 9864038]),
+    ],
+    &[
+        ("remap", [10, 305702, 131808, 771090, 340164, 771090]),
+        ("sort", [10, 327652, 130528, 897753, 360501, 897753]),
+        ("index", [10, 24514, 83440, 70667, 31543, 70667]),
+        ("count", [10, 916101, 23265464, 9460824, 2536605, 9460824]),
+        ("remap", [10, 606782, 261984, 1531171, 700918, 1531171]),
+        ("sort", [10, 720840, 260704, 1959069, 822741, 1959069]),
+        ("index", [10, 48922, 154328, 139958, 64446, 139958]),
+        (
+            "count",
+            [10, 2487301, 97341640, 30017957, 8786200, 30017957],
+        ),
+        ("remap", [10, 907034, 391776, 2288957, 1059331, 2288957]),
+        ("sort", [10, 1170276, 390496, 3177095, 1358507, 3177095]),
+        ("index", [10, 73258, 222944, 208582, 97001, 208582]),
+        (
+            "count",
+            [10, 4543100, 200553768, 52459648, 18364545, 52459648],
         ),
     ],
 ];
