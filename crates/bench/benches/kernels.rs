@@ -1,20 +1,21 @@
 //! Criterion benchmarks of the DPU kernels, including the ablations
 //! DESIGN.md §8 calls out: WRAM buffer sizing for the sort, and the
 //! merge-based intersection against a binary-search-per-neighbor
-//! alternative.
+//! alternative; plus the heavy-hitter remap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pim_graph::triangle::sorted_intersection_count;
 use pim_sim::system::encode_slice;
 use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
 use pim_tc::kernel::layout::{Header, MramLayout};
-use pim_tc::kernel::{count, index, sort};
+use pim_tc::kernel::{count, edge_key, index, remap, sort};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
-/// Builds a single-DPU system preloaded with `keys` in the sample region.
-fn loaded_system(keys: &[u64], wram: usize) -> (PimSystem, MramLayout) {
+/// Builds a single-DPU system preloaded with `keys` in the sample region
+/// and the packed remap `table`.
+fn loaded_system(keys: &[u64], table: &[u64], wram: usize) -> (PimSystem, MramLayout) {
     let config = PimConfig {
         total_dpus: 1,
         mram_capacity: ((keys.len() as u64 * 24 + 8192).next_power_of_two()).max(1 << 16),
@@ -25,26 +26,34 @@ fn loaded_system(keys: &[u64], wram: usize) -> (PimSystem, MramLayout) {
         fault: None,
     };
     let mut sys = PimSystem::allocate(1, config, CostModel::default()).unwrap();
-    let layout =
-        MramLayout::compute(config.mram_capacity, 8, 0, Some((keys.len() as u64).max(3))).unwrap();
+    let layout = MramLayout::compute(
+        config.mram_capacity,
+        8,
+        table.len() as u64,
+        Some((keys.len() as u64).max(3)),
+    )
+    .unwrap();
     let hdr = Header {
         cap: layout.capacity,
         len: keys.len() as u64,
+        remap_len: table.len() as u64,
         ..Header::default()
     };
-    sys.push(&[
-        HostWrite {
+    let (hdr, sample, table) = (hdr.encode(), encode_slice(keys), encode_slice(table));
+    let writes = [
+        (0, &hdr[..]),
+        (layout.sample_off, &sample),
+        (layout.remap_off, &table),
+    ];
+    let writes: Vec<HostWrite> = (writes.into_iter())
+        .filter(|(_, data)| !data.is_empty())
+        .map(|(offset, data)| HostWrite {
             dpu: 0,
-            offset: 0,
-            data: &hdr.encode(),
-        },
-        HostWrite {
-            dpu: 0,
-            offset: layout.sample_off,
-            data: &encode_slice(keys),
-        },
-    ])
-    .unwrap();
+            offset,
+            data,
+        })
+        .collect();
+    sys.push(&writes).unwrap();
     (sys, layout)
 }
 
@@ -61,7 +70,7 @@ fn bench_sort_wram(c: &mut Criterion) {
             &wram,
             |b, &wram| {
                 b.iter(|| {
-                    let (mut sys, layout) = loaded_system(&keys, wram);
+                    let (mut sys, layout) = loaded_system(&keys, &[], wram);
                     sys.execute(|ctx| sort::sort_kernel(ctx, &layout)).unwrap();
                     black_box(sys.phase_times().total())
                 })
@@ -88,12 +97,33 @@ fn bench_count_pipeline(c: &mut Criterion) {
     g.throughput(Throughput::Elements(keys.len() as u64));
     g.bench_function("sort_index_count", |b| {
         b.iter(|| {
-            let (mut sys, layout) = loaded_system(&keys, 64 << 10);
+            let (mut sys, layout) = loaded_system(&keys, &[], 64 << 10);
             sys.execute(|ctx| sort::sort_kernel(ctx, &layout)).unwrap();
             sys.execute(|ctx| index::index_kernel(ctx, &layout))
                 .unwrap();
             sys.execute(|ctx| count::count_kernel(ctx, &layout))
                 .unwrap()[0]
+        })
+    });
+    g.finish();
+}
+
+/// The heavy-hitter remap of a 20k-edge sample whose endpoints skew
+/// toward low ids, by a 256-entry table of the lowest ids.
+fn bench_remap(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dpu_remap");
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut skewed = || (rng.gen_range(0..5000u32) * rng.gen_range(0..5000u32)) / 5000;
+    let keys: Vec<u64> = (0..20_000).map(|_| edge_key(skewed(), skewed())).collect();
+    let pairs: Vec<(u32, u32)> = (0..256).map(|i| (i, u32::MAX - i)).collect();
+    let table = remap::encode_table(&pairs);
+    g.throughput(Throughput::Elements(keys.len() as u64));
+    g.bench_function("remap_20k_by_256", |b| {
+        b.iter(|| {
+            let (mut sys, layout) = loaded_system(&keys, &table, 64 << 10);
+            sys.execute(|ctx| remap::remap_kernel(ctx, &layout))
+                .unwrap();
+            black_box(sys.phase_times().total())
         })
     });
     g.finish();
@@ -132,6 +162,6 @@ fn bench_intersection_strategies(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_sort_wram, bench_count_pipeline, bench_intersection_strategies
+    targets = bench_sort_wram, bench_count_pipeline, bench_remap, bench_intersection_strategies
 }
 criterion_main!(benches);

@@ -888,7 +888,8 @@ impl<B: PimBackend> TcSession<B> {
     /// wrong partition count, bank/sample/remap lengths out of agreement
     /// or past their MRAM regions, a remap table past its region or out
     /// of step with its id cursor, a summary the configuration doesn't
-    /// call for — are refused with [`TcError::Checkpoint`]; a
+    /// call for, a journal opened under another seed or for another
+    /// partition — are refused with [`TcError::Checkpoint`]; a
     /// checksum-valid file can still be rejected here if it was written
     /// by a different session shape.
     fn install_snapshot(&mut self, snap: &SessionCheckpoint) -> Result<(), TcError> {
@@ -934,6 +935,18 @@ impl<B: PimBackend> TcSession<B> {
         // order, inside the journal and inside the table, and a snapshot
         // taken between appends has journaled exactly the routed keys.
         for (t, journal) in snap.journals.iter().flatten().enumerate() {
+            // Replay seeds partition `t` from the session seed, so a
+            // journal opened under another seed or for another partition
+            // would re-derive a bank it never recorded.
+            if (journal.seed(), journal.granule()) != (self.config.seed, t as u64) {
+                return bad(format!(
+                    "partition {t} journal was opened for partition {} of a \
+                     session seeded {}, not partition {t} of seed {}",
+                    journal.granule(),
+                    journal.seed(),
+                    self.config.seed
+                ));
+            }
             let (keys, marks) = (journal.len(), journal.marks());
             if keys != snap.routed_per_partition[t]
                 || marks.windows(2).any(|w| w[0].offset > w[1].offset)
@@ -1483,8 +1496,9 @@ impl<B: PimBackend> TcSession<B> {
             }
             JournalStep::Mark(table_len) => {
                 bank.remap = remap::encode_table(&self.remap_table[..table_len as usize]);
+                let lookup = remap::RemapLookup::new(&bank.remap);
                 for key in bank.sample.iter_mut() {
-                    *key = remap::map_key(&bank.remap, *key);
+                    *key = lookup.map_key(*key).0;
                 }
                 bank.sample.sort_unstable();
                 bank.marks_applied += 1;
@@ -1999,6 +2013,44 @@ mod tests {
             };
             assert!(matches!(err, TcError::Checkpoint(_)), "got {err:?}");
             assert!(err.to_string().contains("remap"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn restore_refuses_journals_from_another_seed_or_partition() {
+        let g = gen::erdos_renyi(60, 0.2, 5);
+        let config = TcConfig {
+            journal: true,
+            ..tiny_config(3)
+        };
+        let mut s = TcSession::<RankCluster<TimedBackend>>::start_cluster(&config).unwrap();
+        s.append(g.edges()).unwrap();
+        s.count().unwrap();
+        let dir = ckpt_dir("journal_coords");
+        s.checkpoint(1).unwrap().save(&dir).unwrap();
+        let saved = SessionCheckpoint::load(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(TcSession::<RankCluster<TimedBackend>>::restore_cluster(&saved, None).is_ok());
+
+        // Partition 1's journal re-serialized under another seed, and
+        // partitions 0 and 1's journals swapped.
+        let mut reseeded = saved.clone();
+        let journals = reseeded.journals.as_mut().unwrap();
+        let text = serde_json::to_string(&journals[1]).unwrap();
+        let seed = format!("\"seed\":{}", config.seed);
+        assert!(text.contains(&seed), "{text}");
+        let other = format!("\"seed\":{}", config.seed + 1);
+        journals[1] = serde_json::from_str(&text.replacen(&seed, &other, 1)).unwrap();
+        let mut swapped = saved.clone();
+        swapped.journals.as_mut().unwrap().swap(0, 1);
+        for (snap, partition) in [(reseeded, 1), (swapped, 0)] {
+            let Err(err) = TcSession::<RankCluster<TimedBackend>>::restore_cluster(&snap, None)
+            else {
+                panic!("a journal from another seed or partition must be refused");
+            };
+            assert!(matches!(err, TcError::Checkpoint(_)), "got {err:?}");
+            let named = format!("partition {partition} journal was opened");
+            assert!(err.to_string().contains(&named), "got: {err}");
         }
     }
 

@@ -139,7 +139,9 @@ pub struct MramLayout {
     pub remap_off: u64,
     /// Start of the edge sample `S`.
     pub sample_off: u64,
-    /// Start of the sort scratch region.
+    /// Start of the sort scratch region: the DPU merge passes'
+    /// ping-pong target. The simulator sorts on the host and never
+    /// writes it, but the bank keeps room for it.
     pub scratch_off: u64,
     /// Start of the region index table.
     pub index_off: u64,
@@ -227,12 +229,6 @@ impl MramLayout {
     #[inline]
     pub fn sample_slot(&self, i: u64) -> u64 {
         self.sample_off + i * 8
-    }
-
-    /// Byte offset of scratch slot `i`.
-    #[inline]
-    pub fn scratch_slot(&self, i: u64) -> u64 {
-        self.scratch_off + i * 8
     }
 
     /// Byte offset of index entry `i`.

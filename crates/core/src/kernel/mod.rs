@@ -2,7 +2,9 @@
 //!
 //! Everything in this module runs "on" the simulated PIM cores: it may
 //! touch MRAM only through [`pim_sim::Tasklet`] DMA calls into bounded
-//! WRAM buffers, and it accounts instruction work through `charge` hooks.
+//! WRAM buffers, or through checked views and stores whose DMAs it
+//! tallies (the `pim_sim::kernel` contract), and it accounts instruction
+//! work through `charge` hooks or the same tallies.
 //! The per-bank data layout is defined by [`layout::MramLayout`]; the
 //! processing pipeline for each count is:
 //!

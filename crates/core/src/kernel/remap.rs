@@ -8,9 +8,15 @@
 //! first-node region is empty or tiny, eliminating the long neighbor scans
 //! that stall the edge iterator on high-degree graphs.
 //!
-//! The table is small by construction (validated against the WRAM share),
-//! so each tasklet holds it resident and rewrites a strided share of the
-//! sample in place.
+//! On the DPU the table is small by construction (validated against the
+//! WRAM share), so each tasklet holds it resident, binary-searches it for
+//! both endpoints of every edge, and rewrites a strided share of the
+//! sample in place, one WRAM chunk at a time. The simulator executes that
+//! program charge-exactly on the host (see the `pim_sim::kernel`
+//! contract): every tasklet claims the table and chunk buffers, tasklet 0
+//! builds one [`RemapLookup`] per launch and rewrites the whole sample
+//! through a checked view and store, and each tasklet tallies its table
+//! read, its blocks' DMAs and the binary-search probes its keys would make.
 
 use super::layout::{Header, MramLayout};
 use super::{edge_key, edge_unkey, key_first, key_second};
@@ -30,66 +36,165 @@ pub fn remap_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimResult<
         let mut t0 = ctx.tasklet(0)?;
         Header::read(&mut t0)?
     };
-    let table_len = hdr.remap_len as usize;
+    let table_len = hdr.remap_len;
     let len = hdr.len;
     if table_len == 0 || len == 0 {
         return Ok(());
     }
-    let nr_t = ctx.nr_tasklets() as u64;
+    let nr_t = ctx.nr_tasklets();
+    // Binary-search probes per block of `chunk` keys, filled by tasklet 0;
+    // every tasklet claims the same buffers, so all share one chunk size.
+    let mut block_probes = Vec::new();
     ctx.for_each_tasklet(|t| {
-        // Table resident in WRAM: entries packed (old << 32 | new), sorted
-        // by old id (host guarantees order).
-        let mut table = t.alloc_wram::<u64>(table_len)?;
-        t.mram_read(layout.remap_off, &mut table)?;
+        // The WRAM-resident table, then the chunk buffer in what is left.
+        let _table = t.alloc_wram::<u64>(table_len as usize)?;
+        let lookup = if t.id() == 0 {
+            let table: Vec<u64> = t.mram_view(layout.remap_off, table_len)?.iter().collect();
+            Some(RemapLookup::new(&table))
+        } else {
+            None
+        };
         let chunk = ((t.wram_free() / 8) / 2).max(8);
-        let mut buf = t.alloc_wram::<u64>(chunk)?;
-        let mut block = t.id() as u64;
-        let blocks = len.div_ceil(chunk as u64);
-        while block < blocks {
-            let start = block * chunk as u64;
-            let n = (chunk as u64).min(len - start) as usize;
-            t.mram_read(layout.sample_slot(start), &mut buf[..n])?;
-            let mut probes = 0u64;
-            for key in &mut buf[..n] {
-                let (u, v) = edge_unkey(*key);
-                let (nu, np1) = map(&table, u);
-                let (nv, np2) = map(&table, v);
-                probes += np1 + np2;
-                // Re-normalize: remapping can invert the order.
-                *key = if nu <= nv {
-                    edge_key(nu, nv)
-                } else {
-                    edge_key(nv, nu)
-                };
+        let _buf = t.alloc_wram::<u64>(chunk)?;
+        if let Some(lookup) = lookup {
+            let mut keys: Vec<u64> = t.mram_view(layout.sample_off, len)?.iter().collect();
+            for block in keys.chunks_mut(chunk) {
+                let mut probes = 0;
+                for key in block {
+                    let (mapped, p) = lookup.map_key(*key);
+                    *key = mapped;
+                    probes += p;
+                }
+                block_probes.push(probes);
             }
-            t.charge(n as u64 * EDGE_INSTR + probes * LOOKUP_INSTR_PER_PROBE);
-            t.mram_write(layout.sample_slot(start), &buf[..n])?;
-            block += nr_t;
+            t.mram_store(layout.sample_off, &keys)?;
         }
+        let mut charges = t.charges();
+        charges.dma(1, table_len * 8);
+        for block in (t.id()..block_probes.len()).step_by(nr_t) {
+            let n = (chunk as u64).min(len - (block * chunk) as u64);
+            charges.dma(2, n * 8);
+            charges.instr(n * EDGE_INSTR + block_probes[block] * LOOKUP_INSTR_PER_PROBE);
+        }
+        t.settle(charges);
         Ok(())
     })
 }
 
-/// Binary search of the WRAM-resident table; returns the (possibly
-/// unchanged) id and the probe count for charging.
-#[inline]
-fn map(table: &[u64], id: u32) -> (u32, u64) {
-    let (mut lo, mut hi) = (0usize, table.len());
-    let mut probes = 0u64;
-    while lo < hi {
-        probes += 1;
-        let mid = (lo + hi) / 2;
-        if key_first(table[mid]) < id {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+/// A remap table indexed for lookup: the rank of an id among the table's
+/// old ids comes from a bucket index over the old-id range, and each
+/// rank's probe count from one walk of the DPU binary search's decision
+/// tree, so [`RemapLookup::map_key`] returns exactly what the DPU's
+/// search over the sorted table yields and the probes it takes.
+#[derive(Clone, Debug)]
+pub struct RemapLookup {
+    /// Old ids, ascending.
+    old: Vec<u32>,
+    /// New id of each entry.
+    new: Vec<u32>,
+    /// Smallest old id.
+    base: u32,
+    /// Old ids `base + (b << shift) ..` fall in bucket `b`.
+    shift: u32,
+    /// First rank of each bucket, plus one past the last bucket.
+    bucket_start: Vec<u32>,
+    /// Binary-search probes for an id of each rank `0..=len`.
+    probes_at: Vec<u8>,
+}
+
+impl RemapLookup {
+    /// Indexes a packed table (`old << 32 | new`, sorted as
+    /// [`encode_table`] leaves it).
+    pub fn new(table: &[u64]) -> RemapLookup {
+        let old: Vec<u32> = table.iter().map(|&e| key_first(e)).collect();
+        let new = table.iter().map(|&e| key_second(e)).collect();
+        let base = old.first().copied().unwrap_or(0);
+        let span = u64::from(old.last().copied().unwrap_or(0) - base) + 1;
+        // About 64 buckets per entry, the smallest shift with
+        // `span >> shift < 64·len`: nearly every bucket is empty, so most
+        // lookups take one load and no data-dependent branch.
+        let mut shift = 0;
+        while (span >> shift) >= 64 * old.len().max(1) as u64 {
+            shift += 1;
+        }
+        let buckets = (span >> shift) as usize + 1;
+        let mut bucket_start = vec![0u32; buckets + 1];
+        for &id in &old {
+            bucket_start[(u64::from(id - base) >> shift) as usize + 1] += 1;
+        }
+        for b in 1..=buckets {
+            bucket_start[b] += bucket_start[b - 1];
+        }
+        let mut probes_at = vec![0u8; old.len() + 1];
+        walk_probes(0, old.len(), 0, &mut probes_at);
+        RemapLookup {
+            old,
+            new,
+            base,
+            shift,
+            bucket_start,
+            probes_at,
         }
     }
-    if lo < table.len() && key_first(table[lo]) == id {
-        (key_second(table[lo]), probes)
-    } else {
-        (id, probes)
+
+    /// The number of old ids below `id`.
+    #[inline]
+    fn rank(&self, id: u32) -> usize {
+        if self.old.is_empty() || id <= self.base {
+            return 0;
+        }
+        let b = (u64::from(id - self.base) >> self.shift) as usize;
+        if b + 1 >= self.bucket_start.len() {
+            return self.old.len();
+        }
+        let (lo, hi) = (
+            self.bucket_start[b] as usize,
+            self.bucket_start[b + 1] as usize,
+        );
+        lo + self.old[lo..hi].partition_point(|&o| o < id)
     }
+
+    /// `id`'s new id (itself when the table misses) and the DPU binary
+    /// search's probe count for it.
+    #[inline]
+    pub fn map_id(&self, id: u32) -> (u32, u64) {
+        let r = self.rank(id);
+        let probes = u64::from(self.probes_at[r]);
+        match self.old.get(r) {
+            Some(&o) if o == id => (self.new[r], probes),
+            _ => (id, probes),
+        }
+    }
+
+    /// The kernel's per-edge rewrite of one packed edge key: both
+    /// endpoints mapped, then re-normalized, since remapping can invert
+    /// the endpoint order. Returns the key and the probes of both
+    /// lookups. Journal replay applies it to re-derive a lost partition's
+    /// post-remap sample without any DPU. An empty table is a
+    /// pass-through, as the kernel skips its launch.
+    #[inline]
+    pub fn map_key(&self, key: u64) -> (u64, u64) {
+        if self.old.is_empty() {
+            return (key, 0);
+        }
+        let (u, v) = edge_unkey(key);
+        let (nu, pu) = self.map_id(u);
+        let (nv, pv) = self.map_id(v);
+        (edge_key(nu.min(nv), nu.max(nv)), pu + pv)
+    }
+}
+
+/// Records, for every final rank in `lo..=hi`, the probes the halving
+/// search `while lo < hi { mid = (lo + hi) / 2; … }` makes to reach it:
+/// an id of rank `r` goes left (`hi = mid`) exactly when `r <= mid`.
+fn walk_probes(lo: usize, hi: usize, depth: u8, probes_at: &mut [u8]) {
+    if lo == hi {
+        probes_at[lo] = depth;
+        return;
+    }
+    let mid = (lo + hi) / 2;
+    walk_probes(lo, mid, depth + 1, probes_at);
+    walk_probes(mid + 1, hi, depth + 1, probes_at);
 }
 
 /// Host-side helper: packs and sorts a remap table for transfer.
@@ -97,25 +202,6 @@ pub fn encode_table(pairs: &[(u32, u32)]) -> Vec<u64> {
     let mut table: Vec<u64> = pairs.iter().map(|&(old, new)| edge_key(old, new)).collect();
     table.sort_unstable();
     table
-}
-
-/// Host-side twin of the kernel's per-edge rewrite: applies a packed,
-/// sorted remap table (see [`encode_table`]) to one edge key, including
-/// the re-normalization the kernel performs when remapping inverts the
-/// endpoint order. Journal replay uses this to re-derive a lost
-/// partition's post-remap sample without any DPU.
-pub fn map_key(table: &[u64], key: u64) -> u64 {
-    if table.is_empty() {
-        return key;
-    }
-    let (u, v) = edge_unkey(key);
-    let (nu, _) = map(table, u);
-    let (nv, _) = map(table, v);
-    if nu <= nv {
-        edge_key(nu, nv)
-    } else {
-        edge_key(nv, nu)
-    }
 }
 
 #[cfg(test)]
@@ -219,19 +305,20 @@ mod tests {
         let edges = vec![(1, 5), (2, 5), (5, 9), (3, 7), (1, 2), (7, 7)];
         let table = vec![(5, M), (3, M - 1), (7, M - 2)];
         let kernel_out = run_remap(&edges, &table);
-        let packed = encode_table(&table);
+        let lookup = RemapLookup::new(&encode_table(&table));
         let host_out: Vec<(u32, u32)> = edges
             .iter()
-            .map(|&(u, v)| edge_unkey(map_key(&packed, edge_key(u, v))))
+            .map(|&(u, v)| edge_unkey(lookup.map_key(edge_key(u, v)).0))
             .collect();
         assert_eq!(host_out, kernel_out);
         // Idempotent, like the kernel.
         for &(u, v) in &host_out {
             let k = edge_key(u, v);
-            assert_eq!(map_key(&packed, k), k);
+            assert_eq!(lookup.map_key(k).0, k);
         }
         // Empty table is a pass-through.
-        assert_eq!(map_key(&[], edge_key(1, 5)), edge_key(1, 5));
+        let empty = RemapLookup::new(&[]);
+        assert_eq!(empty.map_key(edge_key(1, 5)), (edge_key(1, 5), 0));
     }
 
     #[test]

@@ -1,22 +1,33 @@
 //! The sort kernel: order the edge sample by `(u, v)` (§3.4).
 //!
-//! A textbook external merge sort shaped by the hardware: initial runs are
-//! sorted inside a tasklet's WRAM share, then log-many rank-parallel merge
-//! passes stream runs through three small WRAM buffers, ping-ponging
-//! between the sample region and the sort scratch region. All data
-//! movement is explicit DMA; every compare/move is charged.
+//! The DPU program is a textbook external merge sort shaped by the
+//! hardware: initial runs are sorted inside a tasklet's WRAM share, then
+//! log-many rank-parallel merge passes stream runs through three small
+//! WRAM buffers, ping-ponging between the sample region and the sort
+//! scratch region, and an odd pass count ends with a copy back.
+//!
+//! That program's DMA sequence and instruction count depend only on the
+//! sample length and the WRAM split, never on the keys, so the simulator
+//! executes it charge-exactly on the host (see the `pim_sim::kernel`
+//! contract): tasklet 0 reads the sample through one checked view, sorts
+//! it in one pass and stores it back, while every tasklet claims the
+//! WRAM buffers the DPU code would and tallies its runs, merges and
+//! copy-back in closed form. The scratch region is never written; no
+//! later kernel reads it.
 
 use super::layout::{Header, MramLayout};
-use pim_sim::{DpuContext, SimResult, Tasklet};
+use pim_sim::{Charges, DpuContext, SimResult};
 
 /// Instructions per compare+move inside the WRAM run sort.
 const SORT_INSTR_PER_CMP: u64 = 4;
 /// Instructions per element of a streaming merge step (compare, select,
 /// copy, cursor updates).
 const MERGE_INSTR_PER_ELEM: u64 = 6;
+/// Instructions per element of the copy back to the sample region.
+const COPY_INSTR_PER_ELEM: u64 = 2;
 
 /// Sorts the resident sample in ascending packed-key order. Afterwards the
-/// sorted data is back in the sample region regardless of pass parity.
+/// sorted data is in the sample region.
 pub fn sort_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimResult<()> {
     let hdr = {
         let mut t0 = ctx.tasklet(0)?;
@@ -26,162 +37,102 @@ pub fn sort_kernel(ctx: &mut DpuContext<'_>, layout: &MramLayout) -> SimResult<(
     if len <= 1 {
         return Ok(());
     }
-    let nr_t = ctx.nr_tasklets() as u64;
-
-    // Phase 1: WRAM-resident run sort (one full-share buffer per tasklet).
-    let run = ((ctx.wram_per_tasklet() / 8) as u64).max(8);
-    let n_runs = len.div_ceil(run);
+    let shape = SortShape::new(len, ctx.wram_per_tasklet(), ctx.nr_tasklets() as u64);
     ctx.for_each_tasklet(|t| {
-        let mut buf = t.alloc_wram::<u64>(run as usize)?;
-        let mut r = t.id() as u64;
-        while r < n_runs {
-            let start = r * run;
-            let n = run.min(len - start) as usize;
-            t.mram_read(layout.sample_slot(start), &mut buf[..n])?;
-            buf[..n].sort_unstable();
-            let log_n = (usize::BITS - (n.max(2) - 1).leading_zeros()) as u64;
-            t.charge(n as u64 * log_n * SORT_INSTR_PER_CMP);
-            t.mram_write(layout.sample_slot(start), &buf[..n])?;
-            r += nr_t;
+        // The run sort's one full-share buffer (the copy back claims one
+        // of the same size, so it fits whenever this does).
+        let run_buf = t.alloc_wram::<u64>(shape.run as usize)?;
+        if t.id() == 0 {
+            let mut keys: Vec<u64> = t.mram_view(layout.sample_off, len)?.iter().collect();
+            // Stable: after the first batch most of the sample is an
+            // already-sorted prefix, which the stable sort takes as a run.
+            keys.sort();
+            t.mram_store(layout.sample_off, &keys)?;
         }
+        t.free_wram(run_buf);
+        if shape.passes > 0 {
+            // The merge passes' two input windows and output window.
+            for _ in 0..3 {
+                t.alloc_wram::<u64>(shape.window as usize)?;
+            }
+        }
+        let mut charges = t.charges();
+        shape.tally(t.id() as u64, &mut charges);
+        t.settle(charges);
         Ok(())
-    })?;
+    })
+}
 
-    // Phase 2: rank-parallel merge passes, ping-ponging regions.
-    let mut width = run;
-    let mut src_is_sample = true;
-    while width < len {
-        let pairs = len.div_ceil(2 * width);
-        ctx.for_each_tasklet(|t| {
-            let b = ((t.wram_free() / 8) / 3).max(4);
-            let mut buf_a = t.alloc_wram::<u64>(b)?;
-            let mut buf_b = t.alloc_wram::<u64>(b)?;
-            let mut buf_o = t.alloc_wram::<u64>(b)?;
-            let mut p = t.id() as u64;
-            while p < pairs {
+/// The data-independent shape of one DPU's sort: run length, merge
+/// window, pass count, and the tasklet stride that divides the work.
+struct SortShape {
+    len: u64,
+    nr_t: u64,
+    /// Keys per initial run (one full WRAM share).
+    run: u64,
+    /// Words per merge buffer (a third of the share).
+    window: u64,
+    /// Merge passes until one run covers the sample.
+    passes: u32,
+}
+
+impl SortShape {
+    fn new(len: u64, wram_per_tasklet: usize, nr_t: u64) -> SortShape {
+        let run = ((wram_per_tasklet / 8) as u64).max(8);
+        let window = ((wram_per_tasklet / 8) / 3).max(4) as u64;
+        let mut passes = 0;
+        let mut width = run;
+        while width < len {
+            passes += 1;
+            width *= 2;
+        }
+        SortShape {
+            len,
+            nr_t,
+            run,
+            window,
+            passes,
+        }
+    }
+
+    /// Adds tasklet `id`'s work to `c`: its strided share of the runs,
+    /// of every merge pass's run pairs, and of the copy back.
+    fn tally(&self, id: u64, c: &mut Charges<'_>) {
+        let (len, run, step) = (self.len, self.run, self.nr_t as usize);
+        let runs = len.div_ceil(run);
+        for r in (id..runs).step_by(step) {
+            let n = run.min(len - r * run);
+            let log_n = 64 - (n.max(2) - 1).leading_zeros() as u64;
+            c.instr(n * log_n * SORT_INSTR_PER_CMP);
+            c.dma(2, n * 8);
+        }
+        let mut width = run;
+        for _ in 0..self.passes {
+            let pairs = len.div_ceil(2 * width);
+            for p in (id..pairs).step_by(step) {
                 let lo = p * 2 * width;
                 let mid = (lo + width).min(len);
                 let hi = (lo + 2 * width).min(len);
-                merge_range(
-                    t,
-                    layout,
-                    src_is_sample,
-                    (lo, mid, hi),
-                    &mut buf_a,
-                    &mut buf_b,
-                    &mut buf_o,
-                )?;
-                p += nr_t;
+                // Each input side is refilled, and the output flushed, in
+                // window-sized DMAs with one short tail.
+                for n in [mid - lo, hi - mid, hi - lo] {
+                    c.dma(n / self.window, self.window * 8);
+                    if n % self.window > 0 {
+                        c.dma(1, n % self.window * 8);
+                    }
+                }
+                c.instr((hi - lo) * MERGE_INSTR_PER_ELEM);
             }
-            Ok(())
-        })?;
-        src_is_sample = !src_is_sample;
-        width *= 2;
-    }
-
-    // Ensure the result ends in the sample region.
-    if !src_is_sample {
-        let chunk = ((ctx.wram_per_tasklet() / 8) as u64).max(8);
-        let blocks = len.div_ceil(chunk);
-        ctx.for_each_tasklet(|t| {
-            let mut buf = t.alloc_wram::<u64>(chunk as usize)?;
-            let mut blk = t.id() as u64;
-            while blk < blocks {
-                let start = blk * chunk;
-                let n = chunk.min(len - start) as usize;
-                t.mram_read(layout.scratch_slot(start), &mut buf[..n])?;
-                t.mram_write(layout.sample_slot(start), &buf[..n])?;
-                t.charge(n as u64 * 2);
-                blk += nr_t;
+            width *= 2;
+        }
+        if self.passes % 2 == 1 {
+            for blk in (id..runs).step_by(step) {
+                let n = run.min(len - blk * run);
+                c.dma(2, n * 8);
+                c.instr(n * COPY_INSTR_PER_ELEM);
             }
-            Ok(())
-        })?;
-    }
-    Ok(())
-}
-
-/// One streaming run-merge: `src[lo, mid) ∪ src[mid, hi) → dst[lo, hi)`,
-/// where `src`/`dst` are the sample/scratch regions per `src_is_sample`.
-fn merge_range(
-    t: &mut Tasklet<'_>,
-    layout: &MramLayout,
-    src_is_sample: bool,
-    (lo, mid, hi): (u64, u64, u64),
-    buf_a: &mut [u64],
-    buf_b: &mut [u64],
-    buf_o: &mut [u64],
-) -> SimResult<()> {
-    let src = |i: u64| {
-        if src_is_sample {
-            layout.sample_slot(i)
-        } else {
-            layout.scratch_slot(i)
-        }
-    };
-    let dst = |i: u64| {
-        if src_is_sample {
-            layout.scratch_slot(i)
-        } else {
-            layout.sample_slot(i)
-        }
-    };
-
-    // Global "next unloaded" cursors and local buffer windows.
-    let (mut next_a, mut next_b) = (lo, mid);
-    let (mut pos_a, mut len_a) = (0usize, 0usize);
-    let (mut pos_b, mut len_b) = (0usize, 0usize);
-    let mut out_base = lo;
-    let mut out_len = 0usize;
-
-    loop {
-        // Refill input windows on demand.
-        if pos_a == len_a && next_a < mid {
-            let n = (buf_a.len() as u64).min(mid - next_a) as usize;
-            t.mram_read(src(next_a), &mut buf_a[..n])?;
-            next_a += n as u64;
-            pos_a = 0;
-            len_a = n;
-        }
-        if pos_b == len_b && next_b < hi {
-            let n = (buf_b.len() as u64).min(hi - next_b) as usize;
-            t.mram_read(src(next_b), &mut buf_b[..n])?;
-            next_b += n as u64;
-            pos_b = 0;
-            len_b = n;
-        }
-        let a_live = pos_a < len_a;
-        let b_live = pos_b < len_b;
-        if !a_live && !b_live {
-            break;
-        }
-        let take_a = match (a_live, b_live) {
-            (true, true) => buf_a[pos_a] <= buf_b[pos_b],
-            (true, false) => true,
-            (false, true) => false,
-            (false, false) => unreachable!(),
-        };
-        let key = if take_a {
-            pos_a += 1;
-            buf_a[pos_a - 1]
-        } else {
-            pos_b += 1;
-            buf_b[pos_b - 1]
-        };
-        t.charge(MERGE_INSTR_PER_ELEM);
-        buf_o[out_len] = key;
-        out_len += 1;
-        if out_len == buf_o.len() {
-            t.mram_write(dst(out_base), &buf_o[..out_len])?;
-            out_base += out_len as u64;
-            out_len = 0;
         }
     }
-    if out_len > 0 {
-        t.mram_write(dst(out_base), &buf_o[..out_len])?;
-        out_base += out_len as u64;
-    }
-    debug_assert_eq!(out_base, hi);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,12 +1,17 @@
 //! Property tests of the DPU kernels under *randomized hardware shapes*:
 //! WRAM sizes, tasklet counts, and MRAM budgets all vary, so buffer-size
 //! arithmetic, strided work division, and ping-pong parity are exercised
-//! far beyond the fixed configs of the unit tests.
+//! far beyond the fixed configs of the unit tests. The `sort` and `remap`
+//! kernels are also held to reference copies of the streaming DPU
+//! programs they execute on the host (`kernel_oracles`).
+
+mod kernel_oracles;
 
 use pim_sim::system::{decode_slice, encode_slice};
-use pim_sim::{CostModel, HostWrite, PimBackend, PimConfig, PimSystem};
+use pim_sim::{CostModel, DpuContext, HostWrite, PimBackend, PimConfig, PimSystem, SimResult};
 use pim_tc::kernel::layout::{Header, MramLayout, HDR_STAGE_LEN};
-use pim_tc::kernel::{checksum, count, edge_key, index, receive, rng, sort};
+use pim_tc::kernel::remap::{self, RemapLookup};
+use pim_tc::kernel::{checksum, count, edge_key, edge_unkey, index, receive, rng, sort};
 use proptest::prelude::*;
 
 /// A random small hardware shape. WRAM per tasklet stays ≥ 256 B so the
@@ -235,5 +240,184 @@ proptest! {
         prop_assert_eq!(resident, sample);
         prop_assert_eq!(hdr.seen, seen);
         prop_assert_eq!(hdr.rng, state);
+    }
+}
+
+/// A random tasklet count and WRAM share, down to shares below the sort's
+/// and remap's minimum buffers, where both sides must fail alike.
+fn wram_split() -> impl Strategy<Value = PimConfig> {
+    let share_words = prop_oneof![1 => 4usize..16, 3 => 16usize..600];
+    (1usize..=24, share_words).prop_map(|(tasklets, share_words)| PimConfig {
+        total_dpus: 1,
+        mram_capacity: 1 << 22,
+        wram_capacity: share_words * 8 * tasklets,
+        iram_capacity: 24 << 10,
+        nr_tasklets: tasklets,
+        host_threads: 1,
+        fault: None,
+    })
+}
+
+type Kernel = fn(&mut DpuContext<'_>, &MramLayout) -> SimResult<()>;
+
+/// What one launch of `kernel` over `keys` and a packed remap `table`
+/// leaves behind: the launch's result, then (when it succeeds) the
+/// sample's bytes, each tasklet's instructions, and the launch's DMA
+/// cycles and bytes.
+type Outcome = (Result<(), String>, Vec<u8>, Vec<u64>, (u64, u64));
+
+fn launch(keys: &[u64], table: &[u64], config: PimConfig, kernel: Kernel) -> Outcome {
+    let mut sys = PimSystem::allocate(1, config, CostModel::default()).unwrap();
+    let len = keys.len() as u64;
+    let layout = MramLayout::compute(
+        config.mram_capacity,
+        8,
+        table.len() as u64,
+        Some(len.max(3)),
+    )
+    .unwrap();
+    let hdr = Header {
+        cap: layout.capacity,
+        len,
+        remap_len: table.len() as u64,
+        ..Header::default()
+    };
+    let (hdr, sample, table) = (hdr.encode(), encode_slice(keys), encode_slice(table));
+    let writes = [
+        (0, &hdr[..]),
+        (layout.sample_off, &sample),
+        (layout.remap_off, &table),
+    ];
+    let writes: Vec<HostWrite> = (writes.into_iter())
+        .filter(|(_, data)| !data.is_empty())
+        .map(|(offset, data)| HostWrite {
+            dpu: 0,
+            offset,
+            data,
+        })
+        .collect();
+    sys.push(&writes).unwrap();
+    if let Err(e) = sys.execute(|ctx| kernel(ctx, &layout)) {
+        return (Err(format!("{e:?}")), Vec::new(), Vec::new(), (0, 0));
+    }
+    let dpu = sys.dpu(0).unwrap();
+    (
+        Ok(()),
+        dpu.host_read(layout.sample_off, len * 8).unwrap().to_vec(),
+        dpu.kernel_tasklet_instructions().to_vec(),
+        dpu.kernel_dma(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn sort_kernel_matches_the_streaming_oracle(
+        mut keys in prop::collection::vec(any::<u64>(), 0..3000),
+        presorted in 0usize..3000,
+        config in wram_split(),
+    ) {
+        // After the first batch most of a sample is a sorted prefix.
+        let k = presorted.min(keys.len());
+        keys[..k].sort_unstable();
+        let got = launch(&keys, &[], config, sort::sort_kernel);
+        let want = launch(&keys, &[], config, kernel_oracles::sort_kernel);
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn remap_kernel_matches_the_streaming_oracle(
+        olds in prop::collection::vec(prop_oneof![0u32..64, any::<u32>()], 0..48),
+        ends in prop::collection::vec((0u32..4, any::<u32>(), 0u32..4, any::<u32>()), 0..800),
+        config in wram_split(),
+    ) {
+        let mut olds = olds;
+        olds.sort_unstable();
+        olds.dedup();
+        let pairs: Vec<(u32, u32)> = (olds.iter().enumerate())
+            .map(|(i, &old)| (old, u32::MAX - i as u32))
+            .collect();
+        // Small ids (many above the largest small old id), table ids,
+        // already remapped ids, and anything.
+        let id = |kind: u32, x: u32| match kind {
+            0 => x % 80,
+            1 if !olds.is_empty() => olds[x as usize % olds.len()],
+            2 => u32::MAX - x % 8,
+            _ => x,
+        };
+        let keys: Vec<u64> = (ends.iter())
+            .map(|&(a, x, b, y)| edge_key(id(a, x), id(b, y)))
+            .collect();
+        // The whole table, its one-entry prefix, and the empty table.
+        for pairs in [&pairs[..], &pairs[..pairs.len().min(1)], &[]] {
+            let table = remap::encode_table(pairs);
+            let lookup = RemapLookup::new(&table);
+            let mut input = keys.clone();
+            // The second pass meets only remapped ids.
+            for _ in 0..2 {
+                let got = launch(&input, &table, config, remap::remap_kernel);
+                let want = launch(&input, &table, config, kernel_oracles::remap_kernel);
+                prop_assert_eq!(&got, &want);
+                for &key in &input {
+                    let (u, v) = edge_unkey(key);
+                    for id in [u, v, u.wrapping_add(1), v.wrapping_sub(1)] {
+                        prop_assert_eq!(lookup.map_id(id), kernel_oracles::map(&table, id));
+                    }
+                }
+                if got.0.is_err() || table.is_empty() {
+                    break;
+                }
+                input = decode_slice(&got.1);
+            }
+        }
+    }
+}
+
+/// A one-DPU shape of `tasklets` tasklets with `share_words` words of
+/// WRAM each.
+fn split(tasklets: usize, share_words: usize) -> PimConfig {
+    PimConfig {
+        total_dpus: 1,
+        mram_capacity: 1 << 22,
+        wram_capacity: share_words * 8 * tasklets,
+        iram_capacity: 24 << 10,
+        nr_tasklets: tasklets,
+        host_threads: 1,
+        fault: None,
+    }
+}
+
+/// Every small shape exhaustively, where the random draws above rarely
+/// land: shares around the sort's run buffer and merge windows and the
+/// remap's table and chunk buffers, so each WRAM claim fails exactly
+/// where the DPU program's does.
+#[test]
+fn small_shapes_match_the_streaming_oracles() {
+    let keys: Vec<u64> = (0..48u64)
+        .map(|i| edge_key((i * 37 % 11) as u32, (i * 5 % 13) as u32))
+        .collect();
+    let pairs: Vec<(u32, u32)> = (0..8).map(|i| (i * 2 + 1, u32::MAX - i)).collect();
+    for tasklets in 1..=3 {
+        for share_words in 4..=24 {
+            let config = split(tasklets, share_words);
+            for len in 0..=keys.len() {
+                let keys = &keys[..len];
+                assert_eq!(
+                    launch(keys, &[], config, sort::sort_kernel),
+                    launch(keys, &[], config, kernel_oracles::sort_kernel),
+                    "sort of {len} keys, {tasklets} tasklets x {share_words} words"
+                );
+                for entries in [1, 3, 8] {
+                    let table = remap::encode_table(&pairs[..entries]);
+                    assert_eq!(
+                        launch(keys, &table, config, remap::remap_kernel),
+                        launch(keys, &table, config, kernel_oracles::remap_kernel),
+                        "remap of {len} keys by {entries} entries, \
+                         {tasklets} tasklets x {share_words} words"
+                    );
+                }
+            }
+        }
     }
 }

@@ -172,8 +172,9 @@ fn journal_recovers_the_overflow_and_mg_combination() {
     run_differential::<FunctionalBackend>(&g, plan, 3, Some(48), true, spec);
 }
 
-/// Regression pin (the `Reservoir::overflowed` carve-out): without
-/// journals, a death past reservoir overflow must stay a loud
+/// Regression pin (the carve-out for a bank whose header reads
+/// `seen > cap`): without journals, a death past reservoir overflow must
+/// stay a loud
 /// [`TcError::Faulted`] — the survivors no longer hold every edge, so a
 /// "recovered" sample would silently change the correction divisor.
 #[test]

@@ -123,6 +123,16 @@ impl Dpu {
         self.kernel_dma_bytes = 0;
     }
 
+    /// Instructions each tasklet retired in the latest kernel launch.
+    pub fn kernel_tasklet_instructions(&self) -> &[u64] {
+        &self.tasklet_instr
+    }
+
+    /// DMA cycles and DMA bytes of the latest kernel launch.
+    pub fn kernel_dma(&self) -> (u64, u64) {
+        (self.dma_cycles, self.kernel_dma_bytes)
+    }
+
     /// Lifetime instruction count (all kernels).
     pub fn lifetime_instructions(&self) -> u64 {
         self.total_instr

@@ -24,6 +24,16 @@
 //! kernel that tallies the DMAs it would have issued charges the same
 //! instructions, DMA cycles and DMA bytes as one that issues them.
 //!
+//! Writes have the same counterpart: [`Tasklet::mram_store`] checks a
+//! range once (alignment, then the bank capacity, growing the high-water
+//! mark like [`Tasklet::mram_write`]) and stores a whole slice of words,
+//! charged nothing; the kernel tallies the write DMAs the DPU would issue
+//! next to its reads. A kernel whose DMA sequence does not depend on the
+//! data — the sort's runs and merge passes, the remap's strided blocks —
+//! may therefore compute its result on the host in one pass and tally
+//! its charges in closed form, so long as it claims the same WRAM
+//! buffers the DPU code would.
+//!
 //! Tasklets are *simulated sequentially* within a DPU (tasklet `i+1` runs
 //! after tasklet `i` finishes), with per-tasklet cycle counters combined by
 //! the pipeline model in [`crate::CostModel::dpu_cycles`]. Kernels written
@@ -273,6 +283,22 @@ impl<'a> Tasklet<'a> {
         })
     }
 
+    /// Stores `words` at MRAM `offset` in one checked write, charged
+    /// nothing: the write-side counterpart of [`Tasklet::mram_view`] (see
+    /// the module docs for the contract). Fails with [`SimError::BadDma`]
+    /// if `offset` is unaligned and with [`SimError::MramOverflow`] if the
+    /// range passes the bank capacity; like [`Tasklet::mram_write`], a
+    /// store past the high-water mark grows it.
+    pub fn mram_store(&mut self, offset: u64, words: &[u64]) -> SimResult<()> {
+        let len = words.len() as u64 * 8;
+        self.check_dma(offset, len)?;
+        let dst = self.dpu.mram_slice_mut(offset, len)?;
+        for (out, w) in dst.chunks_exact_mut(8).zip(words) {
+            out.copy_from_slice(&w.to_le_bytes());
+        }
+        Ok(())
+    }
+
     /// An empty tally of work to settle onto this tasklet.
     #[inline]
     pub fn charges(&self) -> Charges<'a> {
@@ -349,6 +375,13 @@ impl MramView<'_> {
         let at = i as usize * 8;
         let word = self.bytes[at..at + 8].try_into().expect("an 8-byte range");
         u64::from_le_bytes(word)
+    }
+
+    /// The view's words in order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"));
+        self.bytes.chunks_exact(8).map(word)
     }
 }
 
@@ -570,6 +603,35 @@ mod tests {
             )
         };
         assert_eq!(counters(&tallied), counters(&issued));
+    }
+
+    #[test]
+    fn stores_check_alignment_and_capacity_and_charge_nothing() {
+        let config = PimConfig::tiny();
+        let mut dpu = ctx_fixture(&config);
+        let mut ctx = DpuContext {
+            dpu: &mut dpu,
+            config: &config,
+            dma: &DmaTable::new(&COST),
+        };
+        let mut t = ctx.tasklet(0).unwrap();
+        t.mram_store(16, &[5, 6, 7]).unwrap();
+        let view = t.mram_view(0, 5).unwrap();
+        assert_eq!(view.iter().collect::<Vec<_>>(), [0, 0, 5, 6, 7]);
+        t.mram_store(32, &[]).unwrap();
+        assert!(matches!(
+            t.mram_store(4, &[1]).unwrap_err(),
+            SimError::BadDma { .. }
+        ));
+        let last = config.mram_capacity - 8;
+        t.mram_store(last, &[9]).unwrap();
+        assert!(matches!(
+            t.mram_store(last, &[9, 9]).unwrap_err(),
+            SimError::MramOverflow { .. }
+        ));
+        assert_eq!(dpu.mram_used(), config.mram_capacity);
+        assert_eq!((dpu.lifetime_instructions(), dpu.dma_cycles), (0, 0));
+        assert_eq!(dpu.lifetime_dma_bytes(), 0);
     }
 
     #[test]

@@ -54,10 +54,11 @@ pub enum JournalStep {
 /// exact sample state at the point where `upto` keys had been consumed.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct PartitionJournal {
-    /// The session seed the journal was opened under. Kept so the
-    /// serialized form is stable; replay seeds from the session.
+    /// The session seed the journal was opened under. Replay seeds from
+    /// the session; a restore refuses a journal whose seed differs.
     seed: u64,
-    /// The partition index the journal was opened for (see `seed`).
+    /// The partition index the journal was opened for; a restore refuses
+    /// a journal found at another index.
     granule: u64,
     keys: Vec<u64>,
     marks: Vec<JournalMark>,
@@ -73,6 +74,16 @@ impl PartitionJournal {
             keys: Vec::new(),
             marks: Vec::new(),
         }
+    }
+
+    /// The session seed the journal was opened under.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The partition index the journal was opened for.
+    pub fn granule(&self) -> u64 {
+        self.granule
     }
 
     /// Appends a batch of routed keys in arrival order.

@@ -330,8 +330,11 @@ fn live_scrape_reconciles_with_the_system_report_on_both_backends() {
         let addr = server.addr();
 
         // Concurrent scraper: every mid-run snapshot lints and its
-        // transfer-bytes counter is monotone non-decreasing.
+        // transfer-bytes counter is monotone non-decreasing. The count
+        // starts once the first scrape is done, so the scraper always
+        // runs, however fast the count.
         let stop = Arc::new(AtomicBool::new(false));
+        let (first_done, first_scrape) = std::sync::mpsc::channel();
         let scraper = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
@@ -345,10 +348,14 @@ fn live_scrape_reconciles_with_the_system_report_on_both_backends() {
                     assert!(bytes >= last, "counter went backwards: {bytes} < {last}");
                     last = bytes;
                     scrapes += 1;
+                    if scrapes == 1 {
+                        first_done.send(()).unwrap();
+                    }
                 }
                 (last, scrapes)
             })
         };
+        first_scrape.recv().expect("the scraper's first scrape");
 
         let profile = pim_tc::count_triangles_with(&g, &config, metered(&hub)).unwrap();
         stop.store(true, Ordering::Relaxed);
