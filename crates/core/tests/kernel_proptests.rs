@@ -247,15 +247,7 @@ proptest! {
 /// and remap's minimum buffers, where both sides must fail alike.
 fn wram_split() -> impl Strategy<Value = PimConfig> {
     let share_words = prop_oneof![1 => 4usize..16, 3 => 16usize..600];
-    (1usize..=24, share_words).prop_map(|(tasklets, share_words)| PimConfig {
-        total_dpus: 1,
-        mram_capacity: 1 << 22,
-        wram_capacity: share_words * 8 * tasklets,
-        iram_capacity: 24 << 10,
-        nr_tasklets: tasklets,
-        host_threads: 1,
-        fault: None,
-    })
+    (1usize..=24, share_words).prop_map(|(tasklets, share_words)| split(tasklets, share_words))
 }
 
 type Kernel = fn(&mut DpuContext<'_>, &MramLayout) -> SimResult<()>;
