@@ -786,4 +786,221 @@ mod tests {
         assert!(parse_baseline("{}").is_err());
         assert!(parse_baseline("not json").is_err());
     }
+
+    /// Every check of `observed` against `baseline`, both given as
+    /// baseline-shaped JSON documents.
+    fn checks_of(baseline: &str, observed: &str) -> Vec<Check> {
+        let tol = Tolerances::default();
+        let mut checks = compare(
+            &parse_baseline(baseline).unwrap(),
+            &parse_baseline(observed).unwrap(),
+            &tol,
+        );
+        if let (Some(b), Some(o)) = (parse_fig7(baseline).unwrap(), parse_fig7(observed).unwrap()) {
+            checks.extend(compare_fig7(&b, &o, &tol));
+        }
+        if let (Some(b), Some(o)) = (
+            parse_routing(baseline).unwrap(),
+            parse_routing(observed).unwrap(),
+        ) {
+            checks.extend(compare_routing(&b, &o, &tol));
+        }
+        checks
+    }
+
+    fn verdict_lines<'a>(checks: impl IntoIterator<Item = &'a Check>) -> String {
+        checks
+            .into_iter()
+            .map(|c| {
+                let verdict = match c.verdict {
+                    Verdict::Ok => "ok",
+                    Verdict::Warn => "warn",
+                    Verdict::Fail => "fail",
+                };
+                format!("{} {} {verdict}\n", c.graph, c.metric)
+            })
+            .collect()
+    }
+
+    const BASELINE: &str = include_str!("../../../results/bench_baseline.json");
+
+    #[test]
+    fn committed_baseline_against_itself_pins_every_check() {
+        let checks = checks_of(BASELINE, BASELINE);
+        assert_eq!(verdict_lines(&checks), GOLDEN_SELF);
+    }
+
+    /// `BASELINE` with the first `"key": value` scaled by `factor`.
+    fn tampered(key: &str, value: &str, factor: f64) -> String {
+        let from = format!("\"{key}\": {value},");
+        let scaled = value.parse::<f64>().unwrap() * factor;
+        let to = if value.contains('.') {
+            format!("\"{key}\": {scaled:?},")
+        } else {
+            format!("\"{key}\": {},", scaled.round() as u64)
+        };
+        assert!(BASELINE.contains(&from), "{from} not in the baseline");
+        BASELINE.replacen(&from, &to, 1)
+    }
+
+    #[test]
+    fn one_tampered_quantity_per_class_gets_its_band() {
+        let flagged = |observed: &str| {
+            let checks = checks_of(BASELINE, observed);
+            verdict_lines(checks.iter().filter(|c| c.verdict != Verdict::Ok))
+        };
+        // Exact: one triangle more fails outright.
+        assert_eq!(
+            flagged(&BASELINE.replacen("\"triangles\": 2821975,", "\"triangles\": 2821976,", 1)),
+            "kron-s triangles fail\n"
+        );
+        // Counter: +5% warns, +20% fails.
+        assert_eq!(
+            flagged(&tampered("transfer_bytes", "39514104", 1.05)),
+            "kron-s transfer_bytes warn\n"
+        );
+        assert_eq!(
+            flagged(&tampered("transfer_bytes", "39514104", 1.20)),
+            "kron-s transfer_bytes fail\n"
+        );
+        // Time: +60% on a phase warns.
+        assert_eq!(
+            flagged(&tampered("sample_creation", "0.1308031036022241", 1.60)),
+            "kron-s phase_seconds[sample_creation] warn\n"
+        );
+        // Floor: 5% slower routing warns, faster is ok.
+        assert_eq!(
+            flagged(&tampered("edges_per_sec", "4734363.214776837", 0.95)),
+            "routing_throughput edges_per_sec warn\n"
+        );
+        assert_eq!(
+            flagged(&tampered("edges_per_sec", "4734363.214776837", 1.50)),
+            ""
+        );
+    }
+
+    /// 7 graphs x 11 checks, 10 fig7 updates x 4 plus 3 fig7 counters,
+    /// and the routing floor: 121 checks.
+    const GOLDEN_SELF: &str = "\
+kron-s triangles ok\n\
+kron-s nr_dpus ok\n\
+kron-s edges_routed ok\n\
+kron-s transfer_bytes ok\n\
+kron-s total_instructions ok\n\
+kron-s total_dma_bytes ok\n\
+kron-s kernel_cycles[sample_creation] ok\n\
+kron-s kernel_cycles[triangle_count] ok\n\
+kron-s phase_seconds[sample_creation] ok\n\
+kron-s phase_seconds[setup] ok\n\
+kron-s phase_seconds[triangle_count] ok\n\
+kron-l triangles ok\n\
+kron-l nr_dpus ok\n\
+kron-l edges_routed ok\n\
+kron-l transfer_bytes ok\n\
+kron-l total_instructions ok\n\
+kron-l total_dma_bytes ok\n\
+kron-l kernel_cycles[sample_creation] ok\n\
+kron-l kernel_cycles[triangle_count] ok\n\
+kron-l phase_seconds[sample_creation] ok\n\
+kron-l phase_seconds[setup] ok\n\
+kron-l phase_seconds[triangle_count] ok\n\
+roads triangles ok\n\
+roads nr_dpus ok\n\
+roads edges_routed ok\n\
+roads transfer_bytes ok\n\
+roads total_instructions ok\n\
+roads total_dma_bytes ok\n\
+roads kernel_cycles[sample_creation] ok\n\
+roads kernel_cycles[triangle_count] ok\n\
+roads phase_seconds[sample_creation] ok\n\
+roads phase_seconds[setup] ok\n\
+roads phase_seconds[triangle_count] ok\n\
+social-m triangles ok\n\
+social-m nr_dpus ok\n\
+social-m edges_routed ok\n\
+social-m transfer_bytes ok\n\
+social-m total_instructions ok\n\
+social-m total_dma_bytes ok\n\
+social-m kernel_cycles[sample_creation] ok\n\
+social-m kernel_cycles[triangle_count] ok\n\
+social-m phase_seconds[sample_creation] ok\n\
+social-m phase_seconds[setup] ok\n\
+social-m phase_seconds[triangle_count] ok\n\
+social-d triangles ok\n\
+social-d nr_dpus ok\n\
+social-d edges_routed ok\n\
+social-d transfer_bytes ok\n\
+social-d total_instructions ok\n\
+social-d total_dma_bytes ok\n\
+social-d kernel_cycles[sample_creation] ok\n\
+social-d kernel_cycles[triangle_count] ok\n\
+social-d phase_seconds[sample_creation] ok\n\
+social-d phase_seconds[setup] ok\n\
+social-d phase_seconds[triangle_count] ok\n\
+brain triangles ok\n\
+brain nr_dpus ok\n\
+brain edges_routed ok\n\
+brain transfer_bytes ok\n\
+brain total_instructions ok\n\
+brain total_dma_bytes ok\n\
+brain kernel_cycles[sample_creation] ok\n\
+brain kernel_cycles[triangle_count] ok\n\
+brain phase_seconds[sample_creation] ok\n\
+brain phase_seconds[setup] ok\n\
+brain phase_seconds[triangle_count] ok\n\
+hyperlink triangles ok\n\
+hyperlink nr_dpus ok\n\
+hyperlink edges_routed ok\n\
+hyperlink transfer_bytes ok\n\
+hyperlink total_instructions ok\n\
+hyperlink total_dma_bytes ok\n\
+hyperlink kernel_cycles[sample_creation] ok\n\
+hyperlink kernel_cycles[triangle_count] ok\n\
+hyperlink phase_seconds[sample_creation] ok\n\
+hyperlink phase_seconds[setup] ok\n\
+hyperlink phase_seconds[triangle_count] ok\n\
+fig7_dynamic update[1].triangles ok\n\
+fig7_dynamic update[1].gpu_cumulative ok\n\
+fig7_dynamic update[1].cpu_cumulative ok\n\
+fig7_dynamic update[1].pim_cumulative ok\n\
+fig7_dynamic update[2].triangles ok\n\
+fig7_dynamic update[2].gpu_cumulative ok\n\
+fig7_dynamic update[2].cpu_cumulative ok\n\
+fig7_dynamic update[2].pim_cumulative ok\n\
+fig7_dynamic update[3].triangles ok\n\
+fig7_dynamic update[3].gpu_cumulative ok\n\
+fig7_dynamic update[3].cpu_cumulative ok\n\
+fig7_dynamic update[3].pim_cumulative ok\n\
+fig7_dynamic update[4].triangles ok\n\
+fig7_dynamic update[4].gpu_cumulative ok\n\
+fig7_dynamic update[4].cpu_cumulative ok\n\
+fig7_dynamic update[4].pim_cumulative ok\n\
+fig7_dynamic update[5].triangles ok\n\
+fig7_dynamic update[5].gpu_cumulative ok\n\
+fig7_dynamic update[5].cpu_cumulative ok\n\
+fig7_dynamic update[5].pim_cumulative ok\n\
+fig7_dynamic update[6].triangles ok\n\
+fig7_dynamic update[6].gpu_cumulative ok\n\
+fig7_dynamic update[6].cpu_cumulative ok\n\
+fig7_dynamic update[6].pim_cumulative ok\n\
+fig7_dynamic update[7].triangles ok\n\
+fig7_dynamic update[7].gpu_cumulative ok\n\
+fig7_dynamic update[7].cpu_cumulative ok\n\
+fig7_dynamic update[7].pim_cumulative ok\n\
+fig7_dynamic update[8].triangles ok\n\
+fig7_dynamic update[8].gpu_cumulative ok\n\
+fig7_dynamic update[8].cpu_cumulative ok\n\
+fig7_dynamic update[8].pim_cumulative ok\n\
+fig7_dynamic update[9].triangles ok\n\
+fig7_dynamic update[9].gpu_cumulative ok\n\
+fig7_dynamic update[9].cpu_cumulative ok\n\
+fig7_dynamic update[9].pim_cumulative ok\n\
+fig7_dynamic update[10].triangles ok\n\
+fig7_dynamic update[10].gpu_cumulative ok\n\
+fig7_dynamic update[10].cpu_cumulative ok\n\
+fig7_dynamic update[10].pim_cumulative ok\n\
+fig7_dynamic transfer_bytes ok\n\
+fig7_dynamic total_instructions ok\n\
+fig7_dynamic total_dma_bytes ok\n\
+routing_throughput edges_per_sec ok\n";
 }
