@@ -1,12 +1,14 @@
-//! The CI perf-regression gate: re-runs the `fig6_static` PIM
-//! configuration and compares the fresh run against the recorded baseline
-//! (`results/bench_baseline.json`), exiting non-zero past the fail
-//! thresholds. See `docs/OBSERVABILITY.md` for the metric classes and
-//! default tolerances.
+//! The CI perf-regression gate: re-runs what the recorded baseline
+//! (`results/bench_baseline.json`) gates — the `fig6_static` PIM
+//! configuration per graph, the `fig7_dynamic` workload and the routing
+//! throughput floor — and compares the fresh run against it, exiting
+//! non-zero past the fail thresholds. See `docs/OBSERVABILITY.md` for the
+//! tolerance classes and default thresholds.
 //!
 //! ```text
 //! bench_gate [--baseline PATH] [--counter-warn F] [--counter-fail F]
 //!            [--time-warn F] [--time-fail F]
+//! bench_gate --print-baseline
 //! ```
 //!
 //! Each gated run also streams its live metric capture to
@@ -15,17 +17,14 @@
 
 use pim_baselines::dynamic::{cpu_dynamic, gpu_dynamic, pim_dynamic_with, DynamicRun};
 use pim_baselines::GpuModel;
-use pim_bench::gate::{
-    compare, compare_fig7, compare_routing, gate_failed, parse_baseline, parse_fig7, parse_routing,
-    render, Fig7Row, Fig7Section, GateRow, RoutingSection, Tolerances,
-};
+use pim_bench::gate::{compare, gate_failed, read, render, Tolerances};
 use pim_bench::routing::{measure_routing_throughput, RoutingWorkload};
 use pim_bench::{pim_config, Harness, MdTable};
 use pim_graph::datasets::DatasetId;
 use pim_metrics::{parse_jsonl, JsonlSink, MetricsHub};
 use pim_tc::Capture;
 use serde::Serialize;
-use std::path::Path;
+use serde_json::{json, Value};
 use std::sync::Arc;
 
 const COLORS: u32 = 23; // fig6_static's 2300-core configuration
@@ -33,15 +32,27 @@ const FIG7_COLORS: u32 = 11; // fig7_dynamic's configuration
 const FIG7_UPDATES: usize = 10;
 /// Timed routing passes per gate run; best-of filters scheduler noise.
 const ROUTING_SAMPLES: usize = 7;
+/// `--print-baseline` records the routing floor as the measured best
+/// scaled by this. The check is one-sided (slowdown-only), so the floor
+/// deliberately sits below the recording machine's peak to absorb
+/// cross-runner variance; see docs/PERFORMANCE.md for the ratchet
+/// procedure.
+const ROUTING_FLOOR_SCALE: f64 = 0.9;
 
 /// Measures routing throughput on the canonical gate workload (the same
-/// definition the `routing_throughput` criterion bench uses).
-fn run_routing() -> RoutingSection {
+/// definition the `routing_throughput` criterion bench uses) and returns
+/// the `routing_throughput` section, its floor at `floor_scale` × the
+/// measured best.
+fn run_routing(floor_scale: f64) -> Value {
     eprintln!("[bench_gate] measuring routing throughput");
-    let w = RoutingWorkload::gate();
-    RoutingSection {
-        edges_per_sec: measure_routing_throughput(&w, ROUTING_SAMPLES),
-    }
+    let best = measure_routing_throughput(&RoutingWorkload::gate(), ROUTING_SAMPLES);
+    json!({
+        "edges_per_sec": best * floor_scale,
+        "measured_best": best,
+        "colors": pim_bench::routing::GATE_COLORS,
+        "nodes": pim_bench::routing::GATE_NODES,
+        "seed": pim_bench::routing::GATE_SEED,
+    })
 }
 
 fn flag(name: &str) -> Option<String> {
@@ -60,11 +71,74 @@ fn flag_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
+/// A metrics hub streaming to `results/bench_gate_<name>.metrics.jsonl`,
+/// and the file's path.
+fn metrics_hub(harness: &Harness, name: &str) -> (Arc<MetricsHub>, std::path::PathBuf) {
+    std::fs::create_dir_all(&harness.results_dir).expect("create results dir");
+    let path = harness
+        .results_dir
+        .join(format!("bench_gate_{name}.metrics.jsonl"));
+    let hub = Arc::new(MetricsHub::new());
+    hub.add_sink(Box::new(
+        JsonlSink::create(&path).expect("create metrics jsonl"),
+    ));
+    (hub, path)
+}
+
+/// Re-runs one dataset in the `fig6_static` configuration and returns its
+/// baseline-shaped row. The run's live metric capture streams to
+/// `results/bench_gate_<graph>.metrics.jsonl`.
+fn run_fig6(harness: &Harness, id: DatasetId) -> Value {
+    let graph = id.name();
+    eprintln!("[bench_gate] running {graph}");
+    let g = harness.dataset(id);
+    let config = pim_config(COLORS, &g)
+        .build()
+        .expect("the fig6 gate configuration builds");
+    let (hub, metrics_path) = metrics_hub(harness, graph);
+    let capture = Capture {
+        metrics: Some(Arc::clone(&hub)),
+    };
+    let profile =
+        pim_tc::count_triangles_with(&g, &config, capture).expect("the fig6 gate run counts");
+    hub.flush().expect("flush metrics");
+    if harness.emit_profile {
+        // The capture just written holds the run's whole timeline.
+        let text = std::fs::read_to_string(&metrics_path).expect("read metrics jsonl");
+        let events = parse_jsonl(&text).expect("parse metrics jsonl");
+        harness.save_profile(&format!("bench_gate_{graph}"), &profile, &events);
+    }
+
+    let result = &profile.result;
+    let report = &profile.report;
+    let mut kernel_cycles: Vec<(String, Value)> = Vec::new();
+    for k in &report.kernels {
+        let phase = k.phase.metric_name();
+        match kernel_cycles.iter_mut().find(|(p, _)| p == phase) {
+            Some((_, Value::U64(cycles))) => *cycles += k.max_cycles,
+            _ => kernel_cycles.push((phase.to_string(), Value::U64(k.max_cycles))),
+        }
+    }
+    json!({
+        "graph": graph,
+        "triangles": result.rounded(),
+        "pim_phases": json!({
+            "times": result.times,
+            "nr_dpus": result.nr_dpus,
+            "edges_routed": result.edges_routed,
+            "transfer_bytes": report.total_transfer_bytes,
+            "total_instructions": report.total_instructions,
+            "total_dma_bytes": report.total_dma_bytes,
+            "kernel_cycles": Value::Object(kernel_cycles),
+        }),
+    })
+}
+
 /// Re-runs the Figure 7 dynamic workload (same shape as the
-/// `fig7_dynamic` binary) and folds the result into a gate section. The
+/// `fig7_dynamic` binary) and returns the `fig7_dynamic` section. The
 /// PIM session's live metric capture streams to
 /// `results/bench_gate_fig7_dynamic.metrics.jsonl`.
-fn run_fig7(harness: &Harness) -> Fig7Section {
+fn run_fig7(harness: &Harness) -> Value {
     eprintln!("[bench_gate] running fig7_dynamic");
     let g = harness.dataset(DatasetId::HyperlinkSkewed);
     let batches = g.split_batches(FIG7_UPDATES);
@@ -74,14 +148,7 @@ fn run_fig7(harness: &Harness) -> Fig7Section {
         .misra_gries(1024, 64)
         .build()
         .unwrap();
-    std::fs::create_dir_all(&harness.results_dir).expect("create results dir");
-    let metrics_path = harness
-        .results_dir
-        .join("bench_gate_fig7_dynamic.metrics.jsonl");
-    let hub = Arc::new(MetricsHub::new());
-    hub.add_sink(Box::new(
-        JsonlSink::create(Path::new(&metrics_path)).expect("create metrics jsonl"),
-    ));
+    let (hub, _) = metrics_hub(harness, "fig7_dynamic");
     let run = DynamicRun {
         capture: Capture {
             metrics: Some(Arc::clone(&hub)),
@@ -90,67 +157,23 @@ fn run_fig7(harness: &Harness) -> Fig7Section {
     };
     let (pim, report) = pim_dynamic_with(&batches, &config, run).unwrap();
     hub.flush().expect("flush metrics");
-    Fig7Section {
-        rows: (0..FIG7_UPDATES)
-            .map(|i| Fig7Row {
-                update: i as u64 + 1,
-                triangles: pim[i].triangles.round() as u64,
-                cpu_cumulative: cpu[i].cumulative_secs,
-                gpu_cumulative: gpu[i].cumulative_secs,
-                pim_cumulative: pim[i].cumulative_secs,
+    let rows: Vec<Value> = (0..FIG7_UPDATES)
+        .map(|i| {
+            json!({
+                "update": i as u64 + 1,
+                "triangles": pim[i].triangles.round() as u64,
+                "cpu_cumulative": cpu[i].cumulative_secs,
+                "gpu_cumulative": gpu[i].cumulative_secs,
+                "pim_cumulative": pim[i].cumulative_secs,
             })
-            .collect(),
-        transfer_bytes: report.total_transfer_bytes,
-        total_instructions: report.total_instructions,
-        total_dma_bytes: report.total_dma_bytes,
-    }
-}
-
-#[derive(Serialize)]
-struct Fig7RowRecord {
-    update: u64,
-    triangles: u64,
-    cpu_cumulative: f64,
-    gpu_cumulative: f64,
-    pim_cumulative: f64,
-}
-
-#[derive(Serialize)]
-struct Fig7SectionRecord {
-    rows: Vec<Fig7RowRecord>,
-    transfer_bytes: u64,
-    total_instructions: u64,
-    total_dma_bytes: u64,
-}
-
-impl From<&Fig7Section> for Fig7SectionRecord {
-    fn from(s: &Fig7Section) -> Fig7SectionRecord {
-        Fig7SectionRecord {
-            rows: s
-                .rows
-                .iter()
-                .map(|r| Fig7RowRecord {
-                    update: r.update,
-                    triangles: r.triangles,
-                    cpu_cumulative: r.cpu_cumulative,
-                    gpu_cumulative: r.gpu_cumulative,
-                    pim_cumulative: r.pim_cumulative,
-                })
-                .collect(),
-            transfer_bytes: s.transfer_bytes,
-            total_instructions: s.total_instructions,
-            total_dma_bytes: s.total_dma_bytes,
-        }
-    }
-}
-
-#[derive(Serialize)]
-struct RoutingSectionRecord {
-    edges_per_sec: f64,
-    measured_best: f64,
-    colors: u32,
-    nodes: u32,
-    seed: u64,
+        })
+        .collect();
+    json!({
+        "rows": rows,
+        "transfer_bytes": report.total_transfer_bytes,
+        "total_instructions": report.total_instructions,
+        "total_dma_bytes": report.total_dma_bytes,
+    })
 }
 
 #[derive(Serialize)]
@@ -231,135 +254,57 @@ fn main() {
         time_warn: flag_f64("--time-warn", defaults.time_warn),
         time_fail: flag_f64("--time-fail", defaults.time_fail),
     };
+    // Baseline (re-)recording helper: run the fig7 and routing workloads
+    // and print both sections ready to paste into the baseline file (the
+    // fig6 rows come from `fig6_static --profile`).
+    if std::env::args().any(|a| a == "--print-baseline") {
+        let sections = json!({
+            "fig7_dynamic": run_fig7(&harness),
+            "routing_throughput": run_routing(ROUTING_FLOOR_SCALE),
+        });
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&sections).expect("a JSON value serializes")
+        );
+        return;
+    }
+
     let baseline_path =
         flag("--baseline").unwrap_or_else(|| "results/bench_baseline.json".to_string());
     let text = std::fs::read_to_string(&baseline_path)
         .unwrap_or_else(|e| panic!("cannot read {baseline_path}: {e}"));
-    let baseline = parse_baseline(&text).unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
-    let fig7_baseline = parse_fig7(&text).unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
-    let routing_baseline = parse_routing(&text).unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
-
-    // Baseline (re-)recording helper: run only the fig7 workload and print
-    // the section ready to paste into the baseline file.
-    if std::env::args().any(|a| a == "--print-fig7-baseline") {
-        let section = run_fig7(&harness);
-        let record = Fig7SectionRecord::from(&section);
-        println!("{}", serde_json::to_string_pretty(&record).unwrap());
-        return;
-    }
-
-    // Same helper for the routing section. The printed floor is the
-    // measured best scaled by 0.9: the gate is one-sided (slowdown-only),
-    // so the recorded baseline deliberately sits below the recording
-    // machine's peak to absorb cross-runner variance; see
-    // docs/PERFORMANCE.md for the ratchet procedure.
-    if std::env::args().any(|a| a == "--print-routing-baseline") {
-        let fresh = run_routing();
-        let record = RoutingSectionRecord {
-            edges_per_sec: fresh.edges_per_sec * 0.9,
-            measured_best: fresh.edges_per_sec,
-            colors: pim_bench::routing::GATE_COLORS,
-            nodes: pim_bench::routing::GATE_NODES,
-            seed: pim_bench::routing::GATE_SEED,
-        };
-        println!("{}", serde_json::to_string_pretty(&record).unwrap());
-        return;
-    }
+    let baseline = read(&text).unwrap_or_else(|e| panic!("{baseline_path}: {e}"));
 
     run_cluster_parity(&harness);
 
-    let mut observed = Vec::new();
-    for b in &baseline {
-        let Some(id) = DatasetId::ALL.iter().copied().find(|d| d.name() == b.graph) else {
-            eprintln!(
-                "[bench_gate] unknown baseline graph {:?}, skipping",
-                b.graph
-            );
-            continue;
-        };
-        eprintln!("[bench_gate] running {}", b.graph);
-        let g = harness.dataset(id);
-        let config = pim_config(COLORS, &g).build().unwrap();
-
-        std::fs::create_dir_all(&harness.results_dir).expect("create results dir");
-        let metrics_path = harness
-            .results_dir
-            .join(format!("bench_gate_{}.metrics.jsonl", b.graph));
-        let hub = Arc::new(MetricsHub::new());
-        hub.add_sink(Box::new(
-            JsonlSink::create(Path::new(&metrics_path)).expect("create metrics jsonl"),
-        ));
-        let capture = Capture {
-            metrics: Some(Arc::clone(&hub)),
-        };
-        let profile = pim_tc::count_triangles_with(&g, &config, capture).unwrap();
-        hub.flush().expect("flush metrics");
-        if harness.emit_profile {
-            // The capture just written holds the run's whole timeline.
-            let text = std::fs::read_to_string(&metrics_path).expect("read metrics jsonl");
-            let events = parse_jsonl(&text).expect("parse metrics jsonl");
-            harness.save_profile(&format!("bench_gate_{}", b.graph), &profile, &events);
+    // Re-run what the baseline gates, in its order, into a document of the
+    // same shape; both sides then go through the one reader.
+    let mut graphs: Vec<&str> = baseline.iter().map(|q| q.graph.as_str()).collect();
+    graphs.dedup();
+    let mut rows = Vec::new();
+    let mut sections = Vec::new();
+    for graph in graphs {
+        match graph {
+            "fig7_dynamic" => sections.push((graph.to_string(), run_fig7(&harness))),
+            "routing_throughput" => sections.push((graph.to_string(), run_routing(1.0))),
+            _ => match DatasetId::ALL.iter().copied().find(|d| d.name() == graph) {
+                Some(id) => rows.push(run_fig6(&harness, id)),
+                None => eprintln!("[bench_gate] unknown baseline graph {graph:?}, skipping"),
+            },
         }
-
-        let result = &profile.result;
-        let report = &profile.report;
-        let mut kernel_cycles = std::collections::BTreeMap::new();
-        for k in &report.kernels {
-            *kernel_cycles
-                .entry(k.phase.metric_name().to_string())
-                .or_default() += k.max_cycles;
-        }
-        observed.push(GateRow {
-            graph: b.graph.clone(),
-            triangles: result.rounded(),
-            nr_dpus: result.nr_dpus as u64,
-            edges_routed: result.edges_routed,
-            phase_seconds: [
-                ("setup".to_string(), result.times.setup),
-                ("sample_creation".to_string(), result.times.sample_creation),
-                ("triangle_count".to_string(), result.times.triangle_count),
-            ]
-            .into_iter()
-            .collect(),
-            transfer_bytes: report.total_transfer_bytes,
-            total_instructions: report.total_instructions,
-            total_dma_bytes: report.total_dma_bytes,
-            kernel_cycles,
-        });
     }
+    sections.insert(0, ("rows".to_string(), Value::Array(rows)));
+    let fresh = serde_json::to_string(&Value::Object(sections)).expect("a JSON value serializes");
+    let observed = read(&fresh).expect("fresh run reads as a baseline document");
 
-    let mut checks = compare(&baseline, &observed, &tol);
-    match &fig7_baseline {
-        Some(section) => {
-            let fresh = run_fig7(&harness);
-            checks.extend(compare_fig7(section, &fresh, &tol));
-        }
-        None => eprintln!(
-            "[bench_gate] baseline has no fig7_dynamic section, skipping \
-             (record one with --print-fig7-baseline)"
-        ),
-    }
-    match &routing_baseline {
-        Some(section) => {
-            let fresh = run_routing();
-            checks.extend(compare_routing(section, &fresh, &tol));
-        }
-        None => eprintln!(
-            "[bench_gate] baseline has no routing_throughput section, skipping \
-             (record one with --print-routing-baseline)"
-        ),
-    }
+    let checks = compare(&baseline, &observed, &tol);
     let report_text = render(&checks);
     print!("{report_text}");
 
     let mut table = MdTable::new(["Graph", "Metric", "Baseline", "Observed", "Δ", "Verdict"]);
     let mut records = Vec::new();
     for c in &checks {
-        let verdict = match c.verdict {
-            pim_bench::gate::Verdict::Ok => "ok",
-            pim_bench::gate::Verdict::Warn => "warn",
-            pim_bench::gate::Verdict::Fail => "fail",
-        };
+        let verdict = c.verdict.label();
         table.row([
             c.graph.clone(),
             c.metric.clone(),

@@ -1,31 +1,35 @@
-//! The perf-regression gate: compares a fresh `fig6_static`-configuration
-//! run against the recorded baseline in `results/bench_baseline.json`.
+//! The perf-regression gate: compares a fresh run against the recorded
+//! baseline in `results/bench_baseline.json`.
 //!
-//! Two classes of metric are checked per graph:
+//! Both sides are baseline-shaped JSON documents (`rows[].pim_phases`,
+//! the optional `fig7_dynamic` and `routing_throughput` sections). [`read`]
+//! turns a document into one flat list of named [`Quantity`]s, and each
+//! quantity's [`Class`] picks the band [`compare`] judges it under:
 //!
-//! * **Exact** — triangle counts, core counts, and edges routed are fully
+//! * **Exact** — triangle counts, core counts and edges routed are fully
 //!   deterministic; any difference fails the gate outright.
-//! * **Toleranced** — deterministic counters (transfer bytes, kernel
-//!   cycles, instructions, DMA bytes) get a tight warn/fail band, while
-//!   modeled-plus-measured phase seconds (which fold in host time that
-//!   varies by machine) get a loose one. Between the warn and fail
-//!   thresholds a check is reported but does not fail the gate.
+//! * **Counter** — deterministic counters (transfer bytes, kernel cycles,
+//!   instructions, DMA bytes, the modeled GPU curve) get a tight warn/fail
+//!   band, and are skipped when the baseline predates them (recorded 0).
+//! * **Time** — seconds that fold in host-measured time get a loose band.
+//! * **Floor** — host-measured throughput is one-sided: only a slowdown
+//!   counts, under the counter band.
 //!
-//! The comparison itself is pure (no PIM run needed), so tampered-baseline
-//! behavior is unit-testable; the `bench_gate` binary supplies observed
-//! rows from a live re-run.
+//! Between the warn and fail thresholds a check is reported but does not
+//! fail the gate. The comparison itself is pure (no PIM run needed), so
+//! tampered-baseline behavior is unit-testable; the `bench_gate` binary
+//! builds the observed document from a live re-run.
 
 use serde_json::Value;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Warn/fail bands for the two toleranced metric classes, as relative
-/// deviations (0.10 = 10%).
+/// Warn/fail bands for the toleranced classes, as relative deviations
+/// (0.10 = 10%).
 #[derive(Clone, Copy, Debug)]
 pub struct Tolerances {
-    /// Warn threshold for deterministic counters.
+    /// Warn threshold for deterministic counters and throughput floors.
     pub counter_warn: f64,
-    /// Fail threshold for deterministic counters.
+    /// Fail threshold for deterministic counters and throughput floors.
     pub counter_fail: f64,
     /// Warn threshold for phase seconds (host-measured component varies
     /// by machine, so this band is generous).
@@ -45,29 +49,54 @@ impl Default for Tolerances {
     }
 }
 
-/// One graph's gated quantities — the shape shared by the recorded
-/// baseline and a fresh observation.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct GateRow {
-    /// Dataset name (`kron-s`, …).
+/// How a quantity is judged; see the module docs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Class {
+    /// Any difference fails.
+    Exact,
+    /// The counter band; skipped when the baseline value is 0.
+    Counter,
+    /// The time band.
+    Time,
+    /// One-sided: only a slowdown counts, under the counter band.
+    Floor,
+}
+
+impl Class {
+    /// The (warn, fail) thresholds on [`Class::deviation`].
+    fn band(self, tol: &Tolerances) -> (f64, f64) {
+        match self {
+            Class::Exact => (0.0, 0.0),
+            Class::Counter | Class::Floor => (tol.counter_warn, tol.counter_fail),
+            Class::Time => (tol.time_warn, tol.time_fail),
+        }
+    }
+
+    /// Relative deviation of `observed` from `baseline`; for a floor, the
+    /// relative slowdown (0 when at or above it).
+    fn deviation(self, baseline: f64, observed: f64) -> f64 {
+        match self {
+            Class::Floor if baseline > 0.0 => ((baseline - observed) / baseline).max(0.0),
+            Class::Floor => 0.0,
+            _ if baseline == 0.0 && observed == 0.0 => 0.0,
+            _ if baseline == 0.0 => f64::INFINITY,
+            _ => (observed - baseline).abs() / baseline,
+        }
+    }
+}
+
+/// One gated number of a document.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Quantity {
+    /// Dataset name (`kron-s`, …), or the section name (`fig7_dynamic`,
+    /// `routing_throughput`).
     pub graph: String,
-    /// Exact triangle count.
-    pub triangles: u64,
-    /// PIM cores used.
-    pub nr_dpus: u64,
-    /// Edges routed into the banks.
-    pub edges_routed: u64,
-    /// Per-phase seconds, keyed by snake_case phase name.
-    pub phase_seconds: BTreeMap<String, f64>,
-    /// Total CPU↔PIM transfer bytes (0 when the baseline predates the
-    /// counter backfill).
-    pub transfer_bytes: u64,
-    /// Total DPU instructions.
-    pub total_instructions: u64,
-    /// Total MRAM↔WRAM DMA bytes.
-    pub total_dma_bytes: u64,
-    /// Summed slowest-DPU kernel cycles per phase.
-    pub kernel_cycles: BTreeMap<String, u64>,
+    /// What is measured (names the phase or update where there are several).
+    pub metric: String,
+    /// The number.
+    pub value: f64,
+    /// How it is judged.
+    pub class: Class,
 }
 
 /// Severity of one check.
@@ -81,6 +110,17 @@ pub enum Verdict {
     Fail,
 }
 
+impl Verdict {
+    /// `ok` / `warn` / `fail`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Verdict::Ok => "ok",
+            Verdict::Warn => "warn",
+            Verdict::Fail => "fail",
+        }
+    }
+}
+
 /// One compared quantity.
 #[derive(Clone, Debug)]
 pub struct Check {
@@ -90,380 +130,168 @@ pub struct Check {
     pub metric: String,
     /// Recorded value.
     pub baseline: f64,
-    /// Fresh value.
+    /// Fresh value; NaN when the run did not produce the quantity.
     pub observed: f64,
-    /// Relative deviation |observed - baseline| / baseline.
+    /// Relative deviation |observed - baseline| / baseline; for a floor,
+    /// the relative slowdown (0 at or above the floor).
     pub rel: f64,
     /// Outcome under the tolerances.
     pub verdict: Verdict,
 }
 
-/// Parses `results/bench_baseline.json` into gate rows. Counter fields
-/// missing from older baselines parse as zero and are skipped by
-/// [`compare`].
-pub fn parse_baseline(text: &str) -> Result<Vec<GateRow>, String> {
-    let v: Value =
-        serde_json::from_str(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or("baseline has no `rows` array")?;
-    rows.iter().map(parse_row).collect()
-}
-
-fn parse_row(row: &Value) -> Result<GateRow, String> {
-    let graph = row
-        .get("graph")
-        .and_then(Value::as_str)
-        .ok_or("baseline row has no `graph`")?
-        .to_string();
-    let phases = row
-        .get("pim_phases")
-        .ok_or_else(|| format!("{graph}: baseline row has no `pim_phases`"))?;
-    let times = phases
-        .get("times")
-        .ok_or_else(|| format!("{graph}: baseline row has no phase times"))?;
-    let u = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let mut phase_seconds = BTreeMap::new();
-    for phase in ["setup", "sample_creation", "triangle_count"] {
-        let secs = times
-            .get(phase)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{graph}: baseline is missing `{phase}` seconds"))?;
-        phase_seconds.insert(phase.to_string(), secs);
-    }
-    let kernel_cycles = phases
-        .get("kernel_cycles")
-        .and_then(Value::as_object)
-        .map(|m| {
-            m.iter()
-                .map(|(k, v)| (k.clone(), v.as_u64().unwrap_or(0)))
-                .collect()
-        })
-        .unwrap_or_default();
-    Ok(GateRow {
-        triangles: u(row, "triangles"),
-        nr_dpus: u(phases, "nr_dpus"),
-        edges_routed: u(phases, "edges_routed"),
-        transfer_bytes: u(phases, "transfer_bytes"),
-        total_instructions: u(phases, "total_instructions"),
-        total_dma_bytes: u(phases, "total_dma_bytes"),
-        phase_seconds,
-        kernel_cycles,
-        graph,
-    })
-}
-
-/// One update row of the Figure 7 dynamic workload.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Fig7Row {
-    /// 1-based update index.
-    pub update: u64,
-    /// Rounded triangle estimate after this update — fully deterministic.
-    pub triangles: u64,
-    /// Cumulative CPU seconds (measured on the recording host).
-    pub cpu_cumulative: f64,
-    /// Cumulative GPU-proxy seconds (modeled, host-independent).
-    pub gpu_cumulative: f64,
-    /// Cumulative PIM seconds (modeled kernel time + measured host time).
-    pub pim_cumulative: f64,
-}
-
-/// The gated `fig7_dynamic` baseline section: per-update rows plus the
-/// PIM run's deterministic end-of-run counters.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Fig7Section {
-    /// Per-update rows.
-    pub rows: Vec<Fig7Row>,
-    /// Total CPU↔PIM transfer bytes across all updates.
-    pub transfer_bytes: u64,
-    /// Total DPU instructions across all updates.
-    pub total_instructions: u64,
-    /// Total MRAM↔WRAM DMA bytes across all updates.
-    pub total_dma_bytes: u64,
-}
-
-/// Parses the optional `fig7_dynamic` section of the baseline. Returns
-/// `Ok(None)` when the baseline predates the section.
-pub fn parse_fig7(text: &str) -> Result<Option<Fig7Section>, String> {
-    let v: Value =
-        serde_json::from_str(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let Some(section) = v.get("fig7_dynamic") else {
-        return Ok(None);
-    };
-    let rows = section
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or("fig7_dynamic section has no `rows` array")?;
-    let u = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let f = |v: &Value, key: &str, update: u64| {
-        v.get(key)
-            .and_then(Value::as_f64)
-            .ok_or(format!("fig7_dynamic row {update} is missing `{key}`"))
-    };
-    let mut parsed = Vec::with_capacity(rows.len());
-    for row in rows {
-        let update = row
-            .get("update")
-            .and_then(Value::as_u64)
-            .ok_or("fig7_dynamic row has no `update`")?;
-        parsed.push(Fig7Row {
-            update,
-            triangles: u(row, "triangles"),
-            cpu_cumulative: f(row, "cpu_cumulative", update)?,
-            gpu_cumulative: f(row, "gpu_cumulative", update)?,
-            pim_cumulative: f(row, "pim_cumulative", update)?,
-        });
-    }
-    Ok(Some(Fig7Section {
-        rows: parsed,
-        transfer_bytes: u(section, "transfer_bytes"),
-        total_instructions: u(section, "total_instructions"),
-        total_dma_bytes: u(section, "total_dma_bytes"),
-    }))
-}
-
-/// Compares a fresh `fig7_dynamic` run against the baseline section.
-/// Triangle counts are exact per update; the modeled GPU curve and the
-/// PIM run's deterministic counters get the tight counter band; CPU and
-/// PIM cumulative seconds fold in host-measured time and get the loose
-/// time band.
-pub fn compare_fig7(
-    baseline: &Fig7Section,
-    observed: &Fig7Section,
-    tol: &Tolerances,
-) -> Vec<Check> {
-    const GRAPH: &str = "fig7_dynamic";
-    let mut checks = Vec::new();
-    let mut push = |metric: String, bv: f64, ov: f64, verdict: Verdict| {
-        checks.push(Check {
-            graph: GRAPH.into(),
+/// Reads a baseline-shaped JSON document into its gated quantities, in
+/// document order: per row the exact counts, the counters, the kernel
+/// cycles and the phase seconds (each map in key order); then the
+/// `fig7_dynamic` updates and counters; then the `routing_throughput`
+/// floor. Both sections are optional. Integer fields missing from older
+/// documents read as 0, which [`compare`] skips for counters.
+pub fn read(text: &str) -> Result<Vec<Quantity>, String> {
+    let doc: Value =
+        serde_json::from_str(text).map_err(|e| format!("document is not valid JSON: {e}"))?;
+    let mut out = Vec::new();
+    let mut push = |graph: &str, metric: String, value: f64, class: Class| {
+        out.push(Quantity {
+            graph: graph.to_string(),
             metric,
-            baseline: bv,
-            observed: ov,
-            rel: rel_dev(bv, ov),
-            verdict,
-        });
+            value,
+            class,
+        })
     };
-    for b in &baseline.rows {
-        let Some(o) = observed.rows.iter().find(|o| o.update == b.update) else {
+    let int = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0) as f64;
+    const COUNTERS: [&str; 3] = ["transfer_bytes", "total_instructions", "total_dma_bytes"];
+
+    let rows = doc
+        .get("rows")
+        .and_then(Value::as_array)
+        .ok_or("document has no `rows` array")?;
+    for row in rows {
+        let graph = row
+            .get("graph")
+            .and_then(Value::as_str)
+            .ok_or("row has no `graph`")?;
+        let phases = row
+            .get("pim_phases")
+            .ok_or_else(|| format!("{graph}: row has no `pim_phases`"))?;
+        let times = phases
+            .get("times")
+            .ok_or_else(|| format!("{graph}: row has no phase times"))?;
+        push(
+            graph,
+            "triangles".into(),
+            int(row, "triangles"),
+            Class::Exact,
+        );
+        for key in ["nr_dpus", "edges_routed"] {
+            push(graph, key.into(), int(phases, key), Class::Exact);
+        }
+        for key in COUNTERS {
+            push(graph, key.into(), int(phases, key), Class::Counter);
+        }
+        let mut cycles: Vec<_> = phases
+            .get("kernel_cycles")
+            .and_then(Value::as_object)
+            .unwrap_or_default()
+            .iter()
+            .collect();
+        cycles.sort_by(|a, b| a.0.cmp(&b.0));
+        for (phase, v) in cycles {
+            let v = v.as_u64().unwrap_or(0) as f64;
+            push(graph, format!("kernel_cycles[{phase}]"), v, Class::Counter);
+        }
+        for phase in ["sample_creation", "setup", "triangle_count"] {
+            let secs = times
+                .get(phase)
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("{graph}: row is missing `{phase}` seconds"))?;
+            push(graph, format!("phase_seconds[{phase}]"), secs, Class::Time);
+        }
+    }
+
+    if let Some(section) = doc.get("fig7_dynamic") {
+        const GRAPH: &str = "fig7_dynamic";
+        let rows = section
+            .get("rows")
+            .and_then(Value::as_array)
+            .ok_or("fig7_dynamic section has no `rows` array")?;
+        for row in rows {
+            let update = row
+                .get("update")
+                .and_then(Value::as_u64)
+                .ok_or("fig7_dynamic row has no `update`")?;
+            let metric = |key: &str| format!("update[{update}].{key}");
             push(
-                format!("update[{}] present in run", b.update),
-                1.0,
-                0.0,
-                Verdict::Fail,
+                GRAPH,
+                metric("triangles"),
+                int(row, "triangles"),
+                Class::Exact,
             );
-            continue;
-        };
-        push(
-            format!("update[{}].triangles", b.update),
-            b.triangles as f64,
-            o.triangles as f64,
-            if b.triangles == o.triangles {
-                Verdict::Ok
-            } else {
-                Verdict::Fail
-            },
-        );
-        let gpu_rel = rel_dev(b.gpu_cumulative, o.gpu_cumulative);
-        push(
-            format!("update[{}].gpu_cumulative", b.update),
-            b.gpu_cumulative,
-            o.gpu_cumulative,
-            judge(gpu_rel, tol.counter_warn, tol.counter_fail),
-        );
-        for (name, bv, ov) in [
-            ("cpu_cumulative", b.cpu_cumulative, o.cpu_cumulative),
-            ("pim_cumulative", b.pim_cumulative, o.pim_cumulative),
-        ] {
-            let rel = rel_dev(bv, ov);
-            push(
-                format!("update[{}].{name}", b.update),
-                bv,
-                ov,
-                judge(rel, tol.time_warn, tol.time_fail),
-            );
-        }
-    }
-    for (name, bv, ov) in [
-        (
-            "transfer_bytes",
-            baseline.transfer_bytes,
-            observed.transfer_bytes,
-        ),
-        (
-            "total_instructions",
-            baseline.total_instructions,
-            observed.total_instructions,
-        ),
-        (
-            "total_dma_bytes",
-            baseline.total_dma_bytes,
-            observed.total_dma_bytes,
-        ),
-    ] {
-        if bv == 0 {
-            continue; // baseline predates this counter
-        }
-        let rel = rel_dev(bv as f64, ov as f64);
-        push(
-            name.to_string(),
-            bv as f64,
-            ov as f64,
-            judge(rel, tol.counter_warn, tol.counter_fail),
-        );
-    }
-    checks
-}
-
-/// The gated `routing_throughput` baseline section: host-measured edges
-/// per second through the batched routing pipeline on the fixed gate
-/// workload (`pim_bench::routing::RoutingWorkload::gate()` —
-/// single-threaded, best-of-k, reused scratch: the session's steady-state
-/// path).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RoutingSection {
-    /// Routed input edges per second.
-    pub edges_per_sec: f64,
-}
-
-/// Parses the optional `routing_throughput` section of the baseline.
-/// Returns `Ok(None)` when the baseline predates the section.
-pub fn parse_routing(text: &str) -> Result<Option<RoutingSection>, String> {
-    let v: Value =
-        serde_json::from_str(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let Some(section) = v.get("routing_throughput") else {
-        return Ok(None);
-    };
-    let edges_per_sec = section
-        .get("edges_per_sec")
-        .and_then(Value::as_f64)
-        .ok_or("routing_throughput section has no `edges_per_sec`")?;
-    Ok(Some(RoutingSection { edges_per_sec }))
-}
-
-/// Compares fresh routing throughput against the baseline. The check is
-/// *one-sided*: throughput is host-measured, so only a slowdown counts
-/// toward the warn/fail band — running faster than the recorded floor is
-/// always `Ok` (and a cue to re-ratchet the baseline upward).
-pub fn compare_routing(
-    baseline: &RoutingSection,
-    observed: &RoutingSection,
-    tol: &Tolerances,
-) -> Vec<Check> {
-    let b = baseline.edges_per_sec;
-    let o = observed.edges_per_sec;
-    let slowdown = if b > 0.0 { ((b - o) / b).max(0.0) } else { 0.0 };
-    vec![Check {
-        graph: "routing_throughput".into(),
-        metric: "edges_per_sec".into(),
-        baseline: b,
-        observed: o,
-        rel: slowdown,
-        verdict: judge(slowdown, tol.counter_warn, tol.counter_fail),
-    }]
-}
-
-fn judge(rel: f64, warn: f64, fail: f64) -> Verdict {
-    if rel > fail {
-        Verdict::Fail
-    } else if rel > warn {
-        Verdict::Warn
-    } else {
-        Verdict::Ok
-    }
-}
-
-fn rel_dev(baseline: f64, observed: f64) -> f64 {
-    if baseline == 0.0 {
-        if observed == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (observed - baseline).abs() / baseline
-    }
-}
-
-/// Compares observed rows against the baseline. Baseline graphs missing
-/// from `observed` fail; counters absent from the baseline (zero) are
-/// skipped rather than compared against a fresh non-zero value.
-pub fn compare(baseline: &[GateRow], observed: &[GateRow], tol: &Tolerances) -> Vec<Check> {
-    let mut checks = Vec::new();
-    for b in baseline {
-        let Some(o) = observed.iter().find(|o| o.graph == b.graph) else {
-            checks.push(Check {
-                graph: b.graph.clone(),
-                metric: "graph present in run".into(),
-                baseline: 1.0,
-                observed: 0.0,
-                rel: 1.0,
-                verdict: Verdict::Fail,
-            });
-            continue;
-        };
-        let mut exact = |metric: &str, bv: u64, ov: u64| {
-            checks.push(Check {
-                graph: b.graph.clone(),
-                metric: metric.to_string(),
-                baseline: bv as f64,
-                observed: ov as f64,
-                rel: rel_dev(bv as f64, ov as f64),
-                verdict: if bv == ov { Verdict::Ok } else { Verdict::Fail },
-            });
-        };
-        exact("triangles", b.triangles, o.triangles);
-        exact("nr_dpus", b.nr_dpus, o.nr_dpus);
-        exact("edges_routed", b.edges_routed, o.edges_routed);
-
-        let mut counter = |metric: String, bv: u64, ov: u64| {
-            if bv == 0 {
-                return; // baseline predates this counter
+            // The GPU curve is modeled, so it gets the tight band; CPU and
+            // PIM seconds fold in host-measured time.
+            for (key, class) in [
+                ("gpu_cumulative", Class::Counter),
+                ("cpu_cumulative", Class::Time),
+                ("pim_cumulative", Class::Time),
+            ] {
+                let secs = row
+                    .get(key)
+                    .and_then(Value::as_f64)
+                    .ok_or_else(|| format!("fig7_dynamic row {update} is missing `{key}`"))?;
+                push(GRAPH, metric(key), secs, class);
             }
-            let rel = rel_dev(bv as f64, ov as f64);
-            checks.push(Check {
-                graph: b.graph.clone(),
-                metric,
-                baseline: bv as f64,
-                observed: ov as f64,
-                rel,
-                verdict: judge(rel, tol.counter_warn, tol.counter_fail),
-            });
-        };
-        counter("transfer_bytes".into(), b.transfer_bytes, o.transfer_bytes);
-        counter(
-            "total_instructions".into(),
-            b.total_instructions,
-            o.total_instructions,
-        );
-        counter(
-            "total_dma_bytes".into(),
-            b.total_dma_bytes,
-            o.total_dma_bytes,
-        );
-        for (phase, bv) in &b.kernel_cycles {
-            counter(
-                format!("kernel_cycles[{phase}]"),
-                *bv,
-                o.kernel_cycles.get(phase).copied().unwrap_or(0),
-            );
         }
-
-        for (phase, bv) in &b.phase_seconds {
-            let ov = o.phase_seconds.get(phase).copied().unwrap_or(0.0);
-            let rel = rel_dev(*bv, ov);
-            checks.push(Check {
-                graph: b.graph.clone(),
-                metric: format!("phase_seconds[{phase}]"),
-                baseline: *bv,
-                observed: ov,
-                rel,
-                verdict: judge(rel, tol.time_warn, tol.time_fail),
-            });
+        for key in COUNTERS {
+            push(GRAPH, key.into(), int(section, key), Class::Counter);
         }
     }
-    checks
+
+    if let Some(section) = doc.get("routing_throughput") {
+        let edges_per_sec = section
+            .get("edges_per_sec")
+            .and_then(Value::as_f64)
+            .ok_or("routing_throughput section has no `edges_per_sec`")?;
+        let (graph, metric) = ("routing_throughput", "edges_per_sec");
+        push(graph, metric.into(), edges_per_sec, Class::Floor);
+    }
+    Ok(out)
+}
+
+/// Judges every baseline quantity against the observed quantity of the
+/// same graph and metric, under the baseline's class. A quantity the run
+/// did not produce fails; a counter recorded as 0 is skipped (the
+/// baseline predates it).
+pub fn compare(baseline: &[Quantity], observed: &[Quantity], tol: &Tolerances) -> Vec<Check> {
+    baseline
+        .iter()
+        .filter(|b| !(b.class == Class::Counter && b.value == 0.0))
+        .map(|b| {
+            let found = observed
+                .iter()
+                .find(|o| o.graph == b.graph && o.metric == b.metric);
+            let (observed, rel, verdict) = match found {
+                None => (f64::NAN, f64::INFINITY, Verdict::Fail),
+                Some(o) => {
+                    let rel = b.class.deviation(b.value, o.value);
+                    let (warn, fail) = b.class.band(tol);
+                    let verdict = if rel > fail {
+                        Verdict::Fail
+                    } else if rel > warn {
+                        Verdict::Warn
+                    } else {
+                        Verdict::Ok
+                    };
+                    (o.value, rel, verdict)
+                }
+            };
+            Check {
+                graph: b.graph.clone(),
+                metric: b.metric.clone(),
+                baseline: b.value,
+                observed,
+                rel,
+                verdict,
+            }
+        })
+        .collect()
 }
 
 /// Whether any check failed.
@@ -487,20 +315,22 @@ pub fn render(checks: &[Check]) -> String {
         if c.verdict == Verdict::Ok {
             continue;
         }
-        let _ = writeln!(
+        let verdict = c.verdict.label().to_uppercase();
+        let _ = write!(
             out,
-            "  {}: {} {}: baseline {:.6e}, observed {:.6e} ({:+.1}%)",
-            match c.verdict {
-                Verdict::Warn => "WARN",
-                Verdict::Fail => "FAIL",
-                Verdict::Ok => unreachable!(),
-            },
-            c.graph,
-            c.metric,
-            c.baseline,
-            c.observed,
-            (c.observed - c.baseline) / c.baseline * 100.0
+            "  {verdict}: {} {}: baseline {:.6e}, ",
+            c.graph, c.metric, c.baseline
         );
+        let _ = if c.observed.is_nan() {
+            writeln!(out, "missing from the run")
+        } else {
+            writeln!(
+                out,
+                "observed {:.6e} ({:+.1}%)",
+                c.observed,
+                (c.observed - c.baseline) / c.baseline * 100.0
+            )
+        };
     }
     out
 }
@@ -509,46 +339,97 @@ pub fn render(checks: &[Check]) -> String {
 mod tests {
     use super::*;
 
-    fn row(graph: &str) -> GateRow {
-        GateRow {
-            graph: graph.to_string(),
-            triangles: 100,
-            nr_dpus: 2300,
-            edges_routed: 5000,
-            phase_seconds: [
-                ("setup".to_string(), 0.1),
-                ("sample_creation".to_string(), 0.5),
-                ("triangle_count".to_string(), 0.02),
-            ]
-            .into_iter()
-            .collect(),
-            transfer_bytes: 40_000,
-            total_instructions: 1_000_000,
-            total_dma_bytes: 5_000_000,
-            kernel_cycles: [
-                ("sample_creation".to_string(), 40_000u64),
-                ("triangle_count".to_string(), 7_000_000),
-            ]
-            .into_iter()
-            .collect(),
-        }
+    fn row_json(graph: &str) -> String {
+        format!(
+            r#"{{"graph": "{graph}", "triangles": 100, "pim_phases": {{
+                "times": {{"setup": 0.1, "sample_creation": 0.5, "triangle_count": 0.02}},
+                "nr_dpus": 2300, "edges_routed": 5000, "transfer_bytes": 40000,
+                "total_instructions": 1000000, "total_dma_bytes": 5000000,
+                "kernel_cycles": {{"sample_creation": 40000, "triangle_count": 7000000}}
+            }}}}"#
+        )
+    }
+
+    /// The quantities of a document with one fixture row per graph.
+    fn rows(graphs: &[&str]) -> Vec<Quantity> {
+        let rows: Vec<String> = graphs.iter().map(|g| row_json(g)).collect();
+        read(&format!(r#"{{"rows": [{}]}}"#, rows.join(","))).unwrap()
+    }
+
+    /// The quantities of a document holding only a three-update
+    /// `fig7_dynamic` section.
+    fn fig7() -> Vec<Quantity> {
+        let rows: Vec<String> = (1..=3u64)
+            .map(|u| {
+                let t = u as f64;
+                format!(
+                    r#"{{"update": {u}, "triangles": {}, "cpu_cumulative": {:?},
+                        "gpu_cumulative": {:?}, "pim_cumulative": {:?}}}"#,
+                    500 + u,
+                    0.2 * t,
+                    0.05 * t,
+                    0.03 * t
+                )
+            })
+            .collect();
+        read(&format!(
+            r#"{{"rows": [], "fig7_dynamic": {{"rows": [{}], "transfer_bytes": 1000000,
+                "total_instructions": 90000000, "total_dma_bytes": 400000000}}}}"#,
+            rows.join(",")
+        ))
+        .unwrap()
+    }
+
+    /// The quantities of a document holding only a routing floor.
+    fn routing(edges_per_sec: f64) -> Vec<Quantity> {
+        read(&format!(
+            r#"{{"rows": [], "routing_throughput": {{"edges_per_sec": {edges_per_sec:?}}}}}"#
+        ))
+        .unwrap()
+    }
+
+    /// Sets the value of one named quantity.
+    fn set(quantities: &mut [Quantity], graph: &str, metric: &str, value: f64) {
+        quantities
+            .iter_mut()
+            .find(|q| q.graph == graph && q.metric == metric)
+            .unwrap_or_else(|| panic!("no {graph} {metric}"))
+            .value = value;
+    }
+
+    fn value(quantities: &[Quantity], graph: &str, metric: &str) -> f64 {
+        quantities
+            .iter()
+            .find(|q| q.graph == graph && q.metric == metric)
+            .unwrap_or_else(|| panic!("no {graph} {metric}"))
+            .value
+    }
+
+    fn verdict_of(checks: &[Check], metric: &str) -> Verdict {
+        checks.iter().find(|c| c.metric == metric).unwrap().verdict
     }
 
     #[test]
     fn identical_rows_pass_cleanly() {
-        let b = vec![row("kron-s"), row("roads")];
+        let b = rows(&["kron-s", "roads"]);
         let checks = compare(&b, &b.clone(), &Tolerances::default());
+        assert_eq!(checks.len(), 22);
         assert!(!gate_failed(&checks));
         assert!(checks.iter().all(|c| c.verdict == Verdict::Ok));
     }
 
     #[test]
     fn tampered_baseline_fails_and_names_the_offending_phase() {
-        let observed = vec![row("kron-s")];
-        let mut tampered = vec![row("kron-s")];
+        let observed = rows(&["kron-s"]);
+        let mut tampered = rows(&["kron-s"]);
         // A 10x faster recorded triangle-count phase makes the fresh run
         // look like a huge regression.
-        *tampered[0].phase_seconds.get_mut("triangle_count").unwrap() = 0.002;
+        set(
+            &mut tampered,
+            "kron-s",
+            "phase_seconds[triangle_count]",
+            0.002,
+        );
         let checks = compare(&tampered, &observed, &Tolerances::default());
         assert!(gate_failed(&checks));
         let failing: Vec<_> = checks
@@ -567,69 +448,58 @@ mod tests {
 
     #[test]
     fn counter_band_warns_then_fails() {
-        let base = vec![row("g")];
-        let mut obs = vec![row("g")];
-        obs[0].transfer_bytes = 41_500; // +3.75%: warn
+        let base = rows(&["g"]);
+        let mut obs = rows(&["g"]);
+        set(&mut obs, "g", "transfer_bytes", 41_500.0); // +3.75%: warn
         let checks = compare(&base, &obs, &Tolerances::default());
         assert!(!gate_failed(&checks));
-        assert!(checks
-            .iter()
-            .any(|c| c.metric == "transfer_bytes" && c.verdict == Verdict::Warn));
+        assert_eq!(verdict_of(&checks, "transfer_bytes"), Verdict::Warn);
 
-        obs[0].transfer_bytes = 50_000; // +25%: fail
+        set(&mut obs, "g", "transfer_bytes", 50_000.0); // +25%: fail
         let checks = compare(&base, &obs, &Tolerances::default());
         assert!(gate_failed(&checks));
     }
 
     #[test]
     fn exact_metrics_tolerate_nothing() {
-        let base = vec![row("g")];
-        let mut obs = vec![row("g")];
-        obs[0].triangles = 101;
+        let base = rows(&["g"]);
+        let mut obs = rows(&["g"]);
+        set(&mut obs, "g", "triangles", 101.0);
         let checks = compare(&base, &obs, &Tolerances::default());
-        let c = checks.iter().find(|c| c.metric == "triangles").unwrap();
-        assert_eq!(c.verdict, Verdict::Fail);
+        assert_eq!(verdict_of(&checks, "triangles"), Verdict::Fail);
     }
 
     #[test]
     fn missing_graph_and_missing_counters() {
-        let base = vec![row("present"), row("absent")];
-        let mut obs = vec![row("present")];
+        let base = rows(&["present", "absent"]);
+        let obs = rows(&["present"]);
         // Baseline counters recorded as zero are skipped, not compared.
         let mut old = base.clone();
-        old[0].transfer_bytes = 0;
+        set(&mut old, "present", "transfer_bytes", 0.0);
         let checks = compare(&old, &obs, &Tolerances::default());
         assert!(checks
             .iter()
             .all(|c| !(c.graph == "present" && c.metric == "transfer_bytes")));
-        // A graph the run never produced is a failure.
-        obs[0].graph = "present".into();
+        // Every quantity of a graph the run never produced fails.
         let checks = compare(&base, &obs, &Tolerances::default());
-        assert!(checks
+        let absent: Vec<_> = checks.iter().filter(|c| c.graph == "absent").collect();
+        assert_eq!(absent.len(), 11);
+        assert!(absent.iter().all(|c| c.verdict == Verdict::Fail));
+        assert!(render(&checks).contains("FAIL: absent triangles: baseline 1.000000e2, missing"));
+        // So does a single phase the run did not report.
+        let partial: Vec<_> = obs
             .iter()
-            .any(|c| c.graph == "absent" && c.verdict == Verdict::Fail));
-    }
-
-    fn fig7() -> Fig7Section {
-        Fig7Section {
-            rows: (1..=3)
-                .map(|update| Fig7Row {
-                    update,
-                    triangles: 500 + update,
-                    cpu_cumulative: 0.2 * update as f64,
-                    gpu_cumulative: 0.05 * update as f64,
-                    pim_cumulative: 0.03 * update as f64,
-                })
-                .collect(),
-            transfer_bytes: 1_000_000,
-            total_instructions: 90_000_000,
-            total_dma_bytes: 400_000_000,
-        }
+            .filter(|q| q.metric != "phase_seconds[setup]")
+            .cloned()
+            .collect();
+        let checks = compare(&obs, &partial, &Tolerances::default());
+        assert_eq!(verdict_of(&checks, "phase_seconds[setup]"), Verdict::Fail);
     }
 
     #[test]
     fn fig7_identical_sections_pass_cleanly() {
-        let checks = compare_fig7(&fig7(), &fig7(), &Tolerances::default());
+        let checks = compare(&fig7(), &fig7(), &Tolerances::default());
+        assert_eq!(checks.len(), 15);
         assert!(!gate_failed(&checks));
         assert!(checks.iter().all(|c| c.verdict == Verdict::Ok));
     }
@@ -638,8 +508,8 @@ mod tests {
     fn fig7_triangle_drift_fails_exactly() {
         let base = fig7();
         let mut obs = fig7();
-        obs.rows[1].triangles += 1;
-        let checks = compare_fig7(&base, &obs, &Tolerances::default());
+        set(&mut obs, "fig7_dynamic", "update[2].triangles", 503.0);
+        let checks = compare(&base, &obs, &Tolerances::default());
         assert!(gate_failed(&checks));
         let c = checks.iter().find(|c| c.verdict == Verdict::Fail).unwrap();
         assert_eq!(c.metric, "update[2].triangles");
@@ -648,37 +518,52 @@ mod tests {
 
     #[test]
     fn fig7_modeled_curve_gets_the_tight_band_and_host_time_the_loose_one() {
+        const G: &str = "fig7_dynamic";
         let base = fig7();
         let mut obs = fig7();
         // +5% on the modeled GPU curve: past counter_warn, within fail.
-        obs.rows[0].gpu_cumulative *= 1.05;
+        let gpu = value(&obs, G, "update[1].gpu_cumulative");
+        set(&mut obs, G, "update[1].gpu_cumulative", gpu * 1.05);
         // +40% on measured CPU time: within the loose time band.
-        obs.rows[0].cpu_cumulative *= 1.40;
-        let checks = compare_fig7(&base, &obs, &Tolerances::default());
+        let cpu = value(&obs, G, "update[1].cpu_cumulative");
+        set(&mut obs, G, "update[1].cpu_cumulative", cpu * 1.40);
+        let checks = compare(&base, &obs, &Tolerances::default());
         assert!(!gate_failed(&checks));
-        assert!(checks
-            .iter()
-            .any(|c| c.metric == "update[1].gpu_cumulative" && c.verdict == Verdict::Warn));
-        assert!(checks
-            .iter()
-            .any(|c| c.metric == "update[1].cpu_cumulative" && c.verdict == Verdict::Ok));
+        assert_eq!(
+            verdict_of(&checks, "update[1].gpu_cumulative"),
+            Verdict::Warn
+        );
+        assert_eq!(verdict_of(&checks, "update[1].cpu_cumulative"), Verdict::Ok);
         // +25% on a deterministic counter: fail.
         let mut obs = fig7();
-        obs.total_instructions = obs.total_instructions * 5 / 4;
-        let checks = compare_fig7(&base, &obs, &Tolerances::default());
+        set(&mut obs, G, "total_instructions", 90_000_000.0 * 1.25);
+        let checks = compare(&base, &obs, &Tolerances::default());
         assert!(gate_failed(&checks));
     }
 
     #[test]
     fn fig7_missing_update_fails() {
         let base = fig7();
-        let mut obs = fig7();
-        obs.rows.pop();
-        let checks = compare_fig7(&base, &obs, &Tolerances::default());
+        let obs: Vec<_> = fig7()
+            .into_iter()
+            .filter(|q| !q.metric.starts_with("update[3]."))
+            .collect();
+        let checks = compare(&base, &obs, &Tolerances::default());
         assert!(gate_failed(&checks));
-        assert!(checks
+        let missing: Vec<_> = checks
             .iter()
-            .any(|c| c.metric == "update[3] present in run" && c.verdict == Verdict::Fail));
+            .filter(|c| c.verdict == Verdict::Fail)
+            .map(|c| c.metric.as_str())
+            .collect();
+        assert_eq!(
+            missing,
+            [
+                "update[3].triangles",
+                "update[3].gpu_cumulative",
+                "update[3].cpu_cumulative",
+                "update[3].pim_cumulative"
+            ]
+        );
     }
 
     #[test]
@@ -698,51 +583,44 @@ mod tests {
             "total_dma_bytes": 300
           }
         }"#;
-        let section = parse_fig7(text).unwrap().unwrap();
-        assert_eq!(section.rows.len(), 1);
-        assert_eq!(section.rows[0].update, 1);
-        assert_eq!(section.rows[0].triangles, 42);
-        assert_eq!(section.rows[0].gpu_cumulative, 0.04);
-        assert_eq!(section.total_dma_bytes, 300);
-        // Baselines predating the section parse as None, not an error.
-        assert_eq!(parse_fig7(r#"{"rows": []}"#).unwrap(), None);
-        assert!(parse_fig7("not json").is_err());
+        let q = read(text).unwrap();
+        let named: Vec<_> = q
+            .iter()
+            .map(|q| (q.metric.as_str(), q.value, q.class))
+            .collect();
+        assert_eq!(
+            named,
+            [
+                ("update[1].triangles", 42.0, Class::Exact),
+                ("update[1].gpu_cumulative", 0.04, Class::Counter),
+                ("update[1].cpu_cumulative", 0.5, Class::Time),
+                ("update[1].pim_cumulative", 0.02, Class::Time),
+                ("transfer_bytes", 100.0, Class::Counter),
+                ("total_instructions", 200.0, Class::Counter),
+                ("total_dma_bytes", 300.0, Class::Counter),
+            ]
+        );
+        assert!(q.iter().all(|q| q.graph == "fig7_dynamic"));
+        // Documents predating the section read without it, not as an error.
+        assert_eq!(read(r#"{"rows": []}"#).unwrap(), []);
+        assert!(read(r#"{"rows": [], "fig7_dynamic": {"rows": [{"update": 1}]}}"#).is_err());
     }
 
     #[test]
     fn routing_gate_is_one_sided() {
-        let base = RoutingSection {
-            edges_per_sec: 1.0e6,
-        };
+        let base = routing(1.0e6);
         let tol = Tolerances::default();
         // Faster than baseline: always Ok, however large the speedup.
-        let checks = compare_routing(
-            &base,
-            &RoutingSection {
-                edges_per_sec: 3.0e6,
-            },
-            &tol,
-        );
+        let checks = compare(&base, &routing(3.0e6), &tol);
         assert!(!gate_failed(&checks));
         assert_eq!(checks[0].verdict, Verdict::Ok);
+        assert_eq!(checks[0].rel, 0.0);
         // 5% slower: past warn, within fail.
-        let checks = compare_routing(
-            &base,
-            &RoutingSection {
-                edges_per_sec: 0.95e6,
-            },
-            &tol,
-        );
+        let checks = compare(&base, &routing(0.95e6), &tol);
         assert!(!gate_failed(&checks));
         assert_eq!(checks[0].verdict, Verdict::Warn);
         // 20% slower: fail.
-        let checks = compare_routing(
-            &base,
-            &RoutingSection {
-                edges_per_sec: 0.8e6,
-            },
-            &tol,
-        );
+        let checks = compare(&base, &routing(0.8e6), &tol);
         assert!(gate_failed(&checks));
         assert_eq!(checks[0].metric, "edges_per_sec");
         assert_eq!(checks[0].graph, "routing_throughput");
@@ -754,11 +632,11 @@ mod tests {
           "rows": [],
           "routing_throughput": {"edges_per_sec": 7.5e6, "colors": 23}
         }"#;
-        let section = parse_routing(text).unwrap().unwrap();
-        assert_eq!(section.edges_per_sec, 7.5e6);
-        assert_eq!(parse_routing(r#"{"rows": []}"#).unwrap(), None);
-        assert!(parse_routing("not json").is_err());
-        assert!(parse_routing(r#"{"routing_throughput": {}}"#).is_err());
+        let q = read(text).unwrap();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q[0].value, 7.5e6);
+        assert_eq!(q[0].class, Class::Floor);
+        assert!(read(r#"{"rows": [], "routing_throughput": {}}"#).is_err());
     }
 
     #[test]
@@ -778,34 +656,24 @@ mod tests {
             }
           }]
         }"#;
-        let rows = parse_baseline(text).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].triangles, 7);
-        assert_eq!(rows[0].kernel_cycles["triangle_count"], 19);
-        assert_eq!(rows[0].phase_seconds["triangle_count"], 0.3);
-        assert!(parse_baseline("{}").is_err());
-        assert!(parse_baseline("not json").is_err());
+        let q = read(text).unwrap();
+        assert_eq!(q.len(), 10);
+        assert_eq!(value(&q, "g", "triangles"), 7.0);
+        assert_eq!(value(&q, "g", "kernel_cycles[triangle_count]"), 19.0);
+        assert_eq!(value(&q, "g", "phase_seconds[triangle_count]"), 0.3);
+        assert!(read("{}").is_err());
+        assert!(read("not json").is_err());
+        assert!(read(r#"{"rows": [{"graph": "g", "pim_phases": {"times": {}}}]}"#).is_err());
     }
 
     /// Every check of `observed` against `baseline`, both given as
     /// baseline-shaped JSON documents.
     fn checks_of(baseline: &str, observed: &str) -> Vec<Check> {
-        let tol = Tolerances::default();
-        let mut checks = compare(
-            &parse_baseline(baseline).unwrap(),
-            &parse_baseline(observed).unwrap(),
-            &tol,
-        );
-        if let (Some(b), Some(o)) = (parse_fig7(baseline).unwrap(), parse_fig7(observed).unwrap()) {
-            checks.extend(compare_fig7(&b, &o, &tol));
-        }
-        if let (Some(b), Some(o)) = (
-            parse_routing(baseline).unwrap(),
-            parse_routing(observed).unwrap(),
-        ) {
-            checks.extend(compare_routing(&b, &o, &tol));
-        }
-        checks
+        compare(
+            &read(baseline).unwrap(),
+            &read(observed).unwrap(),
+            &Tolerances::default(),
+        )
     }
 
     fn verdict_lines<'a>(checks: impl IntoIterator<Item = &'a Check>) -> String {

@@ -23,7 +23,7 @@ pub mod routing;
 use pim_graph::datasets::{DatasetId, Profile};
 use pim_graph::{stats, CooGraph};
 use pim_sim::PimConfig;
-use pim_tc::kernel::layout::HEADER_BYTES;
+use pim_tc::kernel::MramLayout;
 use pim_tc::{TcConfig, TcConfigBuilder};
 use serde::Serialize;
 use std::fmt::Write as _;
@@ -125,16 +125,7 @@ impl Harness {
 /// which also keeps the bank layout compact and bounds simulator memory
 /// (bank vectors grow to their high-water mark).
 pub fn pim_config(colors: u32, graph: &CooGraph) -> TcConfigBuilder {
-    let seed = TcConfig::builder().build().unwrap().seed; // the default seed
-    let max_load = pim_tc::host::dpu_loads(graph.edges(), colors, seed)
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-    let capacity = (max_load + 64).min(bank_max_capacity(PimConfig::default(), 2048, 512));
-    TcConfig::builder()
-        .colors(colors)
-        .sample_capacity(capacity.max(3))
-        .stage_edges(2048)
+    pim_config_seeded(colors, graph, TcConfig::builder().build().unwrap().seed)
 }
 
 /// Like [`pim_config`] but for runs that override the master seed: the
@@ -154,10 +145,10 @@ pub fn pim_config_seeded(colors: u32, graph: &CooGraph, seed: u64) -> TcConfigBu
 }
 
 /// Maximum sample capacity a bank supports with the given staging/remap
-/// reservations (mirrors `MramLayout::compute`).
+/// reservations: the capacity `MramLayout::compute` lays out, or 0 when no
+/// sample fits.
 pub fn bank_max_capacity(pim: PimConfig, stage_edges: u64, remap_cap: u64) -> u64 {
-    let fixed = HEADER_BYTES + stage_edges * 8 + remap_cap * 8;
-    (pim.mram_capacity.saturating_sub(fixed) / 8).saturating_sub(1) / 3
+    MramLayout::compute(pim.mram_capacity, stage_edges, remap_cap, None).map_or(0, |l| l.capacity)
 }
 
 /// A minimal markdown table builder for experiment output.

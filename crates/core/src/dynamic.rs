@@ -752,11 +752,10 @@ impl<B: PimBackend> TcSession<B> {
         hub.reservoir(resident, capacity, max_fill);
     }
 
-    /// Counts once more and releases the PIM cores.
+    /// Counts once more and releases the PIM cores (dropping the session
+    /// frees them).
     pub fn finish(mut self) -> Result<TcResult, TcError> {
-        let result = self.count()?;
-        let _times = self.sys.release();
-        Ok(result)
+        self.count()
     }
 
     /// Assigns new ids to heavy hitters that entered the top-`t` set,

@@ -202,10 +202,11 @@ pub fn dpu_loads(edges: &[pim_graph::Edge], colors: u32, seed: u64) -> Vec<u64> 
 }
 
 /// Normalizes one edge and resolves the PIM cores it routes to, filling
-/// `routes`. Returns the normalized edge, or `None` for self loops. This
-/// is the single source of truth for edge→core routing, shared by batch
-/// creation ([`route_edges`]) and capacity planning ([`dpu_loads`]) so
-/// the two cannot drift.
+/// `routes`. Returns the normalized edge, or `None` for self loops. Only
+/// the per-edge oracle [`route_edges_reference`] calls it. [`route_edges`]
+/// routes through the flat pair table, which proptests hold bit-identical
+/// to the oracle; [`dpu_loads`] routes through `pair_dpus`, whose per-core
+/// totals a unit test holds to [`route_edges`]'s.
 #[inline]
 fn resolve_edge(
     e: &Edge,
@@ -532,8 +533,8 @@ mod tests {
 
     #[test]
     fn dpu_loads_agrees_with_exact_routing() {
-        // `dpu_loads` (capacity planning) and `route_edges` share one
-        // routing helper; in exact mode their per-core totals must match.
+        // `dpu_loads` (capacity planning) and `route_edges` route through
+        // separate tables; in exact mode their per-core totals must match.
         let colors = 4;
         let seed = 11;
         let assignment = TripletAssignment::new(colors);

@@ -299,7 +299,7 @@ impl MetricsHub {
         self.emit("phase", vec![("to".into(), FieldValue::Str(to.into()))]);
     }
 
-    /// One host↔DPU transfer (`op` is `push` / `broadcast` / `gather`).
+    /// One host↔DPU transfer (`op` is `push` / `gather`).
     /// Failed transfers are emitted with `ok = false`, `bytes = 0`, and the
     /// wasted bus seconds, so the stream's seconds still close against the
     /// simulator's phase times.

@@ -9,7 +9,7 @@
 use crate::event::Event;
 use std::collections::BTreeMap;
 
-/// Aggregates for one transfer op (`push` / `broadcast` / `gather`).
+/// Aggregates for one transfer op (`push` / `gather`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TransferAgg {
     /// Transfer operations observed (including failed ones).

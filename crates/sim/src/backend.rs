@@ -33,7 +33,7 @@ use crate::dpu::Dpu;
 use crate::energy::EnergyReport;
 use crate::error::{SimError, SimResult};
 use crate::fault::FaultCounters;
-use crate::kernel::{DpuContext, Pod};
+use crate::kernel::DpuContext;
 use crate::phase::{Phase, PhaseTimes};
 use crate::stats::Ledger;
 use crate::system::{Functional, HostWrite, PimSystem, Timed};
@@ -73,7 +73,7 @@ pub trait PimBackend: Send {
     /// in resident banks out of band (modeling radiation upsets the fault
     /// plan cannot schedule) and assert that scrubbing catches them. It
     /// charges no time and injects no faults. Not for orchestrators — data
-    /// planes must go through `push`/`broadcast` so transfers stay modeled
+    /// planes must go through `push` so transfers stay modeled
     /// and faultable.
     fn dpu_mut(&mut self, id: usize) -> SimResult<&mut Dpu>;
 
@@ -115,24 +115,9 @@ pub trait PimBackend: Send {
     /// a caller retrying a failed push re-sends the same writes.
     fn push(&mut self, writes: &[HostWrite]) -> SimResult<()>;
 
-    /// Broadcasts the same payload to every DPU at the same offset (UPMEM
-    /// supports this as an optimized parallel transfer; modeled as one
-    /// rank-parallel batch).
-    fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()>;
-
     /// Gathers `len` bytes at `offset` from every DPU (PIM→CPU transfer),
     /// charging one rank-parallel batch.
     fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>>;
-
-    /// Typed convenience over [`PimBackend::gather`]: one `T` per DPU
-    /// read from the same offset.
-    fn gather_one<T: Pod>(&mut self, offset: u64) -> SimResult<Vec<T>> {
-        Ok(self
-            .gather(offset, T::BYTES as u64)?
-            .into_iter()
-            .map(|bytes| T::read_le(&bytes))
-            .collect())
-    }
 
     /// Launches a labeled SPMD kernel on every allocated DPU, returning
     /// each DPU's result in id order. The label lets metric events and the
@@ -193,16 +178,6 @@ pub trait PimBackend: Send {
     /// lifetime activity counters and the modeled runtime (all-zero with
     /// the clock off).
     fn energy_report(&self) -> EnergyReport;
-
-    /// Frees the PIM cores, returning the final phase times. (Dropping the
-    /// system works too; this makes the hand-off explicit in orchestrator
-    /// code, mirroring `dpu_free` in the UPMEM SDK.)
-    fn release(self) -> PhaseTimes
-    where
-        Self: Sized,
-    {
-        self.phase_times()
-    }
 }
 
 /// The engine with its clock on: full cycle, transfer-bandwidth and
@@ -217,7 +192,16 @@ pub type FunctionalBackend = PimSystem<Functional>;
 mod tests {
     use super::*;
     use crate::error::SimError;
-    use crate::system::{decode_slice, encode_slice};
+    use crate::system::{decode_slice, encode_slice, fill_all};
+
+    fn functional(nr_dpus: usize) -> FunctionalBackend {
+        <FunctionalBackend as PimBackend>::allocate(
+            nr_dpus,
+            PimConfig::default(),
+            CostModel::default(),
+        )
+        .unwrap()
+    }
 
     /// The same small pipeline, written once against the trait.
     fn drive<B: PimBackend>(mut sys: B) -> (Vec<u32>, PhaseTimes, u64) {
@@ -242,9 +226,13 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        let out: Vec<u32> = sys.gather_one(64).unwrap();
-        let bytes = sys.total_transfer_bytes();
-        (out, sys.release(), bytes)
+        let out: Vec<u32> = sys
+            .gather(64, 4)
+            .unwrap()
+            .iter()
+            .flat_map(|bytes| decode_slice::<u32>(bytes))
+            .collect();
+        (out, sys.phase_times(), sys.total_transfer_bytes())
     }
 
     #[test]
@@ -266,8 +254,9 @@ mod tests {
 
     #[test]
     fn functional_backend_moves_data_without_charging_time() {
-        let mut sys = FunctionalBackend::allocate_default(2).unwrap();
-        sys.broadcast(0, &encode_slice(&[7u64, 9])).unwrap();
+        let mut sys = functional(2);
+        sys.push(&fill_all(2, 0, &encode_slice(&[7u64, 9])))
+            .unwrap();
         for id in 0..2 {
             let bytes = sys.dpu(id).unwrap().host_read(0, 16).unwrap();
             assert_eq!(decode_slice::<u64>(bytes), vec![7, 9]);
@@ -280,10 +269,10 @@ mod tests {
 
     #[test]
     fn functional_backend_renders_a_zero_length_timeline() {
-        let mut sys = FunctionalBackend::allocate_default(2).unwrap();
+        let mut sys = functional(2);
         let sink = crate::chrome::metered(&mut sys);
         sys.set_phase(Phase::SampleCreation);
-        sys.broadcast(0, &[0u8; 64]).unwrap();
+        sys.push(&fill_all(2, 0, &[0u8; 64])).unwrap();
         sys.execute(|ctx| {
             let mut t = ctx.tasklet(0)?;
             t.charge(10);
@@ -300,7 +289,7 @@ mod tests {
             .iter()
             .map(|e| e.get("name").unwrap().as_str().unwrap())
             .collect();
-        assert_eq!(names, vec!["allocate", "broadcast", "kernel:kernel"]);
+        assert_eq!(names, vec!["allocate", "push", "kernel:kernel"]);
         assert!(spans
             .iter()
             .all(|e| e.get("dur").unwrap().as_f64() == Some(0.0)));
@@ -313,7 +302,7 @@ mod tests {
             <FunctionalBackend as PimBackend>::allocate(65, cfg, CostModel::default()),
             Err(SimError::TooManyDpus { .. })
         ));
-        let mut sys = FunctionalBackend::allocate_default(1).unwrap();
+        let mut sys = functional(1);
         assert!(matches!(
             sys.push(&[HostWrite {
                 dpu: 5,
@@ -349,7 +338,12 @@ mod tests {
                     })
                     .collect();
                 let _ = sys.push(&writes);
-                let _ = sys.broadcast(64, &encode_slice(&[round; 4]));
+                let shared = encode_slice(&[round; 4]);
+                let live: Vec<HostWrite> = fill_all(4, 64, &shared)
+                    .into_iter()
+                    .filter(|w| !sys.is_dpu_lost(w.dpu))
+                    .collect();
+                let _ = sys.push(&live);
                 let _ = sys.execute_labeled_masked("sum", |ctx| {
                     let mut t = ctx.tasklet(0)?;
                     let mut buf = [0u32; 8];
@@ -423,7 +417,8 @@ mod tests {
         hub.add_sink(Box::new(sink.clone()));
         sys.attach_metrics(hub);
         sys.set_phase(Phase::SampleCreation);
-        sys.broadcast(0, &encode_slice(&[1u32; 16])).unwrap();
+        sys.push(&fill_all(4, 0, &encode_slice(&[1u32; 16])))
+            .unwrap();
         sys.charge_host_seconds_labeled("route_edges", 0.125);
         sys.set_phase(Phase::TriangleCount);
         sys.execute_labeled("count", |ctx| {
@@ -445,7 +440,7 @@ mod tests {
 
     #[test]
     fn functional_kernel_errors_propagate() {
-        let mut sys = FunctionalBackend::allocate_default(2).unwrap();
+        let mut sys = functional(2);
         let err = sys
             .execute(|ctx| {
                 let mut t = ctx.tasklet(0)?;

@@ -17,7 +17,6 @@
 //!   | op | dead rank |
 //!   |---|---|
 //!   | push | fails the batch if it holds writes, naming its first write's global id, before any rank mutates |
-//!   | broadcast | skipped |
 //!   | gather | zeroed tombstones |
 //!   | masked launch | `None` slots |
 //! * **Time.** Ranks run in parallel in the modeled machine: phase times
@@ -205,8 +204,6 @@ fn remap_err(inverse: &[Vec<u32>], rank: usize, mut e: SimError) -> SimError {
 enum OnDead<'a, T> {
     /// Fail before any rank runs, naming the first core its share touches.
     Refuse,
-    /// Leave the rank out.
-    Skip,
     /// Answer each of the rank's global slots with a fresh filler.
     Fill(&'a dyn Fn() -> T),
 }
@@ -233,7 +230,7 @@ impl Share for &[HostWrite<'_>] {
     }
 }
 
-/// Broadcasts, gathers and launches touch every rank.
+/// Gathers and launches touch every rank.
 impl Share for () {
     fn first_local(&self) -> Option<usize> {
         Some(0)
@@ -437,7 +434,7 @@ impl<B: PimBackend> RankCluster<B> {
                 out[inverse[r][l] as usize] = Some(v);
             }
         }
-        // Push and broadcast answer no slots, so they get none back.
+        // A push answers no slots, so it gets none back.
         Ok(out
             .into_iter()
             .collect::<Option<Vec<T>>>()
@@ -546,19 +543,6 @@ impl<B: PimBackend> PimBackend for RankCluster<B> {
         self.fan_out(policy, &shares, push).map(drop)
     }
 
-    fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        let policy: FanOut<()> = FanOut {
-            label: "broadcast",
-            dead: OnDead::Skip,
-            absorb_kills: false,
-        };
-        let shares = vec![(); self.ranks.len()];
-        self.fan_out(policy, &shares, |b, ()| {
-            b.broadcast(offset, data).map(|()| vec![])
-        })?;
-        Ok(())
-    }
-
     fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
         let policy = FanOut {
             label: "gather",
@@ -611,7 +595,7 @@ mod tests {
     use crate::backend::FunctionalBackend;
     use crate::phase::PhaseTimes;
     use crate::stats::SystemReport;
-    use crate::system::PimSystem;
+    use crate::system::{fill_all, PimSystem};
 
     #[test]
     fn spec_partitions_are_contiguous_and_balanced() {
@@ -827,7 +811,7 @@ mod tests {
             RankCluster::<FunctionalBackend>::allocate_cluster(spec, config, CostModel::default())
                 .unwrap();
         // Op 0: everything alive — baseline data lands on every bank.
-        cluster.broadcast(0, &[1u8; 8]).unwrap();
+        cluster.push(&fill_all(6, 0, &[1u8; 8])).unwrap();
         // Op 1: rank 0 dies — its shard (globals 0, 1) and its spare
         // (global 4) all mask to None; rank 1 keeps working.
         let second = cluster
@@ -913,7 +897,7 @@ mod tests {
         let mut cluster =
             RankCluster::<FunctionalBackend>::allocate_cluster(spec, config, CostModel::default())
                 .unwrap();
-        cluster.broadcast(0, &[1u8; 8]).unwrap(); // op 0: all alive
+        cluster.push(&fill_all(6, 0, &[1u8; 8])).unwrap(); // op 0: all alive
         cluster.gather(0, 8).unwrap(); // op 1: rank 0 dies
         assert!(cluster.is_rank_dead(0));
         // The dead rank's cores are unreachable, so the report must not
@@ -928,7 +912,7 @@ mod tests {
                 assert_eq!((row.instructions, row.dma_bytes, row.mram_used), (0, 0, 0));
             }
         }
-        // Survivor rows keep their real MRAM occupancy from the broadcast.
+        // Survivor rows keep their real MRAM occupancy from the fill.
         assert!(report.per_dpu.iter().any(|r| r.mram_used > 0));
         assert_eq!(report.fault_counters.rank_deaths, 1);
     }
@@ -947,7 +931,7 @@ mod tests {
         // Many ops outside the Triangle Count phase: nothing fires.
         cluster.set_phase(Phase::SampleCreation);
         for _ in 0..8 {
-            cluster.broadcast(0, &[1u8; 4]).unwrap();
+            cluster.push(&fill_all(4, 0, &[1u8; 4])).unwrap();
         }
         assert_eq!(cluster.fault_counters().rank_deaths, 0);
         // The first op inside the count phase kills the rank.
@@ -982,7 +966,7 @@ mod tests {
             RankCluster::<FunctionalBackend>::allocate_cluster(spec, config, CostModel::default())
                 .unwrap();
         for round in 0..32u8 {
-            cluster.broadcast(0, &[round; 8]).unwrap();
+            cluster.push(&fill_all(4, 0, &[round; 8])).unwrap();
             let banks = cluster
                 .gather(0, 8)
                 .unwrap_or_else(|e| panic!("round {round}: gather failed: {e}"));

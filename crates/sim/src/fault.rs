@@ -9,8 +9,8 @@
 //!
 //! Three fault classes are modeled:
 //!
-//! * **Transient transfer failures** (`transfer=PPM`): a `push`/`broadcast`/
-//!   `gather` call fails atomically with [`crate::SimError::FaultTransfer`];
+//! * **Transient transfer failures** (`transfer=PPM`): a `push`/`gather`
+//!   call fails atomically with [`crate::SimError::FaultTransfer`];
 //!   no data moves, but on the timed backend the wasted bus time is charged.
 //! * **Transfer corruption** (`corrupt=PPM`): the operation succeeds but one
 //!   byte of one payload is XOR-flipped. Hosts are expected to detect this
@@ -68,7 +68,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 pub struct DpuKill {
     /// Physical DPU id to kill.
     pub dpu: usize,
-    /// Operation index (push/broadcast/gather/execute counter) at which the
+    /// Operation index (push/gather/execute counter) at which the
     /// DPU stops responding. The op with this index is the first to observe
     /// the death.
     pub at_op: u64,
@@ -370,7 +370,7 @@ impl std::ops::AddAssign for FaultCounters {
 /// Which class of host-side operation is asking for a fault decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpKind {
-    /// `push` / `broadcast` / `gather`.
+    /// `push` / `gather`.
     Transfer,
     /// `execute` (kernel launch).
     Launch,

@@ -241,7 +241,8 @@ mod tests {
         assert_eq!(report.transfer_bandwidth_utilization, 0.0);
 
         let mut sys = skewed_system();
-        sys.broadcast(0, &[0u8; 4096]).unwrap();
+        sys.push(&crate::system::fill_all(sys.nr_dpus(), 0, &[0u8; 4096]))
+            .unwrap();
         let report = SystemReport::capture(&sys);
         assert!(report.transfer_seconds > 0.0);
         assert!(report.transfer_bandwidth_utilization > 0.0);
@@ -282,7 +283,8 @@ mod tests {
     #[test]
     fn functional_backend_reports_activity_without_time() {
         use crate::backend::FunctionalBackend;
-        let mut sys = FunctionalBackend::allocate_default(2).unwrap();
+        let mut sys =
+            FunctionalBackend::allocate(2, PimConfig::default(), CostModel::default()).unwrap();
         sys.execute(|ctx| {
             let mut t = ctx.tasklet(0)?;
             t.charge(10);

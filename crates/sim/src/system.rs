@@ -77,6 +77,15 @@ pub struct HostWrite<'a> {
     pub data: &'a [u8],
 }
 
+/// One write of `data` at `offset` to each of cores `0..nr_dpus`: the
+/// batch that fills every bank with the same bytes.
+#[cfg(test)]
+pub(crate) fn fill_all(nr_dpus: usize, offset: u64, data: &[u8]) -> Vec<HostWrite<'_>> {
+    (0..nr_dpus)
+        .map(|dpu| HostWrite { dpu, offset, data })
+        .collect()
+}
+
 /// A set of allocated PIM cores plus the machinery to drive them:
 /// rank-parallel transfers, SPMD kernel launches, and per-phase modeled
 /// time (§4.1: Setup / Sample Creation / Triangle Count). The operations
@@ -99,8 +108,8 @@ pub struct PimSystem<C: Clock = Timed> {
 enum OpRecord {
     /// Core allocation plus kernel binary load.
     Alloc { nr_dpus: usize },
-    /// A CPU↔PIM batch: `name` is `push`, `broadcast` or `gather`, and
-    /// `units` counts writes (push) or DPUs. A failed batch lands no bytes
+    /// A CPU↔PIM batch: `name` is `push` or `gather`, and `units` counts
+    /// writes (push) or DPUs (gather). A failed batch lands no bytes
     /// but still holds the bus for `per_dpu_bytes`.
     Transfer {
         name: &'static str,
@@ -170,11 +179,6 @@ impl PimSystem {
 }
 
 impl<C: Clock> PimSystem<C> {
-    /// Allocates with the default config and cost model.
-    pub fn allocate_default(nr_dpus: usize) -> SimResult<Self> {
-        <Self as PimBackend>::allocate(nr_dpus, PimConfig::default(), CostModel::default())
-    }
-
     /// Consults the fault plan for the next operation. A kill, or a
     /// transient failure (which settles the `wasted` record so its time
     /// still reaches the clock), becomes the op's error; any other
@@ -438,49 +442,6 @@ impl<C: Clock> PimBackend for PimSystem<C> {
         Ok(())
     }
 
-    /// The payload is shared across DPUs — nothing is cloned per core, so
-    /// broadcasting a large sample to thousands of DPUs costs one write
-    /// per bank, not one allocation per bank. Accounting is identical to
-    /// `push` with the equivalent per-DPU write batch.
-    fn broadcast(&mut self, offset: u64, data: &[u8]) -> SimResult<()> {
-        let per_dpu_bytes: Vec<u64> = (0..self.dpus.len())
-            .map(|d| {
-                if self.fault.is_dead(d) {
-                    0
-                } else {
-                    data.len() as u64
-                }
-            })
-            .collect();
-        let units = self.dpus.len();
-        let decision = self.admit(OpKind::Transfer, || OpRecord::Transfer {
-            name: "broadcast",
-            units,
-            per_dpu_bytes: per_dpu_bytes.clone(),
-            ok: false,
-        })?;
-        for dpu in &mut self.dpus {
-            if !self.fault.is_dead(dpu.id()) {
-                dpu.host_write(offset, data)?;
-            }
-        }
-        if let FaultDecision::Corrupt { salt, op } = decision {
-            let live = (0..units).filter(|&d| !self.fault.is_dead(d));
-            if let Some((d, byte)) = corruption_target(salt, live.map(|d| (d, data.len()))) {
-                let flipped = data[byte as usize] ^ CORRUPT_MASK;
-                self.dpus[d].host_write(offset + byte, &[flipped])?;
-                self.corrupted(op, d);
-            }
-        }
-        self.settle(OpRecord::Transfer {
-            name: "broadcast",
-            units,
-            per_dpu_bytes,
-            ok: true,
-        });
-        Ok(())
-    }
-
     fn gather(&mut self, offset: u64, len: u64) -> SimResult<Vec<Vec<u8>>> {
         let per_dpu_bytes = vec![len; self.dpus.len()];
         let units = self.dpus.len();
@@ -676,7 +637,12 @@ mod tests {
             .unwrap();
         assert_eq!(results, vec![0, 8, 16, 24]);
 
-        let gathered: Vec<u32> = sys.gather_one(64).unwrap();
+        let gathered: Vec<u32> = sys
+            .gather(64, 4)
+            .unwrap()
+            .iter()
+            .flat_map(|bytes| decode_slice::<u32>(bytes))
+            .collect();
         assert_eq!(gathered, vec![0, 8, 16, 24]);
 
         let t = sys.phase_times();
@@ -685,70 +651,10 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_every_dpu() {
-        let mut sys = small_system();
-        sys.broadcast(0, &encode_slice(&[7u32, 9])).unwrap();
-        for id in 0..4 {
-            let bytes = sys.dpu(id).unwrap().host_read(0, 8).unwrap();
-            assert_eq!(decode_slice::<u32>(bytes), vec![7, 9]);
-        }
-    }
-
-    #[test]
-    fn broadcast_matches_equivalent_push_batch() {
-        // The shared-payload broadcast must be observationally identical
-        // to pushing one write per DPU: same MRAM contents, same
-        // modeled time, same byte accounting, the same metric events but
-        // for the op name.
-        let payload = encode_slice(&[3u32, 1, 4, 1, 5, 9, 2, 6]);
-
-        let mut via_broadcast = small_system();
-        let broadcast_events = crate::chrome::metered(&mut via_broadcast);
-        via_broadcast.set_phase(Phase::SampleCreation);
-        via_broadcast.broadcast(16, &payload).unwrap();
-
-        let mut via_push = small_system();
-        let push_events = crate::chrome::metered(&mut via_push);
-        via_push.set_phase(Phase::SampleCreation);
-        let writes: Vec<HostWrite> = (0..4)
-            .map(|dpu| HostWrite {
-                dpu,
-                offset: 16,
-                data: &payload,
-            })
-            .collect();
-        via_push.push(&writes).unwrap();
-
-        assert_eq!(via_broadcast.phase_times(), via_push.phase_times());
-        assert_eq!(
-            via_broadcast.total_transfer_bytes(),
-            via_push.total_transfer_bytes()
-        );
-        assert_eq!(
-            via_broadcast.ledger().transfer_seconds,
-            via_push.ledger().transfer_seconds
-        );
-        let without_op = |sink: &pim_metrics::MemorySink| -> Vec<pim_metrics::Event> {
-            let mut events = sink.events();
-            for e in &mut events {
-                e.fields.retain(|(k, _)| k != "op");
-            }
-            events
-        };
-        assert_eq!(without_op(&broadcast_events), without_op(&push_events));
-        for id in 0..4 {
-            assert_eq!(
-                via_broadcast.dpu(id).unwrap().host_read(16, 32).unwrap(),
-                via_push.dpu(id).unwrap().host_read(16, 32).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn transfer_seconds_accumulate_across_directions() {
         let mut sys = small_system();
         assert_eq!(sys.ledger().transfer_seconds, 0.0);
-        sys.broadcast(0, &[0u8; 64]).unwrap();
+        sys.push(&fill_all(4, 0, &[0u8; 64])).unwrap();
         let after_push = sys.ledger().transfer_seconds;
         assert!(after_push > 0.0);
         sys.gather(0, 64).unwrap();
@@ -895,7 +801,7 @@ mod tests {
 
         // The reference runs the kernel on one core at a time.
         let mut reference = PimSystem::allocate(N, config, cost).unwrap();
-        reference.broadcast(0, &payload).unwrap();
+        reference.push(&fill_all(N, 0, &payload)).unwrap();
         let mut want = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         for dpu in &mut reference.dpus {
             dpu.reset_kernel_counters();
@@ -913,7 +819,7 @@ mod tests {
 
         let mut sys = PimSystem::allocate(N, config, cost).unwrap();
         sys.set_phase(Phase::TriangleCount);
-        sys.broadcast(0, &payload).unwrap(); // op 0
+        sys.push(&fill_all(N, 0, &payload)).unwrap(); // op 0
         let results = sys.execute_labeled_masked("skew", kernel).unwrap(); // op 1
         let mut got = (Vec::new(), Vec::new(), Vec::new());
         for id in 0..N {
@@ -956,12 +862,5 @@ mod tests {
         expected[13] = None;
         expected[45] = None;
         assert_eq!(masked, expected);
-    }
-
-    #[test]
-    fn release_returns_times() {
-        let sys = small_system();
-        let t = sys.release();
-        assert!(t.setup > 0.0);
     }
 }

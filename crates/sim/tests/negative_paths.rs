@@ -65,7 +65,7 @@ fn guards_return_errors<B: PimBackend>() {
     assert!(matches!(err, SimError::BadDma { .. }));
 
     // Host gather past the initialized high-water mark.
-    let err = sys.gather_one::<u64>(1 << 40).unwrap_err();
+    let err = sys.gather(1 << 40, 8).unwrap_err();
     assert!(matches!(err, SimError::BadAddress { .. }));
 
     // Push to an out-of-range DPU id.
@@ -102,7 +102,14 @@ fn fault_log<B: PimBackend>(spec: &str) -> Vec<(usize, String)> {
     // injected transient failures (each attempt consumes one op index, so
     // the sequence stays deterministic).
     loop {
-        match sys.broadcast(0, &[0u8; 8]) {
+        let fill: Vec<HostWrite> = (0..4)
+            .map(|dpu| HostWrite {
+                dpu,
+                offset: 0,
+                data: &[0u8; 8],
+            })
+            .collect();
+        match sys.push(&fill) {
             Ok(()) => break,
             Err(e) if e.is_transient() => continue,
             Err(e) => panic!("unexpected init error: {e}"),
